@@ -51,6 +51,8 @@ def _parse_z(text):
         re_, im_ = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"--z expects 're,im', got {text!r}") from None
+    if not (math.isfinite(re_) and math.isfinite(im_)):
+        raise ConfigError(f"--z must be finite, got {text!r}")
     return complex(re_, im_)
 
 
@@ -85,6 +87,8 @@ def _parse_window(text):
         n = int(parts[4])
     except ValueError:
         raise ConfigError(f"--window expects numbers: {text!r}") from None
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise ConfigError(f"--window must be finite, got {text!r}")
     if x1 < x0 or y1 < y0 or n < 1:
         raise ConfigError("--window is empty")
     return classify.Window(x0, y0, x1, y1, n)
@@ -391,11 +395,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; pass through
-        raise exc
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

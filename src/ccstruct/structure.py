@@ -262,7 +262,6 @@ def twist_many(field: DensityField, z, ws, n_nodes=96):
     z = complex(z)
     ws = np.asarray(ws, dtype=complex).ravel()
     x, wts = quadrature.gl_nodes(0.0, 1.0, n_nodes)
-    pts = z + ws[:, None] * x[None, :] - z * x[None, :] + 0j
     pts = z + (ws[:, None] - z) * x[None, :]
     px, py = field.potential_gradient(pts)
     pz = 0.5 * (px - 1j * py)

@@ -71,6 +71,13 @@ def test_bad_delta_exit_2(constant_spec, capsys):
                  "--delta", "-1"]) == 2
 
 
+def test_nonfinite_z_and_window_exit_2(constant_spec):
+    assert main(["lambda", "--density", constant_spec, "--z", "nan,0",
+                 "--delta", "1"]) == 2
+    assert main(["sweep", "--density", constant_spec,
+                 "--window", "0,0,inf,1,2", "--delta", "1"]) == 2
+
+
 def test_sweep_schema_and_determinism(tmp_path, constant_spec):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--density", constant_spec, "--window", "0,0,1,1,2",

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ccstruct import density
+from ccstruct import density, quadrature
 from ccstruct.density import (BumpLattice, ConstantDensity, GridDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity, decaying_bump_lattice, disk_mass,
@@ -198,6 +198,92 @@ def test_bump_many_matches_scalar():
     many = f.disk_mass_many(centers, 1.7)
     for c, v in zip(centers, many):
         assert v == pytest.approx(f.disk_mass(c, 1.7), rel=1e-8, abs=1e-12)
+
+
+def _reference_fraction_inside(d, rho, r, n_nodes=48):
+    """Scalar partial-overlap fraction, one (d, rho) pair at a time."""
+    cuts = sorted({0.0, 1.0} | {v for v in (abs(r - d) / rho, (r + d) / rho)
+                                if 0.0 < v < 1.0})
+    num = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        s, ws = quadrature.gl_nodes(a, b, n_nodes)
+        phi = density._mollifier(s)
+        radii = rho * s
+        if d < 1e-15:
+            ang = np.where(radii <= r, 2.0 * math.pi, 0.0)
+        else:
+            cosv = (d * d + radii ** 2 - r * r) / (2.0 * d * radii)
+            ang = np.where(cosv <= -1.0, 2.0 * math.pi,
+                           np.where(cosv >= 1.0, 0.0,
+                                    2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))))
+        num += float(np.dot(ws, phi * s * ang))
+    return num / density._MOLLIFIER_MASS
+
+
+def _reference_disk_mass(f, center, r):
+    """All-pairs bump-lattice disk mass: every bump is classified as
+    inside, outside or partial, partial ones summed in index order."""
+    center = complex(center)
+    d = np.abs(f.centers - center)
+    inside = d + f.radii <= r
+    outside = d - f.radii >= r
+    total = float(np.sum(f.masses[inside]))
+    for idx in np.nonzero(~(inside | outside))[0]:
+        total += f.masses[idx] * _reference_fraction_inside(
+            float(d[idx]), float(f.radii[idx]), r)
+    return total
+
+
+def _reference_density(f, z):
+    dist = np.abs(np.asarray(z, dtype=complex).ravel()[:, None]
+                  - f.centers[None, :])
+    return np.sum(f.masses / (f.radii ** 2 * density._MOLLIFIER_MASS)
+                  * density._mollifier(dist / f.radii), axis=1)
+
+
+_coord = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@given(bumps=st.lists(st.tuples(_coord, _coord,
+                                st.floats(min_value=0.1, max_value=2.0),
+                                st.floats(min_value=0.05, max_value=1.5)),
+                      min_size=1, max_size=30),
+       query=st.one_of(st.integers(min_value=0, max_value=29),
+                       st.tuples(_coord, _coord)),
+       r=st.floats(min_value=0.01, max_value=12.0))
+@example(bumps=[(0.0, 0.0, 1.0, 0.5), (0.3, 0.0, 2.0, 1.2)], query=0, r=0.2)
+@example(bumps=[(1.0, 1.0, 1.0, 0.5), (-2.0, 0.5, 0.5, 0.3)],
+         query=(0.0, 0.0), r=12.0)
+@settings(max_examples=60, deadline=None)
+def test_bump_indexed_matches_all_pairs(bumps, query, r):
+    """The indexed disk masses and density match the all-pairs sums on
+    overlapping supports, with a bump at the query center (an integer
+    query picks a bump), r below a support radius and r past the whole
+    lattice."""
+    xs, ys, masses, radii = map(np.array, zip(*bumps))
+    f = BumpLattice(xs + 1j * ys, masses, radii)
+    if isinstance(query, int):
+        c = complex(f.centers[query % len(f.centers)])
+    else:
+        c = complex(*query)
+    # disk_mass keeps the reference's summation order, so it is exact
+    assert f.disk_mass(c, r) == _reference_disk_mass(f, c, r)
+    zs = np.array([c, c + 0.5, f.centers[0], 7.0 + 7.0j])
+    many = f.disk_mass_many(zs, r)
+    for z, v in zip(zs, many):
+        assert v == pytest.approx(_reference_disk_mass(f, z, r),
+                                  rel=1e-12, abs=0.0)
+    assert f.density(zs) == pytest.approx(_reference_density(f, zs),
+                                          rel=1e-12, abs=0.0)
+
+
+def test_bump_disk_mass_bitwise_at_c12_oracle_points():
+    """The classify slope on c12's lattice depends on the last bits of
+    disk_mass through the Nelder-Mead polish, so the indexed sum must
+    reproduce the all-pairs one exactly."""
+    f = decaying_bump_lattice(70)
+    for z, d in ((0j, 5.0), (10 + 3j, 8.0), (-15 - 15j, 3.0)):
+        assert f.disk_mass(z, d) == _reference_disk_mass(f, z, d)
 
 
 def test_decaying_lattice_masses():

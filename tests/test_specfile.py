@@ -70,6 +70,12 @@ def test_bad_number_reports_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_nonfinite_bump_center_rejected(tmp_path):
+    with pytest.raises(DensitySpecError):
+        load_density_spec(write(tmp_path, "family = bump_lattice\n"
+                                          "bumps = nan,0,1,0.25\n"))
+
+
 def test_duplicate_key_rejected(tmp_path):
     with pytest.raises(DensitySpecError):
         load_density_spec(write(tmp_path, "family = constant\nc = 1\nc = 2\n"))
