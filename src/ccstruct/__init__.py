@@ -25,7 +25,7 @@ from .geometry import (Pen, PlaneCurve, Stockyard, boundary_line_integral,
                        split_loop_into_seven, stockyard_mass,
                        validate_stockyard)
 from .specfile import load_density_spec
-from .structure import (LambdaEstimate, SupOptions, SweepGrid, WitnessDisk,
+from .structure import (LambdaEstimate, SupOptions, Window, WitnessDisk,
                         lambda_stockyard, lambda_sup, lambda_sweep, twist,
                         twist_many, volume_estimate)
 
@@ -41,7 +41,7 @@ __all__ = [
     "circle_curve", "pack_disks", "pen_mass", "polygon_curve",
     "split_loop_into_seven", "stockyard_mass", "validate_stockyard",
     "load_density_spec",
-    "LambdaEstimate", "SupOptions", "SweepGrid", "WitnessDisk",
+    "LambdaEstimate", "SupOptions", "Window", "WitnessDisk",
     "lambda_stockyard", "lambda_sup", "lambda_sweep", "twist",
     "twist_many", "volume_estimate",
 ]

@@ -85,10 +85,6 @@ class Trajectory:
     def end(self):
         return tuple(self.states[-1])
 
-    def to_csv_rows(self):
-        for si, (x, y, t) in zip(self.s, self.states):
-            yield (si, x, y, t)
-
 
 def integrate_path(field: DensityField, start, control: ControlSignal,
                    delta, steps=16):

@@ -30,34 +30,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .density import DELTA_HAT_MIN, DensityField
-from .structure import SupOptions, lambda_sup, optimize_weighted_disk
+from .structure import (SupOptions, Window, lambda_sup,
+                        optimize_weighted_disk)
 
 #: reduced search budget for classification sweeps (many lambda_sup calls)
 CLASSIFY_OPTS = SupOptions(n_rungs=10, grid=17, n_polish=2,
                            polish_maxiter=60)
-
-
-@dataclass(frozen=True)
-class Window:
-    """Axis-aligned base-point window sampled on an n x n lattice."""
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    n: int = 5
-
-    def __post_init__(self):
-        if self.x1 < self.x0 or self.y1 < self.y0 or self.n < 1:
-            raise ValueError("empty window")
-
-    def points(self):
-        xs = np.linspace(self.x0, self.x1, self.n)
-        ys = np.linspace(self.y0, self.y1, self.n)
-        return [complex(x, y) for y in ys for x in xs]
-
-    def as_dict(self):
-        return {"x0": self.x0, "y0": self.y0, "x1": self.x1, "y1": self.y1,
-                "n": self.n}
 
 
 @dataclass

@@ -91,7 +91,7 @@ def _parse_window(text):
         raise ConfigError(f"--window must be finite, got {text!r}")
     if x1 < x0 or y1 < y0 or n < 1:
         raise ConfigError("--window is empty")
-    return classify.Window(x0, y0, x1, y1, n)
+    return structure.Window(x0, y0, x1, y1, n)
 
 
 def _config_hash(args):
@@ -178,10 +178,9 @@ def cmd_sweep(args):
     field = _load_field(args)
     window = _parse_window(args.window)
     deltas = _parse_deltas(args.delta)
-    grid = structure.SweepGrid(window.x0, window.y0, window.x1, window.y1,
-                               window.n, tuple(deltas))
-    rows_out = structure.lambda_sweep(field, grid, method=args.method,
-                                      seed=args.seed, jobs=args.jobs)
+    rows_out = structure.lambda_sweep(field, window, deltas,
+                                      method=args.method, seed=args.seed,
+                                      jobs=args.jobs)
     columns = ["re(z)", "im(z)", "delta", "method", "value",
                "witness_re", "witness_im", "witness_radius"]
     rows = [[r.z.real, r.z.imag, r.delta, r.method, r.value,

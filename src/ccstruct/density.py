@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -518,11 +517,13 @@ def _bump_fractions_inside(d, rho, r, n_nodes=48):
     lying inside a disk of radius r about the query center, one per
     (d, rho) pair.
 
-    Each 1D radial integral is split at the regime boundaries
-    s = |r - d|/rho and s = (r + d)/rho where the wedge angle has kinks,
-    so fixed Gauss-Legendre converges fast on each piece.  Empty pieces
-    add exactly zero, and each piece's node sum is a BLAS dot product,
-    so a pair's fraction does not depend on the other pairs in the call.
+    The 1D radial integral over s in [0, 1] is split at the regime
+    boundaries s = |r - d|/rho and s = (r + d)/rho where the wedge angle
+    has kinks, so fixed Gauss-Legendre converges fast on each piece.  The
+    piece beyond (r + d)/rho lies wholly outside the disk (wedge angle 0)
+    and is not evaluated.  Empty pieces add exactly zero, and each
+    piece's node sum is a BLAS dot product, so a pair's fraction does not
+    depend on the other pairs in the call.
     """
     x, w = quadrature.gauss_legendre(n_nodes)
     lo = np.minimum(np.abs(r - d) / rho, 1.0)
@@ -530,7 +531,7 @@ def _bump_fractions_inside(d, rho, r, n_nodes=48):
     at_center = (d < 1e-15)[:, None]
     dc = d[:, None]
     num = np.zeros(d.shape)
-    for a, b in ((np.zeros(d.shape), lo), (lo, hi), (hi, np.ones(d.shape))):
+    for a, b in ((np.zeros(d.shape), lo), (lo, hi)):
         half = (0.5 * (b - a))[:, None]
         s = a[:, None] + half * (x + 1.0)
         radii = rho[:, None] * s
@@ -704,23 +705,6 @@ class GridDensity(DensityField):
 # ---------------------------------------------------------------------------
 # module-level operation wrappers
 
-def eval_density(field: DensityField, z):
-    """Density at a point: non-negative, pure, deterministic."""
-    vals = field.density(np.asarray(z, dtype=complex))
-    if np.ndim(z) == 0:
-        return float(vals)
-    return vals
-
-
-def eval_potential_gradient(field: DensityField, z):
-    """(P_x, P_y) at ``z``; raises PotentialUnavailable when the field
-    has no potential data."""
-    px, py = field.potential_gradient(np.asarray(z, dtype=complex))
-    if np.ndim(z) == 0:
-        return float(px), float(py)
-    return px, py
-
-
 def disk_mass(field: DensityField, center, r, rel_tol=1e-6,
               force_quadrature=False):
     """mu(center, r) to relative tolerance ``rel_tol``; analytic fast
@@ -731,26 +715,3 @@ def disk_mass(field: DensityField, center, r, rel_tol=1e-6,
         return field.disk_mass_quadrature(center, r, rel_tol=rel_tol)
     return field.disk_mass(center, r, rel_tol=rel_tol)
 
-
-@dataclass
-class MassRatioBound:
-    """Empirical constant for the runtime growth check: the largest
-    observed mu(z, d) / (d + d^2) over the sampled window."""
-    value: float
-    argmax_z: complex
-    argmax_delta: float
-
-
-def mass_ratio_bound(field: DensityField, zs, deltas) -> MassRatioBound:
-    """Largest mu(z, d)/(d + d^2) over sampled points and radii; for a
-    field with a uniform growth structure this is bounded by a constant
-    depending only on the density."""
-    best, bz, bd = -1.0, 0j, 0.0
-    zs = np.asarray(zs, dtype=complex).ravel()
-    for d in deltas:
-        vals = np.asarray(field.disk_mass_many(zs, float(d)), dtype=float)
-        ratios = vals / (d + d * d)
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best, bz, bd = float(ratios[i]), complex(zs[i]), float(d)
-    return MassRatioBound(best, bz, bd)

@@ -149,11 +149,6 @@ class PlaneCurve:
             out.append(piece)
         return PlaneCurve(out)
 
-    def sample(self, n=256):
-        """n points along the curve, arclength-uniform (for plotting)."""
-        ss = np.linspace(0.0, self.length, n)
-        return np.array([self.point_at_length(s) for s in ss])
-
 
 def circle_curve(center, radius, clockwise=True, start_angle=0.0, turns=1):
     """A full circle (optionally traversed several times); clockwise is
@@ -186,8 +181,9 @@ def boundary_line_integral(field: DensityField, curve: PlaneCurve,
                            rel_tol=1e-8):
     """The line integral of P_y dx - P_x dy along the curve, by per-piece
     Gauss-Legendre quadrature with order doubling to the requested
-    relative tolerance.  Raises PotentialUnavailable when the field has
-    no potential."""
+    relative tolerance (measured against the largest piece so far).
+    Raises PotentialUnavailable when the field has no potential and
+    QuadratureFailure when a piece does not converge by 8192 nodes."""
     total = 0.0
     scale = 0.0
     for piece in curve.pieces:
@@ -200,18 +196,9 @@ def boundary_line_integral(field: DensityField, curve: PlaneCurve,
             px, py = field.potential_gradient(pts)
             return py * dz.real - px * dz.imag
 
-        n = 16
-        prev = None
-        while True:
-            x, w = quadrature.gl_nodes(0.0, 1.0, n)
-            val = float(np.dot(w, integrand(x)))
-            if prev is not None and abs(val - prev) <= rel_tol * max(
-                    abs(val), scale, 1e-12):
-                break
-            prev = val
-            n *= 2
-            if n > 8192:
-                break
+        val = quadrature.adaptive_1d(integrand, 0.0, 1.0, rel_tol=rel_tol,
+                                     abs_floor=max(scale, 1e-12),
+                                     max_order=8192)
         total += val
         scale = max(scale, abs(val))
     return total

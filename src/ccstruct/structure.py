@@ -234,7 +234,9 @@ def lambda_stockyard(field: DensityField, z, delta, opts: SupOptions = None):
 
 def twist(field: DensityField, z, w, tol=1e-9):
     """The twist of the metric ball: the t-offset of the comparable box
-    center,  -2 Im( integral_0^1 (w - z) P_z(z + r (w - z)) dr )."""
+    center,  -2 Im( integral_0^1 (w - z) P_z(z + r (w - z)) dr ).
+    Raises QuadratureFailure when the integral does not converge by 4096
+    nodes."""
     z, w = complex(z), complex(w)
     if z == w:
         return 0.0
@@ -245,16 +247,8 @@ def twist(field: DensityField, z, w, tol=1e-9):
         pz = 0.5 * (px - 1j * py)
         return ((w - z) * pz).imag
 
-    n = 16
-    prev = None
-    while n <= 4096:
-        x, wts = quadrature.gl_nodes(0.0, 1.0, n)
-        val = float(np.dot(wts, integrand(x)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return -2.0 * val
-        prev = val
-        n *= 2
-    return -2.0 * prev
+    return -2.0 * quadrature.adaptive_1d(integrand, 0.0, 1.0, rel_tol=tol,
+                                         abs_floor=1.0, max_order=4096)
 
 
 def twist_many(field: DensityField, z, ws, n_nodes=96):
@@ -292,31 +286,27 @@ def volume_estimate(field: DensityField, z, delta, opts: SupOptions = None):
 # ---------------------------------------------------------------------------
 # sweeps
 
-@dataclass
-class SweepGrid:
-    """Axis-aligned window sampled on an n x n lattice crossed with a
-    strictly increasing delta ladder."""
+@dataclass(frozen=True)
+class Window:
+    """Axis-aligned base-point window sampled on an n x n lattice."""
     x0: float
     y0: float
     x1: float
     y1: float
-    n: int
-    deltas: tuple
+    n: int = 5
 
     def __post_init__(self):
         if self.x1 < self.x0 or self.y1 < self.y0 or self.n < 1:
-            raise ValueError("empty sweep window")
-        deltas = tuple(float(d) for d in self.deltas)
-        if any(b <= a for a, b in zip(deltas, deltas[1:])) or not deltas:
-            raise ValueError("delta ladder must be strictly increasing")
-        if any(d <= 0 for d in deltas):
-            raise ValueError("deltas must be positive")
-        self.deltas = deltas
+            raise ValueError("empty window")
 
     def points(self):
         xs = np.linspace(self.x0, self.x1, self.n)
         ys = np.linspace(self.y0, self.y1, self.n)
         return [complex(x, y) for y in ys for x in xs]
+
+    def as_dict(self):
+        return {"x0": self.x0, "y0": self.y0, "x1": self.x1, "y1": self.y1,
+                "n": self.n}
 
 
 @dataclass
@@ -330,12 +320,19 @@ class SweepRow:
     error: str = None
 
 
-def lambda_sweep(field: DensityField, grid: SweepGrid, method="sup",
+def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
                  opts: SupOptions = None, seed=0, jobs=1):
-    """Evaluate the chosen estimator over all (z, delta) cells.  Rows are
-    ordered (z index, delta index); per-row errors are recorded, not
-    fatal.  Deterministic for a given seed."""
+    """Evaluate the chosen estimator over all (z, delta) cells of the
+    window crossed with the strictly increasing, positive ladder
+    ``deltas``.  Rows are ordered (z index, delta index); per-row errors
+    are recorded, not fatal.  Deterministic for a given seed."""
     from . import ccpath  # local import: avoid cycle at module load
+
+    deltas = tuple(float(d) for d in deltas)
+    if any(b <= a for a, b in zip(deltas, deltas[1:])) or not deltas:
+        raise ValueError("delta ladder must be strictly increasing")
+    if any(d <= 0 for d in deltas):
+        raise ValueError("deltas must be positive")
 
     def one(z, delta):
         if method == "sup":
@@ -347,7 +344,7 @@ def lambda_sweep(field: DensityField, grid: SweepGrid, method="sup",
                                                opts=opts)
         raise ValueError(f"unknown method {method!r}")
 
-    cells = [(z, d) for z in grid.points() for d in grid.deltas]
+    cells = [(z, d) for z in window.points() for d in deltas]
 
     def evaluate(cell):
         z, delta = cell

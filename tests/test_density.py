@@ -325,11 +325,3 @@ def test_disk_mass_force_quadrature_flag():
     a = disk_mass(f, 0.5j, 1.1)
     b = disk_mass(f, 0.5j, 1.1, force_quadrature=True)
     assert b == pytest.approx(a, rel=1e-6)
-
-
-def test_mass_ratio_bound_reports_window():
-    # mu(z, d)/(d + d^2) for constant c=4 is 4 pi d / (1 + d): largest at d=2
-    f = ConstantDensity(4.0)
-    bound = density.mass_ratio_bound(f, [0j, 1 + 1j], [1.0, 2.0])
-    assert bound.value == pytest.approx(8 * math.pi / 3, rel=1e-12)
-    assert bound.argmax_delta == 2.0

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
+from ccstruct import quadrature
+from ccstruct.density import RadialProfileDensity
 from ccstruct.errors import QuadratureFailure
+from ccstruct.geometry import Pen, boundary_line_integral
 from ccstruct.quadrature import (adaptive_1d, disk_integral, gl_nodes,
                                  polar_sector, triangle_integral)
+from ccstruct.structure import twist
 
 
 def test_gl_nodes_polynomial_exactness():
@@ -68,3 +73,30 @@ def test_triangle_integral_orientation_independent():
     a, b, c = 0j, 2 + 0j, 1 + 2j
     assert triangle_integral(f, a, b, c) == pytest.approx(
         triangle_integral(f, c, b, a), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# callers of the order-doubling rule report non-convergence
+
+#: unit disk indicator: P' has a kink at r = 1, so Gauss-Legendre
+#: estimates across it never settle to the callers' tolerances
+KINKED = RadialProfileDensity(lambda s: (s < 1).astype(float),
+                              cumulative=lambda r: min(r, 1) ** 2 / 2)
+
+
+@pytest.fixture
+def fast_legendre(monkeypatch):
+    """Swap the eigenvalue Gauss-Legendre rule (about 45 s to build at
+    8192 nodes) for scipy's faster one: these tests check that running
+    out of orders raises, not the last bits of the nodes."""
+    monkeypatch.setattr(quadrature, "gauss_legendre", roots_legendre)
+
+
+def test_twist_unconverged_raises(fast_legendre):
+    with pytest.raises(QuadratureFailure):
+        twist(KINKED, 0.5, 0.5 + 2j)
+
+
+def test_boundary_line_integral_unconverged_raises(fast_legendre):
+    with pytest.raises(QuadratureFailure):
+        boundary_line_integral(KINKED, Pen.circle(0.5, 1.0).boundary)

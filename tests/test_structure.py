@@ -10,7 +10,7 @@ from ccstruct.density import (BumpLattice, ConstantDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity)
 from ccstruct.geometry import validate_stockyard
-from ccstruct.structure import (SupOptions, SweepGrid, lambda_stockyard,
+from ccstruct.structure import (SupOptions, Window, lambda_stockyard,
                                 lambda_sup, lambda_sweep, twist, twist_many,
                                 volume_estimate)
 
@@ -164,16 +164,19 @@ def test_volume_upper_monotone():
 # sweeps
 
 def test_sweep_grid_validation():
+    f = ConstantDensity(4.0)
     with pytest.raises(ValueError):
-        SweepGrid(0, 0, 1, 1, 2, (2.0, 1.0))    # not increasing
+        lambda_sweep(f, Window(0, 0, 1, 1, 2), (2.0, 1.0))  # not increasing
     with pytest.raises(ValueError):
-        SweepGrid(1, 0, 0, 1, 2, (1.0,))        # empty window
+        Window(1, 0, 0, 1, 2)                               # empty window
+    with pytest.raises(ValueError):
+        lambda_sweep(f, Window(0, 0, 1, 1, 2), (-1.0, 1.0))  # non-positive
 
 
 def test_sweep_single_cell_equals_direct_call():
     f = ConstantDensity(4.0)
-    grid = SweepGrid(0.5, 0.5, 0.5, 0.5, 1, (2.0,))
-    rows = lambda_sweep(f, grid, method="sup")
+    rows = lambda_sweep(f, Window(0.5, 0.5, 0.5, 0.5, 1), (2.0,),
+                        method="sup")
     assert len(rows) == 1
     direct = lambda_sup(f, 0.5 + 0.5j, 2.0)
     assert rows[0].value == pytest.approx(direct.value, rel=1e-12)
@@ -182,8 +185,8 @@ def test_sweep_single_cell_equals_direct_call():
 
 def test_sweep_constant_translation_invariance():
     f = ConstantDensity(4.0)
-    grid = SweepGrid(-1, -1, 1, 1, 3, (1.0, 2.0, 4.0, 8.0))
-    rows = lambda_sweep(f, grid, method="sup", opts=FAST)
+    rows = lambda_sweep(f, Window(-1, -1, 1, 1, 3), (1.0, 2.0, 4.0, 8.0),
+                        method="sup", opts=FAST)
     assert len(rows) == 36
     by_delta = {}
     for r in rows:
@@ -194,6 +197,6 @@ def test_sweep_constant_translation_invariance():
 
 def test_sweep_records_errors_per_row():
     f = ConstantDensity(4.0)
-    grid = SweepGrid(0, 0, 0, 0, 1, (1.0,))
-    rows = lambda_sweep(f, grid, method="no-such-method")
+    rows = lambda_sweep(f, Window(0, 0, 0, 0, 1), (1.0,),
+                        method="no-such-method")
     assert rows[0].error is not None and "ValueError" in rows[0].error
