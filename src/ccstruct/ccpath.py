@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .density import DensityField
-from .errors import DegenerateLoop
+from .errors import CCStructError, DegenerateLoop
 from .geometry import Pen, boundary_line_integral, pen_mass, polygon_curve
 from .structure import LambdaEstimate, SupOptions, WitnessDisk, lambda_sup
 
@@ -199,11 +199,6 @@ def control_from_polygon(vertices, delta):
 # ---------------------------------------------------------------------------
 # direct lower-bound sampler
 
-def _circle_loop_value(field, center, rho, turns):
-    """Mass-positive displacement of ``turns`` windings of a circle."""
-    return turns * field.disk_mass(center, rho)
-
-
 def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
                          opts: SupOptions = None):
     """Lower bound for the structure value by explicit admissible loops.
@@ -242,7 +237,7 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
         rho = delta / (2.0 * math.pi * m)
         for ang in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
             center = z + rho * complex(math.cos(ang), math.sin(ang))
-            consider(_circle_loop_value(field, center, rho, m),
+            consider(m * field.disk_mass(center, rho),
                      ("circle", center, rho, m))
 
     # witness-guided: wind the best weighted disk found by the sup search
@@ -269,7 +264,7 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
             u = (zhat - z) / d if d > 0 else 1.0
             zhat = z + u * max(0.0, d - witness.radius + rho)
             m = 1
-        consider(_circle_loop_value(field, zhat, rho, m),
+        consider(m * field.disk_mass(zhat, rho),
                  ("circle+connector", zhat, rho, m))
 
     # random convex polygons through z
@@ -285,10 +280,9 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
             continue
         scale = (delta / perim) * rng.uniform(0.2, 1.0)
         vs = [z + (v - vs[0]) * scale for v in vs]
-        pen = Pen.polygon(vs)
         try:
-            consider(pen_mass(field, pen), ("polygon", tuple(vs)))
-        except Exception:
+            consider(pen_mass(field, Pen.polygon(vs)), ("polygon", tuple(vs)))
+        except (ValueError, CCStructError):  # degenerate or unmeasurable
             continue
 
     return LambdaEstimate(z, delta, best_val, "direct", "lower", best_loop,
@@ -298,8 +292,12 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
 # ---------------------------------------------------------------------------
 # Monte-Carlo ball volume
 
+#: fewest paths that give a meaningful occupancy histogram
+MIN_PATHS = 1000
+
+
 def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
-                   opts: SupOptions = None, n_intervals=8, bins=64, jobs=1):
+                   opts: SupOptions = None, n_intervals=8, bins=64):
     """Reachable-set volume estimate from random horizontal paths.
 
     Integrates ``n_paths`` random piecewise-constant controls from
@@ -310,8 +308,9 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
     fraction.  Occupancy over-estimates at fixed n; the band covers only
     sampling error, not discretization.
     """
-    if n_paths < 1000:
-        raise ValueError("need n_paths >= 1000 for a meaningful histogram")
+    if n_paths < MIN_PATHS:
+        raise ValueError(
+            f"need n_paths >= {MIN_PATHS} for a meaningful histogram")
     z = complex(z)
     delta = float(delta)
     upper = lambda_sup(field, z, 3.0 * delta, opts).value
@@ -323,18 +322,7 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
     a = r * np.cos(th)
     b = r * np.sin(th)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(np.arange(n_paths), jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                lambda idx: integrate_endpoints(
-                    field, (z.real, z.imag, float(t)), a[idx], b[idx], delta),
-                chunks))
-        ends = np.concatenate(parts, axis=0)
-    else:
-        ends = integrate_endpoints(field, (z.real, z.imag, float(t)), a, b,
-                                   delta)
+    ends = integrate_endpoints(field, (z.real, z.imag, float(t)), a, b, delta)
 
     # shear away the twist drift (volume-preserving), so the t-extent of
     # the comparison box is the structure bound, not the drift

@@ -6,9 +6,10 @@ Subcommands: ``lambda`` (structure estimates at points), ``sweep``
 (self-check identity suite).
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numeric failure.  Output files embed a tool-version line and a hash of
-the effective configuration, and are byte-identical for identical
-configuration and seed.
+3 numeric failure.  Each subcommand takes only the options it reads.
+Output files embed a tool-version line and a hash of those options
+(``--out`` excepted), and are byte-identical for identical configuration
+and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, ccpath, classify, density, geometry, structure
-from .errors import CCStructError, DensitySpecError, QuadratureFailure
+from .errors import CCStructError, DensitySpecError
 from .specfile import load_density_spec
 
 EXIT_OK = 0
@@ -46,13 +47,17 @@ class ConfigError(Exception):
     pass
 
 
+def _check_finite(flag, text, values):
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--{flag} must be finite, got {text!r}")
+
+
 def _parse_z(text):
     try:
         re_, im_ = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"--z expects 're,im', got {text!r}") from None
-    if not (math.isfinite(re_) and math.isfinite(im_)):
-        raise ConfigError(f"--z must be finite, got {text!r}")
+    _check_finite("z", text, (re_, im_))
     return complex(re_, im_)
 
 
@@ -66,6 +71,7 @@ def _parse_deltas(text):
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"--delta ladder expects numbers: {text!r}") from None
+        _check_finite("delta", text, (a, b))
         if a <= 0 or b <= a or n < 2:
             raise ConfigError("--delta ladder needs 0 < a < b and n >= 2")
         return [float(d) for d in np.geomspace(a, b, n)]
@@ -73,6 +79,7 @@ def _parse_deltas(text):
         d = float(text)
     except ValueError:
         raise ConfigError(f"--delta expects a number or ladder, got {text!r}") from None
+    _check_finite("delta", text, (d,))
     if d <= 0:
         raise ConfigError("--delta must be positive")
     return [d]
@@ -87,11 +94,11 @@ def _parse_window(text):
         n = int(parts[4])
     except ValueError:
         raise ConfigError(f"--window expects numbers: {text!r}") from None
-    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
-        raise ConfigError(f"--window must be finite, got {text!r}")
-    if x1 < x0 or y1 < y0 or n < 1:
-        raise ConfigError("--window is empty")
-    return structure.Window(x0, y0, x1, y1, n)
+    _check_finite("window", text, (x0, y0, x1, y1))
+    try:
+        return structure.Window(x0, y0, x1, y1, n)
+    except ValueError as exc:
+        raise ConfigError(f"--window: {exc}") from None
 
 
 def _config_hash(args):
@@ -100,17 +107,7 @@ def _config_hash(args):
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
-def _header_lines(args):
-    return [f"# ccstruct {__version__}",
-            f"# config {_config_hash(args)}"]
-
-
-def _write_csv(args, columns, rows):
-    lines = _header_lines(args)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -122,12 +119,19 @@ def _write_json(args, payload):
     doc = {"tool": f"ccstruct {__version__}",
            "config": _config_hash(args),
            **payload}
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=True)
+           + "\n")
+
+
+def _write_rows(args, columns, rows):
+    """The table as CSV, or as JSON under ``--format json``."""
+    if args.format == "json":
+        _write_json(args, {"rows": [dict(zip(columns, r)) for r in rows]})
+        return
+    lines = [f"# ccstruct {__version__}", f"# config {_config_hash(args)}",
+             ",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write(args, "\n".join(lines) + "\n")
 
 
 def _load_field(args):
@@ -154,23 +158,15 @@ def cmd_lambda(args):
         err = ""
         for m in methods:
             try:
-                if m == "sup":
-                    est = structure.lambda_sup(field, z, d)
-                elif m == "stockyard":
-                    est = structure.lambda_stockyard(field, z, d)
-                else:
-                    est = ccpath.sample_lambda_direct(field, z, d,
-                                                      seed=args.seed)
+                est = structure.lambda_estimate(field, z, d, m,
+                                                seed=args.seed)
                 values.append(est.value)
-            except (QuadratureFailure, CCStructError) as exc:
+            except CCStructError as exc:
                 values.append(math.nan)
                 err = f"{type(exc).__name__}: {exc}"
                 had_numeric_failure = True
         rows.append([z.real, z.imag, d] + values + [err])
-    if args.format == "json":
-        _write_json(args, {"rows": [dict(zip(columns, r)) for r in rows]})
-    else:
-        _write_csv(args, columns, rows)
+    _write_rows(args, columns, rows)
     return EXIT_NUMERIC if had_numeric_failure else EXIT_OK
 
 
@@ -179,17 +175,13 @@ def cmd_sweep(args):
     window = _parse_window(args.window)
     deltas = _parse_deltas(args.delta)
     rows_out = structure.lambda_sweep(field, window, deltas,
-                                      method=args.method, seed=args.seed,
-                                      jobs=args.jobs)
+                                      method=args.method, seed=args.seed)
     columns = ["re(z)", "im(z)", "delta", "method", "value",
                "witness_re", "witness_im", "witness_radius"]
     rows = [[r.z.real, r.z.imag, r.delta, r.method, r.value,
              r.witness_center.real, r.witness_center.imag, r.witness_radius]
             for r in rows_out]
-    if args.format == "json":
-        _write_json(args, {"rows": [dict(zip(columns, r)) for r in rows]})
-    else:
-        _write_csv(args, columns, rows)
+    _write_rows(args, columns, rows)
     if any(r.error for r in rows_out):
         return EXIT_NUMERIC
     return EXIT_OK
@@ -208,6 +200,8 @@ def cmd_classify(args):
 
 
 def cmd_volume(args):
+    if args.n_paths < ccpath.MIN_PATHS:
+        raise ConfigError(f"--n-paths must be at least {ccpath.MIN_PATHS}")
     field = _load_field(args)
     z = _parse_z(args.z)
     deltas = _parse_deltas(args.delta)
@@ -218,17 +212,13 @@ def cmd_volume(args):
         try:
             lower, upper = structure.volume_estimate(field, z, d)
             est, (blo, bhi) = ccpath.ball_volume_mc(
-                field, z, 0.0, d, n_paths=args.n_paths, seed=args.seed,
-                jobs=args.jobs)
-        except (QuadratureFailure, CCStructError) as exc:
+                field, z, 0.0, d, n_paths=args.n_paths, seed=args.seed)
+        except CCStructError as exc:
             print(f"numeric failure at delta={d}: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         rows.append([z.real, z.imag, d, lower, upper, est, blo, bhi,
                      lower <= est <= upper])
-    if args.format == "json":
-        _write_json(args, {"rows": [dict(zip(columns, r)) for r in rows]})
-    else:
-        _write_csv(args, columns, rows)
+    _write_rows(args, columns, rows)
     return EXIT_OK
 
 
@@ -329,6 +319,19 @@ def cmd_validate(args):
 
 # ---------------------------------------------------------------------------
 
+#: options that several subcommands take, by name
+_SHARED_FLAGS = {
+    "density": dict(required=True, help="path to a density spec file"),
+    "z": dict(required=True, help="base point 're,im'"),
+    "window": dict(required=True, help="'x0,y0,x1,y1,n'"),
+    "delta": dict(required=True,
+                  help="delta value or geometric ladder 'a:b:n'"),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ccstruct",
@@ -339,55 +342,40 @@ def build_parser():
                         version=f"ccstruct {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, density_required=True):
-        p.add_argument("--density", required=density_required,
-                       help="path to a density spec file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--out", default=None,
-                       help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="tolerance override where applicable")
+    def subcommand(name, func, help_text, *flags):
+        """A subparser taking exactly ``flags``, the options shared by
+        several subcommands; the caller adds the rest."""
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("lambda", help="structure estimates at a point")
-    common(p)
-    p.add_argument("--z", required=True, help="base point 're,im'")
-    p.add_argument("--delta", required=True,
-                   help="delta value or geometric ladder 'a:b:n'")
+    p = subcommand("lambda", cmd_lambda, "structure estimates at a point",
+                   "density", "z", "delta", "seed", "out", "format")
     p.add_argument("--method", choices=("sup", "stockyard", "direct", "all"),
                    default="sup")
-    p.set_defaults(func=cmd_lambda)
 
-    p = sub.add_parser("sweep", help="estimator over a window")
-    common(p)
-    p.add_argument("--window", required=True, help="'x0,y0,x1,y1,n'")
-    p.add_argument("--delta", required=True)
+    p = subcommand("sweep", cmd_sweep, "estimator over a window",
+                   "density", "window", "delta", "seed", "out", "format")
     p.add_argument("--method", choices=("sup", "stockyard", "direct"),
                    default="sup")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("classify", help="UGS dichotomy probe")
-    common(p)
-    p.add_argument("--window", required=True, help="'x0,y0,x1,y1,n'")
-    p.add_argument("--delta", required=True,
-                   help="geometric delta ladder 'a:b:n'")
+    p = subcommand("classify", cmd_classify, "UGS dichotomy probe",
+                   "density", "window", "delta", "out")
     p.add_argument("--slope-tol", type=float, default=0.15)
     p.add_argument("--spread-tol", type=float, default=0.3)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("volume", help="ball-volume sandwich + Monte Carlo")
-    common(p)
-    p.add_argument("--z", required=True)
-    p.add_argument("--delta", required=True)
+    p = subcommand("volume", cmd_volume, "ball-volume sandwich + Monte Carlo",
+                   "density", "z", "delta", "seed", "out", "format")
     p.add_argument("--n-paths", type=int, default=10000)
-    p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("validate", help="run the internal identity suite")
-    common(p, density_required=False)
+    p = subcommand("validate", cmd_validate,
+                   "run the internal identity suite")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="residual limit of the identity checks")
     p.add_argument("--inject-orientation-flip", action="store_true",
                    help=argparse.SUPPRESS)  # forced-failure test hook
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
@@ -400,7 +388,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except QuadratureFailure as exc:
+    except CCStructError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

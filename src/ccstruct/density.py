@@ -9,9 +9,8 @@ equals 4 d^2 P / dz dzbar.  All densities are non-negative (P is
 subharmonic); construction rejects data violating this on a sample
 lattice.
 
-Fields are immutable after construction and all operations are pure, so
-they are safe to share across data-parallel sweep workers.  Internal
-memoization only caches pure results.
+Fields are immutable after construction and all operations are pure.
+Internal memoization only caches pure results.
 """
 
 from __future__ import annotations
@@ -312,7 +311,6 @@ class RadialPotential:
         self._cumulative = cumulative
         self.rel_tol = rel_tol
         self._m_cache = {}
-        self._p_cache = {}
 
     def cumulative(self, r):
         """m(r) = int_0^r s f(s) ds."""
@@ -345,14 +343,10 @@ class RadialPotential:
         r = float(r)
         if r <= 0:
             return 0.0
-        hit = self._p_cache.get(r)
-        if hit is not None:
-            return hit
         val, err = _sciint.quad(self.dP, 0.0, r,
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
         if err > self.rel_tol * max(abs(val), 1e-12):
             raise QuadratureFailure("radial potential integral did not converge")
-        self._p_cache[r] = val
         return val
 
 
@@ -665,10 +659,12 @@ class GridDensity(DensityField):
 
     def __init__(self, origin, cell_size, values, extension="zero"):
         values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("grid values must be a 2D array")
-        if np.any(values < 0):
-            raise ValueError("grid node values must be non-negative")
+        if values.ndim != 2 or min(values.shape) < 2:
+            raise ValueError("grid values must be a 2D array of at least "
+                             "2 x 2 nodes")
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError("grid node values must be finite and "
+                             "non-negative")
         if extension not in ("zero", "periodic"):
             raise ValueError("extension must be 'zero' or 'periodic'")
         if cell_size <= 0:

@@ -20,6 +20,7 @@ Parse errors report 1-based line numbers.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,14 @@ def _need(entries, key):
 
 def _float(value, lineno, key):
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise DensitySpecError(f"key {key!r}: not a number: {value!r}",
                                line=lineno) from None
+    if not math.isfinite(x):
+        raise DensitySpecError(f"key {key!r}: not finite: {value!r}",
+                               line=lineno)
+    return x
 
 
 def _tuples(value, lineno, key, width):
@@ -141,8 +146,13 @@ def load_density_spec(path):
             raise DensitySpecError(f"grid_file not found: {grid_path}",
                                    line=lineno)
         with open(grid_path, newline="") as fh:
-            values = [[float(cell) for cell in row]
-                      for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            try:
+                values = [[float(cell) for cell in row]
+                          for row in reader if row]
+            except ValueError as exc:
+                raise DensitySpecError(
+                    f"{grid_path}, line {reader.line_num}: {exc}") from None
         ov, ol = _need(entries, "origin")
         parts = [p.strip() for p in ov.split(",")]
         if len(parts) != 2:

@@ -27,7 +27,7 @@ from scipy import optimize as _sciopt
 
 from . import quadrature
 from .density import DELTA_HAT_MIN, DensityField
-from .errors import InvalidStockyard
+from .errors import CCStructError, InvalidStockyard
 from .geometry import Pen, Stockyard, stockyard_mass, validate_stockyard
 
 
@@ -320,37 +320,42 @@ class SweepRow:
     error: str = None
 
 
+def lambda_estimate(field: DensityField, z, delta, method,
+                    opts: SupOptions = None, seed=0):
+    """The structure value at (z, delta) by ``method``: 'sup'
+    (:func:`lambda_sup`), 'stockyard' (:func:`lambda_stockyard`) or
+    'direct' (:func:`ccstruct.ccpath.sample_lambda_direct`, with
+    ``seed``)."""
+    from . import ccpath  # local import: avoid cycle at module load
+
+    # the estimators are looked up at call time, so a rebinding of the
+    # module attributes (as by a tracer) sees these calls
+    if method == "sup":
+        return lambda_sup(field, z, delta, opts)
+    if method == "stockyard":
+        return lambda_stockyard(field, z, delta, opts)
+    if method == "direct":
+        return ccpath.sample_lambda_direct(field, z, delta, seed=seed,
+                                           opts=opts)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
-                 opts: SupOptions = None, seed=0, jobs=1):
+                 opts: SupOptions = None, seed=0):
     """Evaluate the chosen estimator over all (z, delta) cells of the
     window crossed with the strictly increasing, positive ladder
     ``deltas``.  Rows are ordered (z index, delta index); per-row errors
     are recorded, not fatal.  Deterministic for a given seed."""
-    from . import ccpath  # local import: avoid cycle at module load
-
     deltas = tuple(float(d) for d in deltas)
     if any(b <= a for a, b in zip(deltas, deltas[1:])) or not deltas:
         raise ValueError("delta ladder must be strictly increasing")
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
 
-    def one(z, delta):
-        if method == "sup":
-            return lambda_sup(field, z, delta, opts)
-        if method == "stockyard":
-            return lambda_stockyard(field, z, delta, opts)
-        if method == "direct":
-            return ccpath.sample_lambda_direct(field, z, delta, seed=seed,
-                                               opts=opts)
-        raise ValueError(f"unknown method {method!r}")
-
-    cells = [(z, d) for z in window.points() for d in deltas]
-
-    def evaluate(cell):
-        z, delta = cell
+    def evaluate(z, delta):
         try:
-            est = one(z, delta)
-        except Exception as exc:  # recorded per row
+            est = lambda_estimate(field, z, delta, method, opts, seed)
+        except (CCStructError, ValueError) as exc:  # recorded per row
             return SweepRow(z, delta, method, error=f"{type(exc).__name__}: {exc}")
         row = SweepRow(z, delta, method, est.value)
         w = est.witness
@@ -364,8 +369,4 @@ def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
                 row.witness_radius = wd.radius
         return row
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(evaluate, cells))
-    return [evaluate(c) for c in cells]
+    return [evaluate(z, d) for z in window.points() for d in deltas]

@@ -67,15 +67,59 @@ def test_output_has_version_and_config_header(tmp_path, constant_spec):
 
 
 def test_bad_delta_exit_2(constant_spec, capsys):
-    assert main(["lambda", "--density", constant_spec, "--z", "0,0",
-                 "--delta", "-1"]) == 2
+    for delta in ("-1", "nan", "inf", "1:nan:3", "1:inf:3", "nan:2:3"):
+        assert main(["lambda", "--density", constant_spec, "--z", "0,0",
+                     "--delta", delta]) == 2, delta
 
 
 def test_nonfinite_z_and_window_exit_2(constant_spec):
     assert main(["lambda", "--density", constant_spec, "--z", "nan,0",
                  "--delta", "1"]) == 2
-    assert main(["sweep", "--density", constant_spec,
-                 "--window", "0,0,inf,1,2", "--delta", "1"]) == 2
+    for window in ("0,0,inf,1,2", "1,0,0,1,2", "0,0,1,1,0"):
+        assert main(["sweep", "--density", constant_spec,
+                     "--window", window, "--delta", "1"]) == 2, window
+
+
+def test_volume_too_few_paths_exit_2(constant_spec, capsys):
+    assert main(["volume", "--density", constant_spec, "--z", "0,0",
+                 "--delta", "1", "--n-paths", "999"]) == 2
+    assert "--n-paths" in capsys.readouterr().err
+
+
+#: each subcommand's arguments, and the options it does not read
+UNREAD_FLAGS = {
+    "lambda": (["--z", "0,0", "--delta", "1"], ["--jobs=2", "--tol=9"]),
+    "sweep": (["--window=0,0,1,1,2", "--delta", "1"],
+              ["--jobs=2", "--tol=9"]),
+    "classify": (["--window=0,0,1,1,2", "--delta", "1"],
+                 ["--seed=5", "--jobs=2", "--format=csv", "--tol=9"]),
+    "volume": (["--z", "0,0", "--delta", "1", "--n-paths", "1000"],
+               ["--jobs=2", "--tol=9"]),
+    "validate": (None, ["--density=nope.spec", "--seed=5", "--jobs=2",
+                        "--out=report.txt", "--format=csv"]),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, flags) in UNREAD_FLAGS.items()
+    for flag in flags])
+def test_unread_flag_refused(command, flag, constant_spec, capsys):
+    args, _ = UNREAD_FLAGS[command]
+    argv = [command] + ([] if args is None
+                        else ["--density", constant_spec] + args)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag])
+    assert exc.value.code == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+
+
+def test_direct_sampler_small_delta(tmp_path, constant_spec):
+    out = tmp_path / "out.csv"
+    code = main(["lambda", "--density", constant_spec, "--z", "0,0",
+                 "--delta", "0.01", "--method", "all", "--out", str(out)])
+    assert code == 0
+    row = read_rows(out)[0]
+    assert float(row["value_direct"]) <= float(row["value_sup"])
 
 
 def test_sweep_schema_and_determinism(tmp_path, constant_spec):

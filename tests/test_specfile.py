@@ -89,3 +89,28 @@ def test_unknown_family_rejected(tmp_path):
 def test_negative_constant_rejected(tmp_path):
     with pytest.raises(DensitySpecError):
         load_density_spec(write(tmp_path, "family = constant\nc = -1\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "family = constant\nc = nan\n",
+    "family = constant\nc = inf\n",
+    "family = bump_lattice\nbumps = 0,0,inf,0.25\n",
+    "family = bump_lattice\nbumps = 0,0,1,nan\n",
+])
+def test_nonfinite_number_rejected(tmp_path, text):
+    with pytest.raises(DensitySpecError) as err:
+        load_density_spec(write(tmp_path, text))
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("csv_text,message", [
+    ("0,1\n2,abc\n", "line 2"),
+    ("0,1,2\n", "2 x 2"),
+    ("0\n1\n", "2 x 2"),
+    ("0,1\n2,nan\n", "finite"),
+])
+def test_bad_grid_rejected(tmp_path, csv_text, message):
+    (tmp_path / "vals.csv").write_text(csv_text)
+    text = "family = grid\ngrid_file = vals.csv\norigin = 0,0\ncell_size = 1\n"
+    with pytest.raises(DensitySpecError, match=message):
+        load_density_spec(write(tmp_path, text))
