@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 from .density import (BumpLattice, ConstantDensity, DensityField,
                       GridDensity, PolynomialPotential, RadialAlphaDensity,
                       RadialPotential, ZeroDensity, decaying_bump_lattice,
-                      disk_mass, nagel_lambda_polynomial,
-                      potential_from_radial)
+                      disk_mass, nagel_lambda_polynomial)
 from .errors import (CCStructError, DegenerateLoop, DensitySpecError,
                      InvalidStockyard, PotentialUnavailable,
                      QuadratureFailure)
@@ -34,7 +33,7 @@ __all__ = [
     "BumpLattice", "ConstantDensity", "DensityField", "GridDensity",
     "PolynomialPotential", "RadialAlphaDensity", "RadialPotential",
     "ZeroDensity", "decaying_bump_lattice", "disk_mass",
-    "nagel_lambda_polynomial", "potential_from_radial",
+    "nagel_lambda_polynomial",
     "CCStructError", "DegenerateLoop", "DensitySpecError",
     "InvalidStockyard", "PotentialUnavailable", "QuadratureFailure",
     "Pen", "PlaneCurve", "Stockyard", "boundary_line_integral",

@@ -19,7 +19,7 @@ estimate here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class ControlSignal:
         vals = tuple((float(a), float(b)) for a, b in self.values)
         if len(bps) != len(vals) + 1 or len(vals) == 0:
             raise ValueError("need len(breakpoints) == len(values) + 1 >= 2")
+        if not all(map(math.isfinite, bps + sum(vals, ()))):
+            raise ValueError("breakpoints and control values must be finite")
         if abs(bps[0]) > 1e-15 or abs(bps[-1] - 1.0) > 1e-12:
             raise ValueError("breakpoints must span [0, 1]")
         if any(b <= a for a, b in zip(bps, bps[1:])):
@@ -60,94 +62,67 @@ class ControlSignal:
         return len(self.values)
 
 
+def _random_controls(rng, n_paths, n_intervals):
+    """``n_paths`` uniform-in-disk piecewise-constant controls on the
+    uniform partition: (alpha, beta) arrays of shape
+    (n_paths, n_intervals) and the breakpoints."""
+    r = np.sqrt(rng.uniform(0.0, 1.0, (n_paths, n_intervals)))
+    th = rng.uniform(0.0, 2.0 * math.pi, (n_paths, n_intervals))
+    bps = np.linspace(0.0, 1.0, n_intervals + 1)
+    return r * np.cos(th), r * np.sin(th), bps
+
+
 def random_control(rng, n_intervals=8):
     """Uniform-in-disk piecewise-constant control on a uniform partition."""
-    r = np.sqrt(rng.uniform(0.0, 1.0, n_intervals))
-    th = rng.uniform(0.0, 2.0 * math.pi, n_intervals)
-    values = tuple(zip(r * np.cos(th), r * np.sin(th)))
-    bps = tuple(np.linspace(0.0, 1.0, n_intervals + 1))
-    return ControlSignal(bps, values)
-
-
-@dataclass
-class Trajectory:
-    """Sampled solution of the horizontal ODE: parameter stamps ``s`` and
-    states ``states`` of shape (n, 3) holding (x, y, t)."""
-    s: np.ndarray
-    states: np.ndarray
-    delta: float
-
-    @property
-    def start(self):
-        return tuple(self.states[0])
-
-    @property
-    def end(self):
-        return tuple(self.states[-1])
+    a, b, bps = _random_controls(rng, 1, n_intervals)
+    return ControlSignal(tuple(bps), tuple(zip(a[0], b[0])))
 
 
 def integrate_path(field: DensityField, start, control: ControlSignal,
                    delta, steps=16):
-    """Integrate the horizontal ODE with classical RK4.
-
-    ``steps`` is the per-control-interval step count (>= 16).  The planar
-    part is exact (piecewise linear); only t carries O(steps^-4) error.
-    """
-    if steps < 16:
-        raise ValueError("need at least 16 steps per control interval")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    x0, y0, t0 = (float(v) for v in start)
-
-    def tdot(x, y, alpha, beta):
-        px, py = field.potential_gradient(complex(x, y))
-        return delta * (alpha * float(py) + beta * float(px))
-
-    ss = [0.0]
-    states = [(x0, y0, t0)]
-    x, y, t = x0, y0, t0
-    for (s0, s1), (alpha, beta) in zip(
-            zip(control.breakpoints, control.breakpoints[1:]), control.values):
-        h = (s1 - s0) / steps
-        vx = delta * alpha
-        vy = -delta * beta
-        for i in range(steps):
-            # x, y advance linearly; RK4 quadrature for t along the segment
-            k1 = tdot(x, y, alpha, beta)
-            k2 = tdot(x + 0.5 * h * vx, y + 0.5 * h * vy, alpha, beta)
-            k4 = tdot(x + h * vx, y + h * vy, alpha, beta)
-            t += (h / 6.0) * (k1 + 4.0 * k2 + k4)
-            x += h * vx
-            y += h * vy
-            ss.append(s0 + (i + 1) * h)
-            states.append((x, y, t))
-    return Trajectory(np.asarray(ss), np.asarray(states), float(delta))
+    """End state (x, y, t) of the horizontal ODE from ``start`` under
+    ``control``: :func:`integrate_endpoints` on a batch of one path."""
+    a, b = np.array(control.values).T
+    end = integrate_endpoints(field, start, a[None, :], b[None, :],
+                              control.breakpoints, delta, steps)
+    return tuple(float(v) for v in end[0])
 
 
 def integrate_endpoints(field: DensityField, start, controls_alpha,
-                        controls_beta, delta, steps=24):
+                        controls_beta, breakpoints, delta, steps=24):
     """Endpoint states for a batch of piecewise-constant controls.
 
     ``controls_alpha``/``controls_beta`` have shape (n_paths, n_intervals)
-    on the uniform partition.  Vectorized Simpson/RK4 stepping shared
-    across paths; returns an (n_paths, 3) array of (x, y, t).
+    on the partition ``breakpoints`` of [0, 1] shared by all paths.
+    Classical RK4 with ``steps`` (>= 16) steps per control interval,
+    vectorized across paths; the planar part is exact (piecewise linear)
+    and only t carries O(steps^-4) error.  Returns an (n_paths, 3) array
+    of (x, y, t).
     """
+    if steps < 16:
+        raise ValueError("need at least 16 steps per control interval")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     a = np.asarray(controls_alpha, dtype=float)
     b = np.asarray(controls_beta, dtype=float)
+    bps = [float(s) for s in breakpoints]
     n_paths, n_int = a.shape
+    if len(bps) != n_int + 1:
+        raise ValueError("need one more breakpoint than control intervals")
     x = np.full(n_paths, float(start[0]))
     y = np.full(n_paths, float(start[1]))
     t = np.full(n_paths, float(start[2]))
-    h = (1.0 / n_int) / steps
 
     def tdot(x, y, alpha, beta):
         px, py = field.potential_gradient(x + 1j * y)
         return delta * (alpha * py + beta * px)
 
-    for j in range(n_int):
+    for j, (s0, s1) in enumerate(zip(bps, bps[1:])):
+        h = (s1 - s0) / steps
         vx = delta * a[:, j]
         vy = -delta * b[:, j]
         for _ in range(steps):
+            # x, y advance linearly; RK4 quadrature for t along the segment
             k1 = tdot(x, y, a[:, j], b[:, j])
             k2 = tdot(x + 0.5 * h * vx, y + 0.5 * h * vy, a[:, j], b[:, j])
             k4 = tdot(x + h * vx, y + h * vy, a[:, j], b[:, j])
@@ -218,8 +193,8 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
     the sampler works for every density field (no potential needed).
     Reproducible for a given seed.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     z = complex(z)
     delta = float(delta)
     rng = np.random.default_rng(seed)
@@ -316,13 +291,10 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
     upper = lambda_sup(field, z, 3.0 * delta, opts).value
     half_t = max(upper, 1e-300)
 
-    rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.uniform(0.0, 1.0, (n_paths, n_intervals)))
-    th = rng.uniform(0.0, 2.0 * math.pi, (n_paths, n_intervals))
-    a = r * np.cos(th)
-    b = r * np.sin(th)
-
-    ends = integrate_endpoints(field, (z.real, z.imag, float(t)), a, b, delta)
+    a, b, bps = _random_controls(np.random.default_rng(seed), n_paths,
+                                 n_intervals)
+    ends = integrate_endpoints(field, (z.real, z.imag, float(t)), a, b, bps,
+                               delta)
 
     # shear away the twist drift (volume-preserving), so the t-extent of
     # the comparison box is the structure bound, not the drift

@@ -25,7 +25,7 @@ dichotomy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
     deltas = tuple(sorted(float(d) for d in deltas))
     slopes = {}
     meta = {"slope_tol": slope_tol, "spread_tol": spread_tol,
-            "opts": opts.key()}
+            "opts": astuple(opts)}
 
     enough = len(deltas) >= 3 and deltas[-1] / deltas[0] >= 100.0
     if not enough:

@@ -72,17 +72,14 @@ class DensityField:
     """Base class: a plane density with optional potential data."""
 
     family = "abstract"
-    has_potential = False
-    #: declared symmetry ('radial', or None); classification windows can
-    #: only be certified sufficient when a symmetry is declared.
-    symmetry = None
 
     def density(self, z):
         """Density value(s) at complex point(s) ``z``.  Vectorized."""
         raise NotImplementedError
 
     def potential_gradient(self, z):
-        """(P_x, P_y) at ``z``; raises PotentialUnavailable by default."""
+        """(P_x, P_y) at the complex points ``z``, as arrays of their shape;
+        raises PotentialUnavailable by default."""
         raise PotentialUnavailable(
             f"{self.family} field carries no potential data"
         )
@@ -121,8 +118,6 @@ class ConstantDensity(DensityField):
     """Constant density c > 0; the potential is c |z|^2 / 4."""
 
     family = "constant"
-    has_potential = True
-    symmetry = "radial"
 
     def __init__(self, c):
         c = float(c)
@@ -154,8 +149,6 @@ class ZeroDensity(DensityField):
     but useful for exercising degenerate paths."""
 
     family = "zero"
-    has_potential = True
-    symmetry = "radial"
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -190,7 +183,6 @@ class PolynomialPotential(DensityField):
     """
 
     family = "polynomial"
-    has_potential = True
 
     def __init__(self, coeffs, check_lattice_halfwidth=3.0, check_points=41):
         C = self._coerce(coeffs)
@@ -285,8 +277,8 @@ def nagel_lambda_polynomial(field: PolynomialPotential, z, delta):
     """
     if not isinstance(field, PolynomialPotential):
         raise TypeError("nagel_lambda_polynomial requires a polynomial field")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     total = 0.0
     for k in range(field.degree - 1):  # k = 0 .. m-2
         total += field.lap_derivative_abs_sum(z, k) * delta ** (k + 2)
@@ -295,6 +287,10 @@ def nagel_lambda_polynomial(field: PolynomialPotential, z, delta):
 
 # ---------------------------------------------------------------------------
 # radial fields
+
+#: relative error bound of the radial quadratures (m(r) and P(r))
+_RADIAL_REL_TOL = 1e-9
+
 
 class RadialPotential:
     """Radial potential reconstructed from a radial density profile f:
@@ -306,10 +302,9 @@ class RadialPotential:
     form), and satisfies lap P = P'' + P'/r = f.
     """
 
-    def __init__(self, profile, cumulative=None, rel_tol=1e-9):
+    def __init__(self, profile, cumulative=None):
         self.profile = profile
         self._cumulative = cumulative
-        self.rel_tol = rel_tol
         self._m_cache = {}
 
     def cumulative(self, r):
@@ -324,7 +319,7 @@ class RadialPotential:
             return hit
         val, err = _sciint.quad(lambda s: s * self.profile(s), 0.0, r,
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
-        if err > self.rel_tol * max(abs(val), 1e-12):
+        if err > _RADIAL_REL_TOL * max(abs(val), 1e-12):
             raise QuadratureFailure(
                 f"radial cumulative integral to r={r} reached error {err:.3e}"
             )
@@ -332,11 +327,12 @@ class RadialPotential:
         return val
 
     def dP(self, r):
-        """P'(r)."""
-        r = float(r)
-        if r <= 0:
-            return 0.0
-        return self.cumulative(r) / r
+        """P'(r) = m(r)/r for an array of radii r > 0."""
+        r = np.asarray(r, dtype=float)
+        # m(r) one radius at a time on Python floats: numpy's array power
+        # rounds differently from Python's in the closed forms
+        m = np.fromiter(map(self.cumulative, r.flat), float, count=r.size)
+        return m.reshape(r.shape) / r
 
     def P(self, r):
         """P(r) with the normalization P(0) = 0."""
@@ -345,14 +341,9 @@ class RadialPotential:
             return 0.0
         val, err = _sciint.quad(self.dP, 0.0, r,
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
-        if err > self.rel_tol * max(abs(val), 1e-12):
+        if err > _RADIAL_REL_TOL * max(abs(val), 1e-12):
             raise QuadratureFailure("radial potential integral did not converge")
         return val
-
-
-def potential_from_radial(profile, cumulative=None):
-    """Reconstruct a radial potential from a continuous profile f >= 0."""
-    return RadialPotential(profile, cumulative=cumulative)
 
 
 class RadialProfileDensity(DensityField):
@@ -361,12 +352,10 @@ class RadialProfileDensity(DensityField):
     int_0^r s f(s) ds (cross-checked against quadrature in the tests)."""
 
     family = "radial_profile"
-    has_potential = True
-    symmetry = "radial"
 
     def __init__(self, profile, cumulative=None):
         self.profile = profile
-        self.potential = potential_from_radial(profile, cumulative=cumulative)
+        self.potential = RadialPotential(profile, cumulative=cumulative)
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -375,19 +364,14 @@ class RadialProfileDensity(DensityField):
     def potential_gradient(self, z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        scalar = z.ndim == 0
-        rr = np.atleast_1d(r)
-        zz = np.atleast_1d(z)
-        px = np.zeros(rr.shape)
-        py = np.zeros(rr.shape)
-        mask = rr > 0
-        if np.any(mask):
-            dp = np.array([self.potential.dP(v) for v in rr[mask]])
-            px[mask] = dp * zz[mask].real / rr[mask]
-            py[mask] = dp * zz[mask].imag / rr[mask]
-        if scalar:
-            return float(px[0]), float(py[0])
-        return px.reshape(r.shape), py.reshape(r.shape)
+        px = np.zeros(r.shape)
+        py = np.zeros(r.shape)
+        mask = r > 0
+        rm, zm = r[mask], z[mask]
+        dp = self.potential.dP(rm)
+        px[mask] = dp * zm.real / rm
+        py[mask] = dp * zm.imag / rm
+        return px, py
 
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
@@ -550,7 +534,6 @@ class BumpLattice(DensityField):
     to the bumps whose supports can reach it."""
 
     family = "bump_lattice"
-    has_potential = False
 
     def __init__(self, centers, masses, radii):
         centers = np.asarray(centers, dtype=complex).ravel()
@@ -655,7 +638,6 @@ class GridDensity(DensityField):
     between nodes and a declared extension rule beyond the window."""
 
     family = "grid"
-    has_potential = False
 
     def __init__(self, origin, cell_size, values, extension="zero"):
         values = np.asarray(values, dtype=float)
@@ -701,13 +683,8 @@ class GridDensity(DensityField):
 # ---------------------------------------------------------------------------
 # module-level operation wrappers
 
-def disk_mass(field: DensityField, center, r, rel_tol=1e-6,
-              force_quadrature=False):
-    """mu(center, r) to relative tolerance ``rel_tol``; analytic fast
-    paths per family unless ``force_quadrature`` is set."""
-    if r <= 0:
-        raise ValueError("disk radius must be positive")
-    if force_quadrature:
-        return field.disk_mass_quadrature(center, r, rel_tol=rel_tol)
+def disk_mass(field: DensityField, center, r, rel_tol=1e-6):
+    """mu(center, r) to relative tolerance ``rel_tol``, by the field's
+    analytic fast path where it has one."""
     return field.disk_mass(center, r, rel_tol=rel_tol)
 

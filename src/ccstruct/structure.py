@@ -42,10 +42,6 @@ class SupOptions:
     delta_hat_min: float = DELTA_HAT_MIN
     polish_maxiter: int = 160
 
-    def key(self):
-        return (self.n_rungs, self.grid, self.n_polish,
-                self.delta_hat_min, self.polish_maxiter)
-
 
 @dataclass(frozen=True)
 class WitnessDisk:
@@ -154,12 +150,12 @@ def optimize_weighted_disk(field: DensityField, center, search_radius,
 def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
     """Upper-comparable proxy via the nested supremum of
     (delta/h) * mu(zhat, h); returns the best value and its witness."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     opts = opts or SupOptions()
     z = complex(z)
     cache = _field_cache(field)
-    key = ("sup", z, float(delta), opts.key())
+    key = ("sup", z, float(delta), opts)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -199,8 +195,6 @@ def lambda_stockyard(field: DensityField, z, delta, opts: SupOptions = None):
     the sup search is encircled as many times as the fencing budget
     allows, linked to z by a connector circle.  The returned value is the
     validated stockyard's mass."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     z = complex(z)
     sup_est = lambda_sup(field, z, delta, opts)
     witness = sup_est.witness
@@ -273,8 +267,6 @@ def volume_estimate(field: DensityField, z, delta, opts: SupOptions = None):
 
     Returns (lower, upper) with lower <= upper.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     z = complex(z)
     lower_struct = lambda_stockyard(field, z, delta / (16.0 * math.pi), opts)
     upper_struct = lambda_sup(field, z, 3.0 * delta, opts)
@@ -296,6 +288,8 @@ class Window:
     n: int = 5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+            raise ValueError("window bounds must be finite")
         if self.x1 < self.x0 or self.y1 < self.y0 or self.n < 1:
             raise ValueError("empty window")
 
@@ -349,8 +343,8 @@ def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
     deltas = tuple(float(d) for d in deltas)
     if any(b <= a for a, b in zip(deltas, deltas[1:])) or not deltas:
         raise ValueError("delta ladder must be strictly increasing")
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    if not all(math.isfinite(d) and d > 0 for d in deltas):
+        raise ValueError("deltas must be positive and finite")
 
     def evaluate(z, delta):
         try:

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from ccstruct.ccpath import (ControlSignal, ball_volume_mc,
-                             control_from_polygon, integrate_path,
-                             loop_displacement, random_control,
-                             sample_lambda_direct)
+                             control_from_polygon, integrate_endpoints,
+                             integrate_path, loop_displacement,
+                             random_control, sample_lambda_direct)
 from ccstruct.density import (ConstantDensity, PolynomialPotential,
-                              ZeroDensity)
+                              RadialAlphaDensity, ZeroDensity)
 from ccstruct.geometry import circle_curve, polygon_curve
 from ccstruct.structure import lambda_sup
 
 P_Z2 = PolynomialPotential({(1, 1): 1.0})
 P_Z4 = PolynomialPotential({(2, 2): 1.0})
+RADIAL = RadialAlphaDensity(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +30,10 @@ def test_control_validation():
         ControlSignal((0.0, 0.5), ((0.1, 0.1),))            # not spanning
     with pytest.raises(ValueError):
         ControlSignal((0.0, 1.0), ((1.0, 1.0),))            # speed > 1
+    with pytest.raises(ValueError):
+        ControlSignal((0.0, 1.0), ((math.nan, 0.0),))       # NaN value
+    with pytest.raises(ValueError):
+        ControlSignal((0.0, math.nan, 1.0), ((0.1, 0.1),) * 2)  # NaN point
 
 
 def test_random_control_respects_constraint():
@@ -43,14 +48,13 @@ def test_random_control_respects_constraint():
 
 def test_zero_control_stays_put():
     c = ControlSignal((0.0, 1.0), ((0.0, 0.0),))
-    traj = integrate_path(P_Z2, (1.0, 2.0, 3.0), c, 5.0)
-    assert traj.end == pytest.approx((1.0, 2.0, 3.0))
+    end = integrate_path(P_Z2, (1.0, 2.0, 3.0), c, 5.0)
+    assert end == pytest.approx((1.0, 2.0, 3.0))
 
 
 def test_straight_control_planar_part():
     c = ControlSignal((0.0, 1.0), ((0.5, 0.0),))
-    traj = integrate_path(P_Z2, (0.0, 1.0, 0.0), c, 2.0)
-    x, y, _ = traj.end
+    x, y, _ = integrate_path(P_Z2, (0.0, 1.0, 0.0), c, 2.0)
     assert x == pytest.approx(1.0, abs=1e-12)   # x advances by 0.5 * delta
     assert y == pytest.approx(1.0, abs=1e-12)   # y unchanged
 
@@ -58,10 +62,10 @@ def test_straight_control_planar_part():
 def test_t_translation_invariance():
     rng = np.random.default_rng(5)
     c = random_control(rng, 4)
-    t0 = integrate_path(P_Z2, (0.5, -0.5, 0.0), c, 1.5)
-    t7 = integrate_path(P_Z2, (0.5, -0.5, 7.0), c, 1.5)
-    assert np.allclose(t7.states[:, :2], t0.states[:, :2])
-    assert np.allclose(t7.states[:, 2], t0.states[:, 2] + 7.0)
+    x0, y0, t0 = integrate_path(P_Z2, (0.5, -0.5, 0.0), c, 1.5)
+    x7, y7, t7 = integrate_path(P_Z2, (0.5, -0.5, 7.0), c, 1.5)
+    assert (x7, y7) == pytest.approx((x0, y0))
+    assert t7 == pytest.approx(t0 + 7.0)
 
 
 def test_square_loop_displacement():
@@ -71,8 +75,8 @@ def test_square_loop_displacement():
     vs = [0, a * 1j, a + a * 1j, a + 0j]    # clockwise
     perim = 4 * a
     control = control_from_polygon(vs, perim)
-    traj = integrate_path(P_Z2, (0.0, 0.0, 0.0), control, perim, steps=64)
-    assert traj.end[2] == pytest.approx(4 * a * a, abs=1e-8)
+    _, _, t = integrate_path(P_Z2, (0.0, 0.0, 0.0), control, perim, steps=64)
+    assert t == pytest.approx(4 * a * a, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +94,7 @@ def test_loop_reversal_antisymmetry():
         -loop_displacement(P_Z2, loop), rel=1e-9)
 
 
-@pytest.mark.parametrize("field", [P_Z2, P_Z4])
+@pytest.mark.parametrize("field", [P_Z2, P_Z4, RADIAL])
 def test_bridge_identity_random_loops(field):
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -100,10 +104,30 @@ def test_bridge_identity_random_loops(field):
               for t in ang]
         perim = sum(abs(w - v) for v, w in zip(vs, vs[1:] + vs[:1]))
         control = control_from_polygon(vs, perim * 1.5)
-        traj = integrate_path(field, (vs[0].real, vs[0].imag, 0.0),
-                              control, perim * 1.5, steps=48)
+        _, _, t = integrate_path(field, (vs[0].real, vs[0].imag, 0.0),
+                                 control, perim * 1.5, steps=48)
         line = loop_displacement(field, polygon_curve(vs))
-        assert abs(traj.end[2] - line) <= 1e-6
+        assert abs(t - line) <= 1e-6
+
+
+@pytest.mark.parametrize("field", [P_Z4, RADIAL])
+def test_batch_matches_single_paths_bitwise(field):
+    controls = [random_control(np.random.default_rng(i), 8) for i in range(50)]
+    a = np.array([[v[0] for v in c.values] for c in controls])
+    b = np.array([[v[1] for v in c.values] for c in controls])
+    start = (0.3, -0.7, 1.0)
+    ends = integrate_endpoints(field, start, a, b, controls[0].breakpoints,
+                               2.0, 16)
+    for c, end in zip(controls, ends):
+        assert tuple(end) == integrate_path(field, start, c, 2.0)
+
+
+def test_integrate_endpoints_rejects_bad_input():
+    a = b = np.zeros((1, 2))
+    bps = (0.0, 0.5, 1.0)
+    for delta, steps in ((1.0, 15), (0.0, 16), (-1.0, 16), (math.nan, 16)):
+        with pytest.raises(ValueError):
+            integrate_endpoints(P_Z2, (0, 0, 0), a, b, bps, delta, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ SMALL_WINDOW = Window(-2, -2, 2, 2, 3)
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        Window(1, 0, 0, 1, 3)
+    for bounds in ((1, 0, 0, 1), (math.nan, 0, 1, 1), (0, 0, math.inf, 1)):
+        with pytest.raises(ValueError):
+            Window(*bounds, 3)
     assert len(Window(-1, -1, 1, 1, 3).points()) == 9
 
 

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from ccstruct import density, quadrature
 from ccstruct.density import (BumpLattice, ConstantDensity, GridDensity,
                               PolynomialPotential, RadialAlphaDensity,
-                              ZeroDensity, decaying_bump_lattice, disk_mass,
-                              nagel_lambda_polynomial, potential_from_radial)
+                              RadialPotential, ZeroDensity,
+                              decaying_bump_lattice, disk_mass,
+                              nagel_lambda_polynomial)
 from ccstruct.errors import PotentialUnavailable
 
 
@@ -110,6 +111,9 @@ def test_nagel_formula_z4():
         expect = 16 * (abs(z) ** 2 * d ** 2 + 2 * abs(z) * d ** 3 + d ** 4)
         assert nagel_lambda_polynomial(f, z, d) == pytest.approx(expect,
                                                                  rel=1e-12)
+    for d in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            nagel_lambda_polynomial(f, 0j, d)
 
 
 @given(st.complex_numbers(max_magnitude=3, allow_nan=False,
@@ -158,7 +162,7 @@ def test_radial_many_matches_scalar():
 
 def test_potential_from_radial_reconstruction():
     # for a known profile the gradient identity P'(r) = m(r)/r must hold
-    pot = potential_from_radial(lambda s: np.exp(-np.asarray(s, float) ** 2))
+    pot = RadialPotential(lambda s: np.exp(-np.asarray(s, float) ** 2))
     for r in (0.3, 1.0, 2.5):
         assert pot.dP(r) * r == pytest.approx(pot.cumulative(r), rel=1e-9)
 
@@ -295,7 +299,6 @@ def test_decaying_lattice_masses():
 
 def test_bump_lattice_has_no_potential():
     f = BumpLattice([0j], [1.0], [0.25])
-    assert not f.has_potential
     with pytest.raises(PotentialUnavailable):
         f.potential_gradient(0.5)
 
@@ -320,8 +323,8 @@ def test_grid_periodic_extension():
 # ---------------------------------------------------------------------------
 # module-level helpers
 
-def test_disk_mass_force_quadrature_flag():
+def test_disk_mass_matches_forced_quadrature():
     f = ConstantDensity(3.0)
     a = disk_mass(f, 0.5j, 1.1)
-    b = disk_mass(f, 0.5j, 1.1, force_quadrature=True)
+    b = f.disk_mass_quadrature(0.5j, 1.1)
     assert b == pytest.approx(a, rel=1e-6)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ccstruct.ccpath import sample_lambda_direct
 from ccstruct.density import (BumpLattice, ConstantDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity)
@@ -42,8 +43,12 @@ def test_lambda_sup_monotone_in_delta():
 
 
 def test_lambda_sup_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        lambda_sup(ConstantDensity(1.0), 0j, 0.0)
+    f = ConstantDensity(1.0)
+    for estimator in (lambda_sup, lambda_stockyard, sample_lambda_direct,
+                      volume_estimate):
+        for delta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                estimator(f, 0j, delta)
 
 
 def test_lambda_sup_finds_offcenter_bump():
@@ -171,6 +176,8 @@ def test_sweep_grid_validation():
         Window(1, 0, 0, 1, 2)                               # empty window
     with pytest.raises(ValueError):
         lambda_sweep(f, Window(0, 0, 1, 1, 2), (-1.0, 1.0))  # non-positive
+    with pytest.raises(ValueError):
+        lambda_sweep(f, Window(0, 0, 1, 1, 2), (math.nan,))  # not finite
 
 
 def test_sweep_single_cell_equals_direct_call():
