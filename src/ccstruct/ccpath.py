@@ -270,14 +270,18 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
 #: fewest paths that give a meaningful occupancy histogram
 MIN_PATHS = 1000
 
+#: control intervals of each random path, and histogram bins per axis
+_VOLUME_INTERVALS = 8
+_VOLUME_BINS = 64
+
 
 def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
-                   opts: SupOptions = None, n_intervals=8, bins=64):
+                   opts: SupOptions = None):
     """Reachable-set volume estimate from random horizontal paths.
 
     Integrates ``n_paths`` random piecewise-constant controls from
     (z, t), then estimates the volume of the reachable set by occupancy
-    counting on a ``bins``^3 histogram over the outer comparison box
+    counting on a 64^3 histogram over the outer comparison box
     {|w - z| < 3 delta} x {|s - t| < upper structure bound at 3 delta}.
     Returns (estimate, (lo, hi)) with a binomial band on the occupied
     fraction.  Occupancy over-estimates at fixed n; the band covers only
@@ -292,7 +296,7 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
     half_t = max(upper, 1e-300)
 
     a, b, bps = _random_controls(np.random.default_rng(seed), n_paths,
-                                 n_intervals)
+                                 _VOLUME_INTERVALS)
     ends = integrate_endpoints(field, (z.real, z.imag, float(t)), a, b, bps,
                                delta)
 
@@ -305,6 +309,7 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
     lo = np.array([z.real - 3 * delta, z.imag - 3 * delta, t - half_t])
     hi = np.array([z.real + 3 * delta, z.imag + 3 * delta, t + half_t])
     span = hi - lo
+    bins = _VOLUME_BINS
     inside = np.all((ends >= lo) & (ends < hi), axis=1)
     pts = ends[inside]
     idx = np.floor((pts - lo) / span * bins).astype(np.int64)

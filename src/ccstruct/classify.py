@@ -25,7 +25,7 @@ dichotomy.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field as dc_field
+from dataclasses import asdict, astuple, dataclass, field as dc_field
 
 import numpy as np
 
@@ -37,6 +37,19 @@ from .structure import (SupOptions, Window, lambda_sup,
 CLASSIFY_OPTS = SupOptions(n_rungs=10, grid=17, n_polish=2,
                            polish_maxiter=60)
 
+#: the fixed rules of the verdict: the slope bands of the two types, the
+#: crossover scales delta* tried by both condition checks, their trend
+#: slope bounds (linear over the last LINEAR_TREND_TAIL rungs), the
+#: quadratic band-ratio bound, and the bound that flags a doubling ratio
+LINEAR_BAND = (0.85, 1.15)
+QUADRATIC_BAND = (1.85, 2.15)
+DELTA_STAR_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
+LINEAR_TREND_TOL = 0.2
+LINEAR_TREND_TAIL = 4
+QUADRATIC_TREND_TOL = 0.1
+QUADRATIC_BAND_RATIO_MAX = 50.0
+CHAIN_BOUND = 49.0
+
 
 @dataclass
 class ConditionCheck:
@@ -45,11 +58,6 @@ class ConditionCheck:
     verdict: str                    # 'pass' | 'fail' | 'inconclusive'
     window: dict = dc_field(default_factory=dict)
     context: dict = dc_field(default_factory=dict)
-
-    def as_dict(self):
-        return {"name": self.name, "statistic": self.statistic,
-                "verdict": self.verdict, "window": self.window,
-                "context": self.context}
 
 
 @dataclass
@@ -63,16 +71,8 @@ class UGSReport:
     meta: dict = dc_field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "slope_spread": self.slope_spread,
-            "slopes": {f"{z.real:g}+{z.imag:g}j": s
-                       for z, s in self.slopes.items()},
-            "checks": [c.as_dict() for c in self.checks],
-            "window": self.window,
-            "deltas": list(self.deltas),
-            "meta": self.meta,
-        }
+        slopes = {f"{z.real:g}+{z.imag:g}j": s for z, s in self.slopes.items()}
+        return {**asdict(self), "slopes": slopes, "deltas": list(self.deltas)}
 
 
 def fit_loglog_slope(deltas, values):
@@ -102,14 +102,12 @@ def _mass_table(field, zs, deltas):
 
 
 def check_linear_conditions(field: DensityField, window: Window, deltas,
-                            delta_star_ladder=(1.0, 2.0, 4.0, 8.0, 16.0),
-                            trend_tol=0.2, trend_tail=4,
                             opts: SupOptions = None):
     """The two linear-type conditions on the sampled window.
 
     (a) passes when sup_z mu(z, delta)/delta shows no growth trend: the
-    log-log slope over the last ``trend_tail`` ladder rungs is at most
-    ``trend_tol``.
+    log-log slope over the last ``LINEAR_TREND_TAIL`` ladder rungs is at
+    most ``LINEAR_TREND_TOL``.
     (b) passes when, for some crossover delta* on the ladder (with reach
     M = delta*/2), the per-z double supremum of mu(zhat, h)/h is bounded
     away from zero: its infimum is at least 1e-3 times its median, with
@@ -121,21 +119,21 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
 
     table = _mass_table(field, zs, deltas)
     per_delta_sup = table.max(axis=1) / np.asarray(deltas)
-    tail = min(max(trend_tail, 2), len(deltas))
+    tail = min(LINEAR_TREND_TAIL, len(deltas))
     trend = fit_loglog_slope(deltas[-tail:], per_delta_sup[-tail:])
     stat_a = float(per_delta_sup.max())
     if math.isnan(trend):
         verdict_a = "inconclusive"
     else:
-        verdict_a = "pass" if trend <= trend_tol else "fail"
+        verdict_a = "pass" if trend <= LINEAR_TREND_TOL else "fail"
     check_a = ConditionCheck(
         "linear_a_mass_over_delta_bounded", stat_a, verdict_a,
         window.as_dict(),
-        {"trend_slope": trend, "trend_tol": trend_tol,
+        {"trend_slope": trend, "trend_tol": LINEAR_TREND_TOL,
          "per_delta_sup": per_delta_sup.tolist(), "deltas": list(deltas)})
 
     best = None
-    for dstar in delta_star_ladder:
+    for dstar in DELTA_STAR_LADDER:
         m_reach = dstar / 2.0
         per_z = []
         for z in zs:
@@ -155,28 +153,26 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
         "linear_b_small_scale_inf_sup", inf_v,
         "pass" if ok else "fail", window.as_dict(),
         {"median": med_v, "delta_star": dstar, "M": m_reach,
-         "delta_star_ladder": list(delta_star_ladder)})
+         "delta_star_ladder": list(DELTA_STAR_LADDER)})
     return check_a, check_b
 
 
-def check_quadratic_conditions(field: DensityField, window: Window, deltas,
-                               delta_star_ladder=(1.0, 2.0, 4.0, 8.0, 16.0),
-                               band_ratio_max=50.0, trend_tol=0.1):
+def check_quadratic_conditions(field: DensityField, window: Window, deltas):
     """Crossover conditions for quadratic type.
 
     Searches delta* on the ladder.  (a) below delta*, mu/delta must show
     no growth trend (vacuously true with < 2 rungs below delta*).
     (b) above delta*, mu/delta^2 over all sampled (z, delta) must be
-    pinched in a band of ratio at most ``band_ratio_max`` *and* show a
-    flat trend in delta (otherwise a slow drift toward 0 or infinity
-    passes the band test on any finite ladder).
+    pinched in a band of ratio at most ``QUADRATIC_BAND_RATIO_MAX`` *and*
+    show a flat trend in delta (otherwise a slow drift toward 0 or
+    infinity passes the band test on any finite ladder).
     """
     zs = window.points()
     deltas = np.asarray(sorted(float(d) for d in deltas))
     table = _mass_table(field, zs, deltas)
 
     best_a = best_b = None
-    for dstar in delta_star_ladder:
+    for dstar in DELTA_STAR_LADDER:
         below = deltas <= dstar
         above = ~below
         if above.sum() < 2:
@@ -185,7 +181,7 @@ def check_quadratic_conditions(field: DensityField, window: Window, deltas,
         if below.sum() >= 2:
             sup_small = table[below].max(axis=1) / deltas[below]
             trend_a = fit_loglog_slope(deltas[below], sup_small)
-            ok_a = math.isnan(trend_a) or trend_a <= trend_tol
+            ok_a = math.isnan(trend_a) or trend_a <= QUADRATIC_TREND_TOL
             stat_a = float(sup_small.max())
         else:
             trend_a, ok_a, stat_a = math.nan, True, 0.0
@@ -198,8 +194,8 @@ def check_quadratic_conditions(field: DensityField, window: Window, deltas,
             ratio = math.inf
         else:
             ratio = sup_q / inf_q
-        ok_b = (ratio <= band_ratio_max and not math.isnan(trend_b)
-                and abs(trend_b) <= trend_tol)
+        ok_b = (ratio <= QUADRATIC_BAND_RATIO_MAX and not math.isnan(trend_b)
+                and abs(trend_b) <= QUADRATIC_TREND_TOL)
         if ok_a and ok_b:
             best_a = (stat_a, trend_a, dstar, "pass")
             best_b = (ratio, trend_b, dstar, "pass")
@@ -222,13 +218,9 @@ def check_quadratic_conditions(field: DensityField, window: Window, deltas,
     check_b = ConditionCheck(
         "quadratic_b_band_above_crossover", ratio, vb, window.as_dict(),
         {"trend_slope": trend_b, "delta_star": dstar,
-         "band_ratio_max": band_ratio_max,
-         "delta_star_ladder": list(delta_star_ladder)})
+         "band_ratio_max": QUADRATIC_BAND_RATIO_MAX,
+         "delta_star_ladder": list(DELTA_STAR_LADDER)})
     return check_a, check_b
-
-
-LINEAR_BAND = (0.85, 1.15)
-QUADRATIC_BAND = (1.85, 2.15)
 
 
 def _decide(slopes, spread, linear_ok, quadratic_ok, slope_tol, spread_tol):
@@ -248,9 +240,9 @@ def _decide(slopes, spread, linear_ok, quadratic_ok, slope_tol, spread_tol):
 
     if linear_ok and quadratic_ok:
         return "Inconclusive"   # mutual exclusion: never render both
-    if linear_ok and not quadratic_ok:
+    if linear_ok:
         return "Linear"
-    if quadratic_ok and not linear_ok:
+    if quadratic_ok:
         return "Quadratic"
 
     # neither family of conditions holds
@@ -260,9 +252,7 @@ def _decide(slopes, spread, linear_ok, quadratic_ok, slope_tol, spread_tol):
         if not in_linear and not in_quadratic:
             return "NoUGS"      # uniform growth at an inadmissible exponent
         return "Inconclusive"   # slopes look fine but checks disagree
-    if spread > spread_tol:
-        return "NoUGS"          # exponent varies with the base point
-    return "Inconclusive"
+    return "NoUGS"              # exponent varies with the base point
 
 
 def dichotomy_probe(field: DensityField, window: Window, deltas,
@@ -306,7 +296,7 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
 
 
 def doubling_ratio(field: DensityField, window: Window, deltas,
-                   chain_bound=49.0, opts: SupOptions = None):
+                   opts: SupOptions = None):
     """Per-delta table of max_z lambda_sup(z, 2 delta)/lambda_sup(z, delta).
 
     Only ladder entries whose double is also on the ladder (within 1e-9
@@ -330,12 +320,7 @@ def doubling_ratio(field: DensityField, window: Window, deltas,
                 skipped += 1
                 continue
             ratios.append(hi / lo)
-        if ratios:
-            worst = max(ratios)
-            rows.append({"delta": d, "max_ratio": worst,
-                         "flagged": worst > chain_bound,
-                         "skipped": skipped})
-        else:
-            rows.append({"delta": d, "max_ratio": math.nan,
-                         "flagged": False, "skipped": skipped})
+        worst = max(ratios) if ratios else math.nan
+        rows.append({"delta": d, "max_ratio": worst,
+                     "flagged": worst > CHAIN_BOUND, "skipped": skipped})
     return rows

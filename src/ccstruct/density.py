@@ -15,6 +15,7 @@ Internal memoization only caches pure results.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -29,6 +30,16 @@ from .errors import PotentialUnavailable, QuadratureFailure
 #: densities mu(z, h)/h -> 0 as h -> 0, so the supremum is attained away
 #: from zero and the cutoff only removes a vanishing tail.
 DELTA_HAT_MIN = 1e-3
+
+#: relative accuracy of every ``disk_mass`` that is not exact
+DISK_MASS_REL_TOL = 1e-6
+
+
+def _check_disk(r, center=0j):
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("disk radius must be positive and finite")
+    if not cmath.isfinite(complex(center)):
+        raise ValueError("disk center must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +97,13 @@ class DensityField:
 
     # -- disk mass ---------------------------------------------------------
 
-    def disk_mass(self, center, r, rel_tol=1e-6):
+    def disk_mass(self, center, r):
         """mu(center, r); subclasses override with analytic fast paths."""
-        return self.disk_mass_quadrature(center, r, rel_tol=rel_tol)
+        return self.disk_mass_quadrature(center, r)
 
-    def disk_mass_quadrature(self, center, r, rel_tol=1e-6):
+    def disk_mass_quadrature(self, center, r, rel_tol=DISK_MASS_REL_TOL):
         """Force the generic adaptive polar quadrature path."""
-        if r <= 0:
-            raise ValueError("disk radius must be positive")
+        _check_disk(r, center)
         return quadrature.disk_integral(self.density, complex(center), float(r),
                                         rel_tol=rel_tol)
 
@@ -103,6 +113,7 @@ class DensityField:
         Accuracy target is the coarse-search regime (~1e-5 relative);
         final answers should go through :meth:`disk_mass`.
         """
+        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
         flat = centers.ravel()
         out = np.array([self.disk_mass(c, r) for c in flat])
@@ -134,12 +145,12 @@ class ConstantDensity(DensityField):
         z = np.asarray(z, dtype=complex)
         return 0.5 * self.c * z.real, 0.5 * self.c * z.imag
 
-    def disk_mass(self, center, r, rel_tol=1e-6):
-        if r <= 0:
-            raise ValueError("disk radius must be positive")
+    def disk_mass(self, center, r):
+        _check_disk(r, center)
         return self.c * math.pi * r * r
 
     def disk_mass_many(self, centers, r):
+        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
         return np.full(centers.shape, self.c * math.pi * r * r)
 
@@ -158,17 +169,22 @@ class ZeroDensity(DensityField):
         z = np.asarray(z, dtype=complex)
         return np.zeros(z.shape), np.zeros(z.shape)
 
-    def disk_mass(self, center, r, rel_tol=1e-6):
-        if r <= 0:
-            raise ValueError("disk radius must be positive")
+    def disk_mass(self, center, r):
+        _check_disk(r, center)
         return 0.0
 
     def disk_mass_many(self, centers, r):
+        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
         return np.zeros(centers.shape)
 
 
 # ---------------------------------------------------------------------------
+
+#: np.linspace arguments of each axis of the lattice on which
+#: construction checks a polynomial density is non-negative
+_CHECK_AXIS = (-3.0, 3.0, 41)
+
 
 class PolynomialPotential(DensityField):
     """P(z) = sum c_{j,k} z^j zbar^k with Hermitian coefficients.
@@ -184,7 +200,7 @@ class PolynomialPotential(DensityField):
 
     family = "polynomial"
 
-    def __init__(self, coeffs, check_lattice_halfwidth=3.0, check_points=41):
+    def __init__(self, coeffs):
         C = self._coerce(coeffs)
         if not np.allclose(C, np.conj(C.T), atol=1e-9):
             raise ValueError("coefficients must satisfy c[j,k] = conj(c[k,j]) "
@@ -198,7 +214,7 @@ class PolynomialPotential(DensityField):
         jmax, kmax = C.shape
         self.degree = max(j + k for j in range(jmax) for k in range(kmax)
                           if C[j, k] != 0)
-        self._check_nonnegative(check_lattice_halfwidth, check_points)
+        self._check_nonnegative()
         self._diag_derivs = self._diagonal_derivatives()
 
     @staticmethod
@@ -217,8 +233,8 @@ class PolynomialPotential(DensityField):
             C[j, k] = complex(v)
         return C
 
-    def _check_nonnegative(self, halfwidth, n):
-        ax = np.linspace(-halfwidth, halfwidth, n)
+    def _check_nonnegative(self):
+        ax = np.linspace(*_CHECK_AXIS)
         zz = ax[None, :] + 1j * ax[:, None]
         vals = _poly_eval(self.lap_coeffs, zz).real   # unclamped
         scale = max(float(np.max(np.abs(vals))), 1.0)
@@ -242,12 +258,12 @@ class PolynomialPotential(DensityField):
         pz = _poly_eval(_poly_dz(self.coeffs), z)
         return 2.0 * pz.real, -2.0 * pz.imag
 
-    def disk_mass(self, center, r, rel_tol=1e-6):
-        if r <= 0:
-            raise ValueError("disk radius must be positive")
+    def disk_mass(self, center, r):
+        _check_disk(r, center)
         return float(self.disk_mass_many(np.asarray(center, dtype=complex), r))
 
     def disk_mass_many(self, centers, r):
+        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
         total = np.zeros(centers.shape)
         for a, Q in enumerate(self._diag_derivs):
@@ -290,6 +306,10 @@ def nagel_lambda_polynomial(field: PolynomialPotential, z, delta):
 
 #: relative error bound of the radial quadratures (m(r) and P(r))
 _RADIAL_REL_TOL = 1e-9
+#: the annulus integral of a radial disk mass: relative tolerance of the
+#: adaptive rule in ``disk_mass``, fixed order in ``disk_mass_many``
+_ANNULUS_REL_TOL = 1e-7
+_ANNULUS_NODES = 192
 
 
 class RadialPotential:
@@ -298,14 +318,13 @@ class RadialPotential:
         P'(r) = (1/r) * integral_0^r s f(s) ds.
 
     The cumulative integral m(r) = int_0^r s f(s) ds is evaluated by
-    adaptive quadrature with cached values (or by a supplied closed
-    form), and satisfies lap P = P'' + P'/r = f.
+    adaptive quadrature (or by a supplied closed form), and satisfies
+    lap P = P'' + P'/r = f.
     """
 
     def __init__(self, profile, cumulative=None):
         self.profile = profile
         self._cumulative = cumulative
-        self._m_cache = {}
 
     def cumulative(self, r):
         """m(r) = int_0^r s f(s) ds."""
@@ -314,16 +333,12 @@ class RadialPotential:
             return 0.0
         if self._cumulative is not None:
             return float(self._cumulative(r))
-        hit = self._m_cache.get(r)
-        if hit is not None:
-            return hit
         val, err = _sciint.quad(lambda s: s * self.profile(s), 0.0, r,
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
         if err > _RADIAL_REL_TOL * max(abs(val), 1e-12):
             raise QuadratureFailure(
                 f"radial cumulative integral to r={r} reached error {err:.3e}"
             )
-        self._m_cache[r] = val
         return val
 
     def dP(self, r):
@@ -375,13 +390,12 @@ class RadialProfileDensity(DensityField):
 
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
-    def disk_mass(self, center, r, rel_tol=1e-6):
-        if r <= 0:
-            raise ValueError("disk radius must be positive")
+    def disk_mass(self, center, r):
+        _check_disk(r, center)
         d = abs(complex(center))
         if d < 1e-12 * max(1.0, r):
             return 2.0 * math.pi * self.potential.cumulative(r)
-        return self._annulus_mass(d, r, rel_tol)
+        return self._annulus_mass(d, r)
 
     @staticmethod
     def _wedge_angle_from_offset(u, s, d, r):
@@ -394,7 +408,7 @@ class RadialProfileDensity(DensityField):
         q = np.clip((u * u - r * r) / (2.0 * d * s), -2.0, 0.0)
         return 2.0 * np.arctan2(np.sqrt(-q * (2.0 + q)), 1.0 + q)
 
-    def _annulus_mass(self, d, r, rel_tol):
+    def _annulus_mass(self, d, r):
         # the wedge angle has sqrt-type kinks at both endpoints of
         # [|d-r|, d+r]; the sin^2 substitution flattens them so plain
         # Gauss-Legendre converges spectrally
@@ -413,10 +427,11 @@ class RadialProfileDensity(DensityField):
             # the sub-disk |w| < r - d is fully covered
             total += 2.0 * math.pi * self.potential.cumulative(r - d)
         total += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
-                                        rel_tol=0.1 * rel_tol)
+                                        rel_tol=_ANNULUS_REL_TOL)
         return total
 
-    def disk_mass_many(self, centers, r, n_nodes=192):
+    def disk_mass_many(self, centers, r):
+        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
         d = np.abs(centers).ravel()
         out = np.zeros(d.shape)
@@ -428,7 +443,7 @@ class RadialProfileDensity(DensityField):
             dd = d[far]
             span = 2.0 * np.minimum(dd, r)
             u0 = np.where(dd >= r, -r, r - 2.0 * dd)
-            x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, n_nodes)
+            x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
             off = u0[:, None] + span[:, None] * np.sin(x[None, :]) ** 2
             nodes = dd[:, None] + off
             weights = span[:, None] * np.sin(2.0 * x)[None, :] * w[None, :]
@@ -585,9 +600,8 @@ class BumpLattice(DensityField):
             out += np.bincount(qi, weights=vals, minlength=len(flat))
         return out.reshape(z.shape)
 
-    def disk_mass(self, center, r, rel_tol=1e-6):
-        if r <= 0:
-            raise ValueError("disk radius must be positive")
+    def disk_mass(self, center, r):
+        _check_disk(r, center)
         center = complex(center)
         idx = np.asarray(self._tree.query_ball_point(
             (center.real, center.imag), self._reach(r), return_sorted=True),
@@ -605,6 +619,7 @@ class BumpLattice(DensityField):
         return total
 
     def disk_mass_many(self, centers, r):
+        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
         flat = centers.ravel()
         out = np.zeros(flat.shape)
@@ -620,15 +635,13 @@ class BumpLattice(DensityField):
         return out.reshape(centers.shape)
 
 
-def decaying_bump_lattice(extent, mass_fn=None, radius_fn=None):
+def decaying_bump_lattice(extent):
     """Bumps at the Gaussian integers k with |Re k|, |Im k| <= extent,
-    default masses 1/(1+|k|) and radii min(1/4, mass)."""
+    masses 1/(1+|k|) and radii min(1/4, mass)."""
     ks = np.arange(-int(extent), int(extent) + 1)
     grid = (ks[None, :] + 1j * ks[:, None]).ravel()
-    absk = np.abs(grid)
-    masses = 1.0 / (1.0 + absk) if mass_fn is None else mass_fn(grid)
-    radii = np.minimum(0.25, masses) if radius_fn is None else radius_fn(grid)
-    return BumpLattice(grid, masses, radii)
+    masses = 1.0 / (1.0 + np.abs(grid))
+    return BumpLattice(grid, masses, np.minimum(0.25, masses))
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +696,8 @@ class GridDensity(DensityField):
 # ---------------------------------------------------------------------------
 # module-level operation wrappers
 
-def disk_mass(field: DensityField, center, r, rel_tol=1e-6):
-    """mu(center, r) to relative tolerance ``rel_tol``, by the field's
-    analytic fast path where it has one."""
-    return field.disk_mass(center, r, rel_tol=rel_tol)
+def disk_mass(field: DensityField, center, r):
+    """mu(center, r) to relative tolerance ``DISK_MASS_REL_TOL``, by the
+    field's analytic fast path where it has one."""
+    return field.disk_mass(center, r)
 

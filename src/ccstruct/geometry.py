@@ -22,6 +22,9 @@ from .errors import DegenerateLoop, InvalidStockyard
 
 GEOM_TOL = 1e-9
 
+#: relative tolerance of ``boundary_line_integral``
+_LINE_REL_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # curve pieces
@@ -150,14 +153,11 @@ class PlaneCurve:
         return PlaneCurve(out)
 
 
-def circle_curve(center, radius, clockwise=True, start_angle=0.0, turns=1):
-    """A full circle (optionally traversed several times); clockwise is
-    the mass-positive orientation."""
-    sweep = -2.0 * math.pi if clockwise else 2.0 * math.pi
-    pieces = [Arc(complex(center), float(radius),
-                  start_angle + i * sweep, start_angle + (i + 1) * sweep)
-              for i in range(int(turns))]
-    return PlaneCurve(pieces)
+def circle_curve(center, radius):
+    """A full circle traversed once clockwise (the mass-positive
+    orientation), starting at angle 0."""
+    return PlaneCurve([Arc(complex(center), float(radius), 0.0,
+                           -2.0 * math.pi)])
 
 
 def polygon_curve(vertices):
@@ -177,11 +177,10 @@ def _polygon_signed_area(vertices):
 # ---------------------------------------------------------------------------
 # line integral
 
-def boundary_line_integral(field: DensityField, curve: PlaneCurve,
-                           rel_tol=1e-8):
+def boundary_line_integral(field: DensityField, curve: PlaneCurve):
     """The line integral of P_y dx - P_x dy along the curve, by per-piece
-    Gauss-Legendre quadrature with order doubling to the requested
-    relative tolerance (measured against the largest piece so far).
+    Gauss-Legendre quadrature with order doubling to relative tolerance
+    ``_LINE_REL_TOL`` (measured against the largest piece so far).
     Raises PotentialUnavailable when the field has no potential and
     QuadratureFailure when a piece does not converge by 8192 nodes."""
     total = 0.0
@@ -196,7 +195,8 @@ def boundary_line_integral(field: DensityField, curve: PlaneCurve,
             px, py = field.potential_gradient(pts)
             return py * dz.real - px * dz.imag
 
-        val = quadrature.adaptive_1d(integrand, 0.0, 1.0, rel_tol=rel_tol,
+        val = quadrature.adaptive_1d(integrand, 0.0, 1.0,
+                                     rel_tol=_LINE_REL_TOL,
                                      abs_floor=max(scale, 1e-12),
                                      max_order=8192)
         total += val
@@ -224,7 +224,7 @@ class Pen:
         if radius <= 0:
             raise ValueError("circle radius must be positive")
         center = complex(center)
-        return cls("circle", circle_curve(center, radius, clockwise=True),
+        return cls("circle", circle_curve(center, radius),
                    2.0 * math.pi * radius, {"center": center, "radius": radius})
 
     @classmethod
@@ -243,14 +243,13 @@ class Pen:
         return f"<Pen {self.kind} fencing={self.fencing:.6g}>"
 
 
-def pen_mass(field: DensityField, pen: Pen, rel_tol=1e-6):
+def pen_mass(field: DensityField, pen: Pen):
     """Mass enclosed by the pen.  Circular pens delegate to the disk-mass
     query; polygonal pens triangulate from a base vertex and integrate
     per triangle with signed orientation (the absolute value is the mass
     since the density is non-negative)."""
     if pen.kind == "circle":
-        return field.disk_mass(pen.params["center"], pen.params["radius"],
-                               rel_tol=rel_tol)
+        return field.disk_mass(pen.params["center"], pen.params["radius"])
     vs = pen.params["vertices"]
     base = vs[0]
     total = 0.0
@@ -258,8 +257,7 @@ def pen_mass(field: DensityField, pen: Pen, rel_tol=1e-6):
         tri_area = _polygon_signed_area([base, a, b])
         if abs(tri_area) < 1e-15:
             continue
-        mass = quadrature.triangle_integral(field.density, base, a, b,
-                                            rel_tol=rel_tol * 0.1)
+        mass = quadrature.triangle_integral(field.density, base, a, b)
         total += math.copysign(mass, tri_area)
     return abs(total)
 
@@ -358,16 +356,17 @@ class StockyardReport:
     messages: list = dc_field(default_factory=list)
 
 
-def validate_stockyard(s: Stockyard, tol=None) -> StockyardReport:
+def validate_stockyard(s: Stockyard) -> StockyardReport:
     """Check the three defining conditions: the base point lies on the
     union of pen boundaries, total fencing is within budget, and the
-    boundary union is connected.  Failures are reported, not raised."""
+    boundary union is connected, each to GEOM_TOL relative to the
+    stockyard's scale.  Failures are reported, not raised."""
     if not s.pens:
         return StockyardReport(False, False, math.inf, 0.0, False, 0, False,
                                ["stockyard has no pens"])
     scale = max(1.0, abs(s.base), s.budget,
                 *(p.fencing for p in s.pens))
-    tol = (GEOM_TOL * scale) if tol is None else tol
+    tol = GEOM_TOL * scale
 
     base_dist = min(point_boundary_distance(s.base, p) for p in s.pens)
     base_ok = base_dist <= tol
@@ -404,15 +403,14 @@ def validate_stockyard(s: Stockyard, tol=None) -> StockyardReport:
                            connected, messages)
 
 
-def stockyard_mass(field: DensityField, s: Stockyard, rel_tol=1e-6,
-                   validated=False):
+def stockyard_mass(field: DensityField, s: Stockyard, validated=False):
     """Total mass of the stockyard: the sum of pen masses, counting each
     listed copy of a repeated pen once per copy."""
     if not validated:
         report = validate_stockyard(s)
         if not report.ok:
             raise InvalidStockyard("; ".join(report.messages))
-    return sum(pen_mass(field, p, rel_tol=rel_tol) for p in s.pens)
+    return sum(pen_mass(field, p) for p in s.pens)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +435,7 @@ def pack_disks(b, a):
 # ---------------------------------------------------------------------------
 # seven-loop split
 
-def split_loop_into_seven(loop: PlaneCurve, delta=None):
+def split_loop_into_seven(loop: PlaneCurve):
     """Split a closed loop of length 3*delta into seven closed loops of
     length at most 2*delta whose line integrals sum to the original's.
 
@@ -452,8 +450,6 @@ def split_loop_into_seven(loop: PlaneCurve, delta=None):
     L = loop.length
     if L < 1e-12:
         raise DegenerateLoop("loop length below 1e-12")
-    if delta is None:
-        delta = L / 3.0
     z = [loop.point_at_length(0.0), loop.point_at_length(L / 3.0),
          loop.point_at_length(2.0 * L / 3.0)]
     z.append(z[0])   # z3 = z0

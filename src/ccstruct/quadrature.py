@@ -151,6 +151,12 @@ def disk_integral(fn, center, r, rel_tol=1e-6, max_patches=40000):
                         rel_tol=rel_tol, max_patches=max_patches)
 
 
+#: ``triangle_integral`` stops refining where the 4-child refinement agrees
+#: with its parent to this relative tolerance, or at this depth
+_TRIANGLE_REL_TOL = 1e-7
+_TRIANGLE_MAX_DEPTH = 12
+
+
 def _triangle_fixed(fn, a, b, c, n=8):
     """Fixed-order integral of ``fn`` over triangle (a, b, c) via a Duffy
     mapping of a tensor GL rule.  Uses the absolute area (unsigned)."""
@@ -163,9 +169,10 @@ def _triangle_fixed(fn, a, b, c, n=8):
     return area2 * float(np.einsum("i,j,ij->", wu, wv, vals * uu))
 
 
-def triangle_integral(fn, a, b, c, rel_tol=1e-7, max_depth=12):
+def triangle_integral(fn, a, b, c):
     """Integrate a plane density over a triangle, refining by midpoint
     subdivision until the 4-child refinement agrees with the parent."""
+    rel_tol, max_depth = _TRIANGLE_REL_TOL, _TRIANGLE_MAX_DEPTH
 
     def recurse(a, b, c, coarse, depth):
         ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)

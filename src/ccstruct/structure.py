@@ -20,7 +20,7 @@ true structure only up to constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -29,6 +29,11 @@ from . import quadrature
 from .density import DELTA_HAT_MIN, DensityField
 from .errors import CCStructError, InvalidStockyard
 from .geometry import Pen, Stockyard, stockyard_mass, validate_stockyard
+
+#: relative tolerance of ``twist``, and the fixed Gauss-Legendre order of
+#: ``twist_many``
+_TWIST_REL_TOL = 1e-9
+_TWIST_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,6 @@ class LambdaEstimate:
     bound: str                  # 'upper_comparable' | 'lower'
     witness: object = None
     meta: dict = dc_field(default_factory=dict)
-
-
-def _field_cache(field):
-    cache = getattr(field, "_lambda_cache", None)
-    if cache is None:
-        cache = {}
-        field._lambda_cache = cache
-    return cache
 
 
 def optimize_weighted_disk(field: DensityField, center, search_radius,
@@ -154,7 +151,7 @@ def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
         raise ValueError("delta must be positive and finite")
     opts = opts or SupOptions()
     z = complex(z)
-    cache = _field_cache(field)
+    cache = vars(field).setdefault("_lambda_cache", {})
     key = ("sup", z, float(delta), opts)
     hit = cache.get(key)
     if hit is not None:
@@ -226,7 +223,7 @@ def lambda_stockyard(field: DensityField, z, delta, opts: SupOptions = None):
 
 # ---------------------------------------------------------------------------
 
-def twist(field: DensityField, z, w, tol=1e-9):
+def twist(field: DensityField, z, w):
     """The twist of the metric ball: the t-offset of the comparable box
     center,  -2 Im( integral_0^1 (w - z) P_z(z + r (w - z)) dr ).
     Raises QuadratureFailure when the integral does not converge by 4096
@@ -241,15 +238,16 @@ def twist(field: DensityField, z, w, tol=1e-9):
         pz = 0.5 * (px - 1j * py)
         return ((w - z) * pz).imag
 
-    return -2.0 * quadrature.adaptive_1d(integrand, 0.0, 1.0, rel_tol=tol,
+    return -2.0 * quadrature.adaptive_1d(integrand, 0.0, 1.0,
+                                         rel_tol=_TWIST_REL_TOL,
                                          abs_floor=1.0, max_order=4096)
 
 
-def twist_many(field: DensityField, z, ws, n_nodes=96):
+def twist_many(field: DensityField, z, ws):
     """Vectorized twist over an array of endpoints (fixed-order rule)."""
     z = complex(z)
     ws = np.asarray(ws, dtype=complex).ravel()
-    x, wts = quadrature.gl_nodes(0.0, 1.0, n_nodes)
+    x, wts = quadrature.gl_nodes(0.0, 1.0, _TWIST_NODES)
     pts = z + (ws[:, None] - z) * x[None, :]
     px, py = field.potential_gradient(pts)
     pz = 0.5 * (px - 1j * py)
@@ -299,8 +297,7 @@ class Window:
         return [complex(x, y) for y in ys for x in xs]
 
     def as_dict(self):
-        return {"x0": self.x0, "y0": self.y0, "x1": self.x1, "y1": self.y1,
-                "n": self.n}
+        return asdict(self)
 
 
 @dataclass
@@ -352,15 +349,11 @@ def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
         except (CCStructError, ValueError) as exc:  # recorded per row
             return SweepRow(z, delta, method, error=f"{type(exc).__name__}: {exc}")
         row = SweepRow(z, delta, method, est.value)
-        w = est.witness
-        if isinstance(w, WitnessDisk):
-            row.witness_center = w.center
-            row.witness_radius = w.radius
-        elif est.method == "stockyard":
-            wd = est.meta.get("witness")
-            if wd is not None:
-                row.witness_center = wd.center
-                row.witness_radius = wd.radius
+        # a stockyard estimate keeps its witness disk in meta
+        w = (est.witness if isinstance(est.witness, WitnessDisk)
+             else est.meta.get("witness"))
+        if w is not None:
+            row.witness_center, row.witness_radius = w.center, w.radius
         return row
 
     return [evaluate(z, d) for z in window.points() for d in deltas]

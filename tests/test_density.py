@@ -42,9 +42,21 @@ def test_zero_density_everything_vanishes():
 
 
 def test_disk_mass_rejects_bad_radius():
-    for f in (ConstantDensity(1.0), ZeroDensity()):
-        with pytest.raises(ValueError):
-            f.disk_mass(0, 0.0)
+    grid = GridDensity(-2 - 2j, 1.0, np.ones((5, 5)))
+    fields = (ConstantDensity(2.0), ZeroDensity(),
+              PolynomialPotential({(2, 2): 1.0}), RadialAlphaDensity(0.5),
+              decaying_bump_lattice(3), grid)
+    for f in fields:
+        for r in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                f.disk_mass(0.5j, r)
+            with pytest.raises(ValueError):
+                f.disk_mass_many(np.array([0j, 0.5j]), r)
+            with pytest.raises(ValueError):
+                f.disk_mass_quadrature(0.5j, r)
+        for c in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+            with pytest.raises(ValueError):
+                f.disk_mass(c, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_green_identity_circle():
 
 
 def test_green_identity_counterclockwise_negates():
-    loop = circle_curve(0, 1.0, clockwise=False)
+    loop = circle_curve(0, 1.0).reversed()
     val = boundary_line_integral(P_Z2, loop)
     assert val == pytest.approx(-4 * math.pi, rel=1e-8)
 
