@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from ccstruct import structure
 from ccstruct.cli import main
+from ccstruct.errors import QuadratureFailure
 
 CONSTANT_SPEC = "family = constant\nc = 4\n"
 ZERO_SPEC = "family = constant\nc = 0\n"
@@ -55,6 +57,24 @@ def test_lambda_method_all_direct_below_sup(tmp_path):
     assert code == 0
     for row in read_rows(out):
         assert float(row["value_direct"]) <= float(row["value_sup"]) + 1e-9
+
+
+def test_lambda_failing_method_row(tmp_path, constant_spec, monkeypatch):
+    # one failing method leaves nan in its column and its message in
+    # the row's error, keeps the other methods' values, and exits 3
+    def fail(*args, **kwargs):
+        raise QuadratureFailure("injected stockyard failure")
+
+    monkeypatch.setattr(structure, "lambda_stockyard", fail)
+    out = tmp_path / "out.csv"
+    code = main(["lambda", "--density", constant_spec, "--z", "0.5,0",
+                 "--delta", "2", "--method", "all", "--out", str(out)])
+    assert code == 3
+    (row,) = read_rows(out)
+    assert row["value_stockyard"] == "nan"
+    assert row["error"] == "QuadratureFailure: injected stockyard failure"
+    assert math.isfinite(float(row["value_sup"]))
+    assert math.isfinite(float(row["value_direct"]))
 
 
 def test_output_has_version_and_config_header(tmp_path, constant_spec):
