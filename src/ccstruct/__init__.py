@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 from .density import (BumpLattice, ConstantDensity, DensityField,
                       GridDensity, PolynomialPotential, RadialAlphaDensity,
-                      RadialPotential, ZeroDensity, decaying_bump_lattice,
-                      disk_mass, nagel_lambda_polynomial)
+                      ZeroDensity, decaying_bump_lattice, disk_mass,
+                      nagel_lambda_polynomial)
 from .errors import (CCStructError, DegenerateLoop, DensitySpecError,
                      InvalidStockyard, PotentialUnavailable,
                      QuadratureFailure)
@@ -31,9 +31,8 @@ from .structure import (LambdaEstimate, SupOptions, Window, WitnessDisk,
 __all__ = [
     "__version__",
     "BumpLattice", "ConstantDensity", "DensityField", "GridDensity",
-    "PolynomialPotential", "RadialAlphaDensity", "RadialPotential",
-    "ZeroDensity", "decaying_bump_lattice", "disk_mass",
-    "nagel_lambda_polynomial",
+    "PolynomialPotential", "RadialAlphaDensity", "ZeroDensity",
+    "decaying_bump_lattice", "disk_mass", "nagel_lambda_polynomial",
     "CCStructError", "DegenerateLoop", "DensitySpecError",
     "InvalidStockyard", "PotentialUnavailable", "QuadratureFailure",
     "Pen", "PlaneCurve", "Stockyard", "boundary_line_integral",

@@ -94,16 +94,23 @@ def track_slope(field, track, deltas, opts: SupOptions = None):
     return fit_loglog_slope(deltas, vals)
 
 
-def _mass_table(field, zs, deltas):
-    """mu(z, delta) over the lattice: array of shape (len(deltas), len(zs))."""
-    zs = np.asarray(zs, dtype=complex)
+def mass_table(field: DensityField, window: Window, deltas):
+    """mu(z, delta) at the window's points, one row per delta."""
+    zs = np.asarray(window.points(), dtype=complex)
     return np.array([np.asarray(field.disk_mass_many(zs, float(d)), dtype=float)
                      for d in deltas])
 
 
+def _check_table(table, window, deltas):
+    if np.shape(table) != (len(deltas), window.n ** 2):
+        raise ValueError(f"mass table has shape {np.shape(table)}, not "
+                         f"({len(deltas)}, {window.n ** 2})")
+
+
 def check_linear_conditions(field: DensityField, window: Window, deltas,
-                            opts: SupOptions = None):
-    """The two linear-type conditions on the sampled window.
+                            table, opts: SupOptions = None):
+    """The two linear-type conditions on the sampled window, from the
+    window's ``mass_table`` over ``deltas``.
 
     (a) passes when sup_z mu(z, delta)/delta shows no growth trend: the
     log-log slope over the last ``LINEAR_TREND_TAIL`` ladder rungs is at
@@ -114,10 +121,8 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     positive median.
     """
     opts = opts or CLASSIFY_OPTS
-    zs = window.points()
     deltas = tuple(float(d) for d in deltas)
-
-    table = _mass_table(field, zs, deltas)
+    _check_table(table, window, deltas)
     per_delta_sup = table.max(axis=1) / np.asarray(deltas)
     tail = min(LINEAR_TREND_TAIL, len(deltas))
     trend = fit_loglog_slope(deltas[-tail:], per_delta_sup[-tail:])
@@ -136,7 +141,7 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     for dstar in DELTA_STAR_LADDER:
         m_reach = dstar / 2.0
         per_z = []
-        for z in zs:
+        for z in window.points():
             val, _ = optimize_weighted_disk(
                 field, z, dstar, DELTA_HAT_MIN, m_reach,
                 weight=lambda h: 1.0 / h, opts=opts)
@@ -157,8 +162,9 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     return check_a, check_b
 
 
-def check_quadratic_conditions(field: DensityField, window: Window, deltas):
-    """Crossover conditions for quadratic type.
+def check_quadratic_conditions(window: Window, deltas, table):
+    """Crossover conditions for quadratic type, from the window's
+    ``mass_table`` over the increasing ladder ``deltas``.
 
     Searches delta* on the ladder.  (a) below delta*, mu/delta must show
     no growth trend (vacuously true with < 2 rungs below delta*).
@@ -167,9 +173,8 @@ def check_quadratic_conditions(field: DensityField, window: Window, deltas):
     show a flat trend in delta (otherwise a slow drift toward 0 or
     infinity passes the band test on any finite ladder).
     """
-    zs = window.points()
-    deltas = np.asarray(sorted(float(d) for d in deltas))
-    table = _mass_table(field, zs, deltas)
+    deltas = np.asarray(deltas, dtype=float)
+    _check_table(table, window, deltas)
 
     best_a = best_b = None
     for dstar in DELTA_STAR_LADDER:
@@ -283,8 +288,10 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
     finite = [s for s in slopes.values() if not math.isnan(s)]
     spread = float(max(finite) - min(finite)) if finite else math.nan
 
-    lin_a, lin_b = check_linear_conditions(field, window, deltas, opts=opts)
-    quad_a, quad_b = check_quadratic_conditions(field, window, deltas)
+    table = mass_table(field, window, deltas)
+    lin_a, lin_b = check_linear_conditions(field, window, deltas, table,
+                                           opts=opts)
+    quad_a, quad_b = check_quadratic_conditions(window, deltas, table)
     linear_ok = lin_a.verdict == "pass" and lin_b.verdict == "pass"
     quadratic_ok = quad_a.verdict == "pass" and quad_b.verdict == "pass"
 

@@ -74,7 +74,10 @@ def _parse_deltas(text):
         _check_finite("delta", text, (a, b))
         if a <= 0 or b <= a or n < 2:
             raise ConfigError("--delta ladder needs 0 < a < b and n >= 2")
-        return [float(d) for d in np.geomspace(a, b, n)]
+        ladder = [float(d) for d in np.geomspace(a, b, n)]
+        if any(e <= d for d, e in zip(ladder, ladder[1:])):
+            raise ConfigError(f"--delta ladder {text!r} repeats a value")
+        return ladder
     try:
         d = float(text)
     except ValueError:
@@ -148,25 +151,18 @@ def cmd_lambda(args):
     deltas = _parse_deltas(args.delta)
     methods = (["sup", "stockyard", "direct"] if args.method == "all"
                else [args.method])
-    columns = ["re(z)", "im(z)", "delta"] + [f"value_{m}" for m in methods]
-    columns += ["error"]
-    rows = []
-    had_numeric_failure = False
-    for d in deltas:
-        values = []
-        err = ""
-        for m in methods:
-            try:
-                est = structure.lambda_estimate(field, z, d, m,
-                                                seed=args.seed)
-                values.append(est.value)
-            except CCStructError as exc:
-                values.append(math.nan)
-                err = f"{type(exc).__name__}: {exc}"
-                had_numeric_failure = True
-        rows.append([z.real, z.imag, d] + values + [err])
+    # one single-point sweep per method, pivoted to a row per delta whose
+    # error is the last failing method's
+    point = structure.Window(z.real, z.imag, z.real, z.imag, 1)
+    runs = [structure.lambda_sweep(field, point, deltas, method=m,
+                                   seed=args.seed) for m in methods]
+    columns = (["re(z)", "im(z)", "delta"] + [f"value_{m}" for m in methods]
+               + ["error"])
+    rows = [[z.real, z.imag, cells[0].delta] + [c.value for c in cells]
+            + [next((c.error for c in reversed(cells) if c.error), "")]
+            for cells in zip(*runs)]
     _write_rows(args, columns, rows)
-    return EXIT_NUMERIC if had_numeric_failure else EXIT_OK
+    return EXIT_NUMERIC if any(row[-1] for row in rows) else EXIT_OK
 
 
 def cmd_sweep(args):

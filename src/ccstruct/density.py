@@ -9,8 +9,10 @@ equals 4 d^2 P / dz dzbar.  All densities are non-negative (P is
 subharmonic); construction rejects data violating this on a sample
 lattice.
 
-Fields are immutable after construction and all operations are pure.
-Internal memoization only caches pure results.
+Field operations are pure and never change the field.  The one state a
+field carries past construction is the memo that
+``structure.lambda_sup`` stores on it as ``_lambda_cache`` (ROADMAP item
+4 moves it off the field).
 """
 
 from __future__ import annotations
@@ -35,10 +37,14 @@ DELTA_HAT_MIN = 1e-3
 DISK_MASS_REL_TOL = 1e-6
 
 
-def _check_disk(r, center=0j):
+def _check_disk(r, centers=0j):
+    """Reject a radius that is not positive and finite, and a center
+    (or an array of centers) that is not finite."""
     if not (math.isfinite(r) and r > 0):
         raise ValueError("disk radius must be positive and finite")
-    if not cmath.isfinite(complex(center)):
+    finite = (np.isfinite(centers).all() if isinstance(centers, np.ndarray)
+              else cmath.isfinite(complex(centers)))
+    if not finite:
         raise ValueError("disk center must be finite")
 
 
@@ -113,8 +119,8 @@ class DensityField:
         Accuracy target is the coarse-search regime (~1e-5 relative);
         final answers should go through :meth:`disk_mass`.
         """
-        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
         flat = centers.ravel()
         out = np.array([self.disk_mass(c, r) for c in flat])
         return out.reshape(centers.shape)
@@ -150,8 +156,8 @@ class ConstantDensity(DensityField):
         return self.c * math.pi * r * r
 
     def disk_mass_many(self, centers, r):
-        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
         return np.full(centers.shape, self.c * math.pi * r * r)
 
 
@@ -174,8 +180,8 @@ class ZeroDensity(DensityField):
         return 0.0
 
     def disk_mass_many(self, centers, r):
-        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
         return np.zeros(centers.shape)
 
 
@@ -219,14 +225,6 @@ class PolynomialPotential(DensityField):
 
     @staticmethod
     def _coerce(coeffs):
-        if isinstance(coeffs, np.ndarray):
-            C = np.asarray(coeffs, dtype=complex)
-            if C.shape[0] != C.shape[1]:
-                n = max(C.shape)
-                D = np.zeros((n, n), dtype=complex)
-                D[: C.shape[0], : C.shape[1]] = C
-                C = D
-            return C
         n = 1 + max(max(j, k) for (j, k) in coeffs)
         C = np.zeros((n, n), dtype=complex)
         for (j, k), v in coeffs.items():
@@ -263,8 +261,8 @@ class PolynomialPotential(DensityField):
         return float(self.disk_mass_many(np.asarray(center, dtype=complex), r))
 
     def disk_mass_many(self, centers, r):
-        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
         total = np.zeros(centers.shape)
         for a, Q in enumerate(self._diag_derivs):
             coef = math.pi * r ** (2 * a + 2) / ((a + 1) * math.factorial(a) ** 2)
@@ -312,15 +310,13 @@ _ANNULUS_REL_TOL = 1e-7
 _ANNULUS_NODES = 192
 
 
-class RadialPotential:
-    """Radial potential reconstructed from a radial density profile f:
+class RadialProfileDensity(DensityField):
+    """Density f(|z|) depending only on |z|, with the potential
+    reconstructed radially: P'(r) = m(r)/r with m(r) = int_0^r s f(s) ds,
+    so that lap P = P'' + P'/r = f.  ``cumulative`` optionally supplies m
+    in closed form (cross-checked against quadrature in the tests)."""
 
-        P'(r) = (1/r) * integral_0^r s f(s) ds.
-
-    The cumulative integral m(r) = int_0^r s f(s) ds is evaluated by
-    adaptive quadrature (or by a supplied closed form), and satisfies
-    lap P = P'' + P'/r = f.
-    """
+    family = "radial_profile"
 
     def __init__(self, profile, cumulative=None):
         self.profile = profile
@@ -360,18 +356,6 @@ class RadialPotential:
             raise QuadratureFailure("radial potential integral did not converge")
         return val
 
-
-class RadialProfileDensity(DensityField):
-    """Density depending only on |z|, with the potential reconstructed
-    radially.  ``cumulative`` optionally supplies the closed form of
-    int_0^r s f(s) ds (cross-checked against quadrature in the tests)."""
-
-    family = "radial_profile"
-
-    def __init__(self, profile, cumulative=None):
-        self.profile = profile
-        self.potential = RadialPotential(profile, cumulative=cumulative)
-
     def density(self, z):
         z = np.asarray(z, dtype=complex)
         return np.asarray(self.profile(np.abs(z)), dtype=float)
@@ -383,7 +367,7 @@ class RadialProfileDensity(DensityField):
         py = np.zeros(r.shape)
         mask = r > 0
         rm, zm = r[mask], z[mask]
-        dp = self.potential.dP(rm)
+        dp = self.dP(rm)
         px[mask] = dp * zm.real / rm
         py[mask] = dp * zm.imag / rm
         return px, py
@@ -394,66 +378,59 @@ class RadialProfileDensity(DensityField):
         _check_disk(r, center)
         d = abs(complex(center))
         if d < 1e-12 * max(1.0, r):
-            return 2.0 * math.pi * self.potential.cumulative(r)
-        return self._annulus_mass(d, r)
-
-    @staticmethod
-    def _wedge_angle_from_offset(u, s, d, r):
-        """Angle measure of {theta : |d + s e^(i theta)| <= r}, from the
-        offset u = s - d carried exactly.  The stable form
-        cos = 1 + q with q = (u^2 - r^2)/(2 d s) avoids the cancellation
-        in d^2 + s^2 - r^2 when a small disk sits far from the origin,
-        and the half-angle atan2 form keeps full precision for angles
-        near 0 and near 2 pi."""
-        q = np.clip((u * u - r * r) / (2.0 * d * s), -2.0, 0.0)
-        return 2.0 * np.arctan2(np.sqrt(-q * (2.0 + q)), 1.0 + q)
-
-    def _annulus_mass(self, d, r):
-        # the wedge angle has sqrt-type kinks at both endpoints of
-        # [|d-r|, d+r]; the sin^2 substitution flattens them so plain
-        # Gauss-Legendre converges spectrally
-        span = 2.0 * min(d, r)
-        u0 = -r if d >= r else r - 2.0 * d    # |d-r| - d, formed stably
-
-        def integrand(x):
-            off = u0 + span * np.sin(x) ** 2
-            s = d + off
-            jac = span * np.sin(2.0 * x)
-            return (np.asarray(self.profile(s), dtype=float) * s
-                    * self._wedge_angle_from_offset(off, s, d, r) * jac)
-
+            return 2.0 * math.pi * self.cumulative(r)
+        factors = self._annulus_integrand(d, r)
         total = 0.0
         if d < r:
             # the sub-disk |w| < r - d is fully covered
-            total += 2.0 * math.pi * self.potential.cumulative(r - d)
-        total += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
+            total += 2.0 * math.pi * self.cumulative(r - d)
+        total += quadrature.adaptive_1d(lambda x: np.multiply(*factors(x)),
+                                        0.0, 0.5 * math.pi,
                                         rel_tol=_ANNULUS_REL_TOL)
         return total
 
+    def _annulus_integrand(self, d, r):
+        """The annulus integrand for centers at distance d (a float or a
+        column) from the origin: the function of nodes x in [0, pi/2]
+        returning its factors (f(s) s theta(s), span sin 2x).  theta(s),
+        the angle measure of {t : |d + s e^(i t)| <= r}, has sqrt-type
+        kinks at both ends of [|d-r|, d+r]; the sin^2 substitution
+        flattens them, so plain Gauss-Legendre converges spectrally.
+        theta is formed from the exact offset s - d as cos = 1 + q,
+        q = (off^2 - r^2)/(2 d s), which avoids the cancellation in
+        d^2 + s^2 - r^2 for a small disk far from the origin; the
+        half-angle atan2 form keeps full precision near 0 and 2 pi."""
+        span = 2.0 * np.minimum(d, r)
+        u0 = np.where(d >= r, -r, r - 2.0 * d)    # |d-r| - d, formed stably
+
+        def factors(x):
+            off = u0 + span * np.sin(x) ** 2
+            s = d + off
+            q = np.clip((off * off - r * r) / (2.0 * d * s), -2.0, 0.0)
+            theta = 2.0 * np.arctan2(np.sqrt(-q * (2.0 + q)), 1.0 + q)
+            return (np.asarray(self.profile(s), dtype=float) * s * theta,
+                    span * np.sin(2.0 * x))
+
+        return factors
+
     def disk_mass_many(self, centers, r):
-        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
         d = np.abs(centers).ravel()
         out = np.zeros(d.shape)
         near = d < 1e-12 * max(1.0, r)
         if np.any(near):
-            out[near] = 2.0 * math.pi * self.potential.cumulative(r)
+            out[near] = 2.0 * math.pi * self.cumulative(r)
         far = ~near
         if np.any(far):
             dd = d[far]
-            span = 2.0 * np.minimum(dd, r)
-            u0 = np.where(dd >= r, -r, r - 2.0 * dd)
             x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
-            off = u0[:, None] + span[:, None] * np.sin(x[None, :]) ** 2
-            nodes = dd[:, None] + off
-            weights = span[:, None] * np.sin(2.0 * x)[None, :] * w[None, :]
-            fvals = np.asarray(self.profile(nodes), dtype=float)
-            ang = self._wedge_angle_from_offset(off, nodes, dd[:, None], r)
-            vals = np.einsum("ij,ij->i", weights, fvals * nodes * ang)
+            values, jac = self._annulus_integrand(dd[:, None], r)(x)
+            vals = np.einsum("ij,ij->i", jac * w, values)
             inner = dd < r
             if np.any(inner):
                 vals[inner] += np.array(
-                    [2.0 * math.pi * self.potential.cumulative(r - dv)
+                    [2.0 * math.pi * self.cumulative(r - dv)
                      for dv in dd[inner]])
             out[far] = vals
         return out.reshape(centers.shape)
@@ -619,8 +596,8 @@ class BumpLattice(DensityField):
         return total
 
     def disk_mass_many(self, centers, r):
-        _check_disk(r)
         centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
         flat = centers.ravel()
         out = np.zeros(flat.shape)
         for qi, bi in self._near_pairs(flat, self._reach(r)):

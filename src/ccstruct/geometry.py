@@ -279,9 +279,7 @@ def point_boundary_distance(z, pen: Pen):
     z = complex(z)
     if pen.kind == "circle":
         return abs(abs(z - pen.params["center"]) - pen.params["radius"])
-    vs = pen.params["vertices"]
-    return min(_point_segment_distance(z, Segment(a, b))
-               for a, b in zip(vs, vs[1:] + vs[:1]))
+    return min(_point_segment_distance(z, seg) for seg in pen.boundary.pieces)
 
 
 def _circle_circle_distance(c1, r1, c2, r2):
@@ -321,16 +319,14 @@ def pen_boundary_distance(p1: Pen, p2: Pen):
     if p1.kind == "circle" and p2.kind == "circle":
         return _circle_circle_distance(p1.params["center"], p1.params["radius"],
                                        p2.params["center"], p2.params["radius"])
+    # a polygon pen's boundary pieces are its edges
     if p1.kind == "polygon" and p2.kind == "polygon":
-        vs1, vs2 = p1.params["vertices"], p2.params["vertices"]
-        segs1 = [Segment(a, b) for a, b in zip(vs1, vs1[1:] + vs1[:1])]
-        segs2 = [Segment(a, b) for a, b in zip(vs2, vs2[1:] + vs2[:1])]
-        return min(_segment_segment_distance(s, t) for s in segs1 for t in segs2)
+        return min(_segment_segment_distance(s, t) for s in p1.boundary.pieces
+                   for t in p2.boundary.pieces)
     circ, poly = (p1, p2) if p1.kind == "circle" else (p2, p1)
-    vs = poly.params["vertices"]
-    return min(_segment_circle_distance(Segment(a, b), circ.params["center"],
+    return min(_segment_circle_distance(seg, circ.params["center"],
                                         circ.params["radius"])
-               for a, b in zip(vs, vs[1:] + vs[:1]))
+               for seg in poly.boundary.pieces)
 
 
 # ---------------------------------------------------------------------------

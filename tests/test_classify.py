@@ -7,7 +7,8 @@ import pytest
 
 from ccstruct.classify import (CLASSIFY_OPTS, Window, check_linear_conditions,
                                check_quadratic_conditions, dichotomy_probe,
-                               doubling_ratio, fit_loglog_slope, track_slope)
+                               doubling_ratio, fit_loglog_slope, mass_table,
+                               track_slope)
 from ccstruct.density import (ConstantDensity, PolynomialPotential,
                               RadialAlphaDensity, ZeroDensity,
                               decaying_bump_lattice)
@@ -34,23 +35,26 @@ def test_fit_loglog_slope_power_law():
 
 def test_linear_a_fails_for_constant():
     # mu/delta = 4 pi delta grows linearly: clear trend
-    a, _ = check_linear_conditions(ConstantDensity(4.0), SMALL_WINDOW,
-                                   np.geomspace(1, 100, 7))
+    f, deltas = ConstantDensity(4.0), np.geomspace(1, 100, 7)
+    a, _ = check_linear_conditions(f, SMALL_WINDOW, deltas,
+                                   mass_table(f, SMALL_WINDOW, deltas))
     assert a.verdict == "fail"
     assert a.context["trend_slope"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_linear_b_fails_for_zero():
-    _, b = check_linear_conditions(ZeroDensity(), SMALL_WINDOW,
-                                   np.geomspace(1, 100, 7))
+    f, deltas = ZeroDensity(), np.geomspace(1, 100, 7)
+    _, b = check_linear_conditions(f, SMALL_WINDOW, deltas,
+                                   mass_table(f, SMALL_WINDOW, deltas))
     assert b.verdict == "fail"
     assert b.statistic == 0.0
 
 
 def test_linear_passes_for_decaying_lattice():
-    f = decaying_bump_lattice(70)
-    a, b = check_linear_conditions(f, Window(-20, -20, 20, 20, 3),
-                                   np.geomspace(0.4, 40, 9))
+    f, deltas = decaying_bump_lattice(70), np.geomspace(0.4, 40, 9)
+    window = Window(-20, -20, 20, 20, 3)
+    a, b = check_linear_conditions(f, window, deltas,
+                                   mass_table(f, window, deltas))
     assert a.verdict == "pass"
     assert b.verdict == "pass"
     assert b.statistic > 0
@@ -60,25 +64,38 @@ def test_linear_passes_for_decaying_lattice():
 # quadratic conditions
 
 def test_quadratic_passes_for_constant():
-    a, b = check_quadratic_conditions(ConstantDensity(4.0), SMALL_WINDOW,
-                                      np.geomspace(1, 100, 7))
+    f, deltas = ConstantDensity(4.0), np.geomspace(1, 100, 7)
+    a, b = check_quadratic_conditions(SMALL_WINDOW, deltas,
+                                      mass_table(f, SMALL_WINDOW, deltas))
     assert a.verdict == "pass" and b.verdict == "pass"
     assert b.statistic == pytest.approx(1.0, rel=1e-9)   # band ratio
 
 
 def test_quadratic_fails_for_radial_alpha():
     # mu(0, delta)/delta^2 decays like delta^(-alpha): drift, not a band
-    a, b = check_quadratic_conditions(RadialAlphaDensity(0.5), SMALL_WINDOW,
-                                      np.geomspace(1, 1000, 8))
+    f, deltas = RadialAlphaDensity(0.5), np.geomspace(1, 1000, 8)
+    a, b = check_quadratic_conditions(SMALL_WINDOW, deltas,
+                                      mass_table(f, SMALL_WINDOW, deltas))
     assert b.verdict == "fail"
 
 
 def test_quadratic_fails_for_z4():
     # mu(z, delta)/delta^2 grows with |z| at fixed delta: no uniform band
-    f = PolynomialPotential({(2, 2): 1.0})
-    a, b = check_quadratic_conditions(f, Window(-10, -10, 10, 10, 3),
-                                      np.geomspace(0.5, 50, 8))
+    f, deltas = PolynomialPotential({(2, 2): 1.0}), np.geomspace(0.5, 50, 8)
+    window = Window(-10, -10, 10, 10, 3)
+    a, b = check_quadratic_conditions(window, deltas,
+                                      mass_table(f, window, deltas))
     assert b.verdict == "fail"
+
+
+def test_checks_reject_mismatched_table():
+    f, deltas = ConstantDensity(4.0), np.geomspace(1, 100, 7)
+    table = mass_table(f, SMALL_WINDOW, deltas)
+    for bad in (table[:-1], table[:, :-1], table.ravel()):
+        with pytest.raises(ValueError):
+            check_linear_conditions(f, SMALL_WINDOW, deltas, bad)
+        with pytest.raises(ValueError):
+            check_quadratic_conditions(SMALL_WINDOW, deltas, bad)
 
 
 # ---------------------------------------------------------------------------

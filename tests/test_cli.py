@@ -87,7 +87,8 @@ def test_output_has_version_and_config_header(tmp_path, constant_spec):
 
 
 def test_bad_delta_exit_2(constant_spec, capsys):
-    for delta in ("-1", "nan", "inf", "1:nan:3", "1:inf:3", "nan:2:3"):
+    for delta in ("-1", "nan", "inf", "1:nan:3", "1:inf:3", "nan:2:3",
+                  "1:1.0000000000000002:3"):
         assert main(["lambda", "--density", constant_spec, "--z", "0,0",
                      "--delta", delta]) == 2, delta
 

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ccstruct
 from ccstruct import density, quadrature
 from ccstruct.density import (BumpLattice, ConstantDensity, GridDensity,
                               PolynomialPotential, RadialAlphaDensity,
-                              RadialPotential, ZeroDensity,
+                              RadialProfileDensity, ZeroDensity,
                               decaying_bump_lattice, disk_mass,
                               nagel_lambda_polynomial)
 from ccstruct.errors import PotentialUnavailable
+
+
+def test_public_names_resolve():
+    missing = [n for n in ccstruct.__all__ if not hasattr(ccstruct, n)]
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +63,8 @@ def test_disk_mass_rejects_bad_radius():
         for c in (complex(math.nan, 0.0), complex(0.0, math.inf)):
             with pytest.raises(ValueError):
                 f.disk_mass(c, 1.0)
+            with pytest.raises(ValueError):
+                f.disk_mass_many(np.array([c, 0.5j]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +155,7 @@ def test_radial_alpha_cumulative_closed_form():
     from scipy.integrate import quad
     for r in (0.5, 2.0, 30.0):
         oracle, _ = quad(lambda s: s * (1 + s * s) ** -0.25, 0, r)
-        assert f.potential.cumulative(r) == pytest.approx(oracle, rel=1e-9)
+        assert f.cumulative(r) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_radial_alpha_rejects_bad_alpha():
@@ -174,16 +182,16 @@ def test_radial_many_matches_scalar():
 
 def test_potential_from_radial_reconstruction():
     # for a known profile the gradient identity P'(r) = m(r)/r must hold
-    pot = RadialPotential(lambda s: np.exp(-np.asarray(s, float) ** 2))
+    f = RadialProfileDensity(lambda s: np.exp(-np.asarray(s, float) ** 2))
     for r in (0.3, 1.0, 2.5):
-        assert pot.dP(r) * r == pytest.approx(pot.cumulative(r), rel=1e-9)
+        assert f.dP(r) * r == pytest.approx(f.cumulative(r), rel=1e-9)
 
 
 def test_radial_gradient_finite_difference():
     f = RadialAlphaDensity(0.5)
     z = 1.2 - 0.7j
     h = 1e-6
-    P = f.potential.P
+    P = f.P
     px, py = f.potential_gradient(z)
     num_px = (P(abs(z + h)) - P(abs(z - h))) / (2 * h)
     num_py = (P(abs(z + 1j * h)) - P(abs(z - 1j * h))) / (2 * h)
