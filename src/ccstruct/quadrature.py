@@ -95,15 +95,17 @@ def polar_sector(fn, center, r0, r1, t0, t1, rel_tol=1e-6, max_patches=40000):
     root = [est, r0, r1, t0, t1, vmin, vmax]
     kids = children(root)
     total = sum(k[0] for k in kids)
-    # heap of (-error, tiebreak, patch, child-sum) entries
+    # heap of (-error, tiebreak, patch, child-sum) entries, and the sum of
+    # their errors
     heap = []
     counter = 0
+    err_total = 0.0
 
     coarse_r = (r1 - r0) / 16.0
     coarse_t = (t1 - t0) / 16.0
 
     def push(patch):
-        nonlocal counter, total
+        nonlocal counter, err_total
         kid = children(patch)
         refined = sum(k[0] for k in kid)
         err = abs(refined - patch[0])
@@ -119,23 +121,23 @@ def polar_sector(fn, center, r0, r1, t0, t1, rel_tol=1e-6, max_patches=40000):
             err = max(err, 1e-3 * abs(refined) + 1e-30)
         heapq.heappush(heap, (-err, counter, patch, kid, refined))
         counter += 1
+        err_total += err
 
     for k in kids:
         push(k)
 
     n_patches = len(kids)
     while heap:
-        neg_err, _, patch, kid, refined = heap[0]
-        err_total = sum(-e[0] for e in heap)
         if err_total <= rel_tol * max(abs(total), 1e-300):
             break
-        heapq.heappop(heap)
+        neg_err, _, patch, kid, refined = heapq.heappop(heap)
         total += refined - patch[0]
         if n_patches + 4 > max_patches:
             raise QuadratureFailure(
                 f"polar quadrature exceeded {max_patches} patches "
                 f"(remaining error {err_total:.3e})"
             )
+        err_total += neg_err
         for k in kid:
             push(k)
         n_patches += 4

@@ -168,6 +168,27 @@ def test_classify_constant_quadratic(tmp_path, constant_spec, capsys):
     assert doc["tool"].startswith("ccstruct ")
 
 
+def test_grid_periodic_classify_and_sweep(tmp_path, capsys):
+    # a periodic grid is the paper's uniform global structure; its last
+    # row and column repeat the first, so the density is continuous
+    (tmp_path / "grid.csv").write_text("1,2,1\n0.5,1,0.5\n1,2,1\n")
+    spec = tmp_path / "grid.spec"
+    spec.write_text("family = grid\ngrid_file = grid.csv\norigin = -1,-1\n"
+                    "cell_size = 2\nextension = periodic\n")
+    report = tmp_path / "report.json"
+    code = main(["classify", "--density", str(spec), "--window=-1,-1,1,1,3",
+                 "--delta", "0.2:20:3", "--out", str(report)])
+    assert code == 0
+    assert "Quadratic" in capsys.readouterr().out
+    assert json.loads(report.read_text())["report"]["verdict"] == "Quadratic"
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--density", str(spec), "--window=0,0,0,0,1",
+                 "--delta", "0.2:20:3", "--method", "sup", "--out", str(out)])
+    assert code == 0
+    values = [float(row["value"]) for row in read_rows(out)]
+    assert len(values) == 3 and values == sorted(values) and values[0] > 0
+
+
 def test_classify_tiny_ladder_inconclusive(tmp_path, constant_spec, capsys):
     code = main(["classify", "--density", constant_spec,
                  "--window=-1,-1,1,1,2", "--delta", "2"])

@@ -340,6 +340,125 @@ def test_grid_periodic_extension():
         float(f.density(2.25 + 2.25j)))
 
 
+@pytest.mark.parametrize("origin, cell", [
+    (0j, math.nan), (0j, math.inf), (0j, -math.inf),
+    (complex(math.nan, 0.0), 1.0), (complex(0.0, math.inf), 1.0)])
+def test_grid_rejects_nonfinite_geometry(origin, cell):
+    with pytest.raises(ValueError):
+        GridDensity(origin, cell, np.ones((3, 3)))
+
+
+def test_grid_constant_matches_constant_density():
+    c = ConstantDensity(1.7)
+    zero = GridDensity(-4 - 3j, 0.5, np.full((15, 17), 1.7))
+    periodic = GridDensity(-4 - 3j, 0.5, np.full((4, 6), 1.7), "periodic")
+    for center, r in [(0.3 + 0.1j, 0.4), (-0.6 + 0.9j, 1.3), (0.25, 2.5)]:
+        assert zero.disk_mass(center, r) == pytest.approx(
+            c.disk_mass(center, r), rel=1e-13)
+    # periodic: any disk, also far outside the table and much larger
+    for center, r in [(0.3 + 0.1j, 0.4), (-31.7 + 12.2j, 3.2),
+                      (150.0 - 80.0j, 20.0), (1.0 + 1.0j, 0.01)]:
+        assert periodic.disk_mass(center, r) == pytest.approx(
+            c.disk_mass(center, r), rel=1e-13)
+
+
+def test_grid_linear_ramp_exact():
+    # bilinear interpolation reproduces a linear ramp, whose disk mean is
+    # its value at the center
+    xs = -8.0 + 0.5 * np.arange(33)
+    ramp = 4.5 + 0.3 * xs[None, :] + 0.2 * xs[:, None]
+    f = GridDensity(-8 - 8j, 0.5, ramp)
+    for center, r in [(0.3 + 0.2j, 0.7), (-1.1 + 0.45j, 3.2),
+                      (2.0 - 1.0j, 3.2), (0.0, 7.9)]:
+        expect = math.pi * r * r * float(f.density(center))
+        assert f.disk_mass(center, r) == pytest.approx(expect, rel=1e-13)
+
+
+_grid_values = st.integers(3, 5).flatmap(
+    lambda ny: st.integers(3, 5).flatmap(
+        lambda nx: st.lists(st.floats(0.25, 1.0), min_size=ny * nx,
+                            max_size=ny * nx).map(
+            lambda v: np.reshape(v, (ny, nx)))))
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+@given(values=_grid_values, cell=st.floats(0.5, 1.5),
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       radius=st.floats(0.1, 1.0))
+@example(values=np.array([[1.0, 1.0, 0.5, 0.8125, 1.0],
+                          [1.0, 1.0, 0.5, 1.0, 0.75],
+                          [1.0, 1.0, 1.0, 0.875, 1.0]]),
+         cell=1.34765625, u=0.705078125, v=0.251953125, radius=0.865234375)
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_grid_disk_mass_matches_quadrature(values, cell, extension, u, v,
+                                           radius):
+    # the adaptive reference can miss its own rel_tol (by 1.2x at 1e-6 on
+    # the explicit example), and misses it by far where the density jumps
+    # or the disk holds a thin sliver of mass (test_grid_sliver_disk_mass).
+    # So it runs at 1e-7, and the density on the disk is continuous and
+    # bounded away from zero: the disk lies inside the table, and under
+    # periodic extension the last row and column repeat the first.
+    if extension == "periodic":
+        values = np.vstack([values, values[:1]])
+        values = np.hstack([values, values[:, :1]])
+    ny, nx = values.shape
+    f = GridDensity(-1 + 0.5j, cell, values, extension)
+    r = radius * min(0.7, 0.5 * cell * (min(nx, ny) - 1))
+    center = f.origin + complex(r + u * (cell * (nx - 1) - 2 * r),
+                                r + v * (cell * (ny - 1) - 2 * r))
+    quad = f.disk_mass_quadrature(center, r, rel_tol=1e-7)
+    assert f.disk_mass(center, r) == pytest.approx(quad, rel=1e-6)
+
+
+def test_grid_sliver_disk_mass():
+    # a disk at the table's corner holding a thin sliver of one hat; the
+    # adaptive polar quadrature is off by 3.5e-4 here even at
+    # rel_tol=1e-9, so the reference is nested scipy quad
+    from scipy.integrate import quad
+    f = GridDensity(-1 + 0.5j, 1.0, np.pad([[1.0, 0.0], [0.0, 0.0]], 1))
+    c, r = f.origin + 0.0078125j, 0.5
+
+    def chord(x):
+        h = math.sqrt(max(r * r - (x - c.real) ** 2, 0.0))
+        return quad(lambda y: float(f.density(complex(x, y))), c.imag - h,
+                    c.imag + h, points=[0.5, 1.5], epsabs=1e-15,
+                    epsrel=1e-12)[0]
+
+    expect = quad(chord, c.real - r, c.real + r, points=[-1.0, 0.0],
+                  epsabs=1e-15, epsrel=1e-12)[0]
+    assert f.disk_mass(c, r) == pytest.approx(expect, rel=1e-12)
+
+
+def test_grid_periodic_translation_invariance():
+    vals = np.random.default_rng(3).uniform(0.0, 1.0, (6, 9))
+    f = GridDensity(-1 - 2j, 0.4, vals, "periodic")
+    period = complex(0.4 * 8, 0.4 * 5)
+    for center, r in [(0.37 + 0.21j, 0.6), (-1.3 + 2.2j, 3.1),
+                      (5.0 - 7.0j, 11.0)]:
+        m = f.disk_mass(center, r)
+        for shift in (period.real, 1j * period.imag, -period):
+            assert f.disk_mass(center + shift, r) == pytest.approx(
+                m, rel=1e-12)
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_grid_disk_mass_many_and_monotone(extension):
+    rng = np.random.default_rng(4)
+    f = GridDensity(-2 - 2j, 0.5, rng.uniform(0.0, 1.0, (9, 9)), extension)
+    centers = (rng.uniform(-3.0, 3.0, 40)
+               + 1j * rng.uniform(-3.0, 3.0, 40)).reshape(8, 5)
+    for r in (0.3, 1.7, 6.0):
+        many = f.disk_mass_many(centers, r)
+        assert many.shape == centers.shape
+        assert many.tolist() == [[f.disk_mass(c, r) for c in row]
+                                 for row in centers]
+    radii = np.linspace(0.05, 8.0, 60)
+    for c in centers.ravel()[:6]:
+        masses = [f.disk_mass(c, r) for r in radii]
+        # non-decreasing up to round-off once a disk covers a zero grid
+        assert np.all(np.diff(masses) >= -1e-13 * masses[-1])
+
+
 # ---------------------------------------------------------------------------
 # module-level helpers
 
