@@ -113,22 +113,30 @@ def integrate_endpoints(field: DensityField, start, controls_alpha,
     y = np.full(n_paths, float(start[1]))
     t = np.full(n_paths, float(start[2]))
 
-    def tdot(x, y, alpha, beta):
-        px, py = field.potential_gradient(x + 1j * y)
+    def tdot(grad, alpha, beta):
+        px, py = grad
         return delta * (alpha * py + beta * px)
 
+    # the gradient depends on the position only, and a step's end point is
+    # the next step's start (also across intervals): each end point's
+    # gradient is evaluated once and reused as the next step's k1
+    grad0 = field.potential_gradient(x + 1j * y)
     for j, (s0, s1) in enumerate(zip(bps, bps[1:])):
         h = (s1 - s0) / steps
         vx = delta * a[:, j]
         vy = -delta * b[:, j]
         for _ in range(steps):
             # x, y advance linearly; RK4 quadrature for t along the segment
-            k1 = tdot(x, y, a[:, j], b[:, j])
-            k2 = tdot(x + 0.5 * h * vx, y + 0.5 * h * vy, a[:, j], b[:, j])
-            k4 = tdot(x + h * vx, y + h * vy, a[:, j], b[:, j])
-            t = t + (h / 6.0) * (k1 + 4.0 * k2 + k4)
+            grad_mid = field.potential_gradient(
+                (x + 0.5 * h * vx) + 1j * (y + 0.5 * h * vy))
             x = x + h * vx
             y = y + h * vy
+            grad1 = field.potential_gradient(x + 1j * y)
+            k1 = tdot(grad0, a[:, j], b[:, j])
+            k2 = tdot(grad_mid, a[:, j], b[:, j])
+            k4 = tdot(grad1, a[:, j], b[:, j])
+            t = t + (h / 6.0) * (k1 + 4.0 * k2 + k4)
+            grad0 = grad1
     return np.stack([x, y, t], axis=1)
 
 

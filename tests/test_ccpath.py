@@ -122,6 +122,56 @@ def test_batch_matches_single_paths_bitwise(field):
         assert tuple(end) == integrate_path(field, start, c, 2.0)
 
 
+class _CountingField:
+    """Forwards ``potential_gradient`` to a field and counts the calls."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def potential_gradient(self, z):
+        self.calls += 1
+        return self.field.potential_gradient(z)
+
+
+def _three_evaluation_rk4(field, start, a, b, bps, delta, steps):
+    """RK4 evaluating the gradient at a step's start, middle and end."""
+    x = np.full(a.shape[0], float(start[0]))
+    y = np.full(a.shape[0], float(start[1]))
+    t = np.full(a.shape[0], float(start[2]))
+
+    def tdot(x, y, alpha, beta):
+        px, py = field.potential_gradient(x + 1j * y)
+        return delta * (alpha * py + beta * px)
+
+    for j, (s0, s1) in enumerate(zip(bps, bps[1:])):
+        h = (s1 - s0) / steps
+        vx = delta * a[:, j]
+        vy = -delta * b[:, j]
+        for _ in range(steps):
+            k1 = tdot(x, y, a[:, j], b[:, j])
+            k2 = tdot(x + 0.5 * h * vx, y + 0.5 * h * vy, a[:, j], b[:, j])
+            k4 = tdot(x + h * vx, y + h * vy, a[:, j], b[:, j])
+            t = t + (h / 6.0) * (k1 + 4.0 * k2 + k4)
+            x = x + h * vx
+            y = y + h * vy
+    return np.stack([x, y, t], axis=1)
+
+
+@pytest.mark.parametrize("field", [ConstantDensity(4.0), P_Z4, RADIAL])
+def test_endpoints_reuse_end_gradient_bitwise(field):
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-0.7, 0.7, (40, 5))
+    b = rng.uniform(-0.7, 0.7, (40, 5))
+    bps = (0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
+    start, delta, steps = (0.4, -1.1, 0.25), 1.7, 17
+    counting = _CountingField(field)
+    ends = integrate_endpoints(counting, start, a, b, bps, delta, steps)
+    want = _three_evaluation_rk4(field, start, a, b, bps, delta, steps)
+    assert np.array_equal(ends.view(np.uint64), want.view(np.uint64))
+    assert counting.calls == 2 * steps * a.shape[1] + 1
+
+
 def test_integrate_endpoints_rejects_bad_input():
     a = b = np.zeros((1, 2))
     bps = (0.0, 0.5, 1.0)

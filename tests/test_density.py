@@ -199,6 +199,54 @@ def test_radial_gradient_finite_difference():
     assert py == pytest.approx(num_py, rel=1e-5)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _log_uniform_radii(seed, shape):
+    return 10.0 ** np.random.default_rng(seed).uniform(-12.0, 3.0, shape)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
+def test_radial_alpha_dP_bitwise_per_radius(alpha):
+    # the array closed form must give the scalar cumulative's bits
+    f = RadialAlphaDensity(alpha)
+    radii = _log_uniform_radii(7, (40, 50))
+    inputs = [float(radii[0, 0]),            # what P's quad passes
+              np.array(radii[0, 1]),         # 0-d array
+              np.empty(0),
+              radii,                         # 2-D
+              radii[::3, 1::2]]              # non-contiguous slice
+    for r in inputs:
+        got = f.dP(r)
+        r_arr = np.asarray(r, dtype=float)
+        want = [f.cumulative(ri) / ri for ri in r_arr.flat]
+        assert np.shape(got) == r_arr.shape
+        assert np.array_equal(_bits(np.ravel(got)), _bits(want))
+
+
+def test_radial_gradient_at_origin_only():
+    f = RadialAlphaDensity(0.5)
+    z = np.zeros((3, 4), dtype=complex)
+    px, py = f.potential_gradient(z)
+    assert px.shape == py.shape == z.shape
+    assert not np.any(px) and not np.any(py)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
+def test_radial_alpha_many_inner_disks_bitwise(alpha):
+    # disk_mass_many's fully covered sub-disks against the per-radius sum:
+    # the same field without its array closed form
+    f = RadialAlphaDensity(alpha)
+    per_radius = RadialProfileDensity(f.profile, f._cumulative)
+    rng = np.random.default_rng(11)
+    for r in (1e-6, 0.7, 40.0):
+        d = r * rng.uniform(0.0, 1.5, 300)
+        centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
+        assert np.array_equal(_bits(f.disk_mass_many(centers, r)),
+                              _bits(per_radius.disk_mass_many(centers, r)))
+
+
 # ---------------------------------------------------------------------------
 # bump lattices
 
