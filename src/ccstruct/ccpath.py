@@ -26,7 +26,8 @@ import numpy as np
 from .density import DensityField
 from .errors import CCStructError, DegenerateLoop
 from .geometry import Pen, boundary_line_integral, pen_mass, polygon_curve
-from .structure import LambdaEstimate, SupOptions, WitnessDisk, lambda_sup
+from .structure import (LambdaEstimate, SupOptions, WitnessDisk, lambda_sup,
+                        twist_many)
 
 
 @dataclass(frozen=True)
@@ -310,8 +311,6 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
 
     # shear away the twist drift (volume-preserving), so the t-extent of
     # the comparison box is the structure bound, not the drift
-    from .structure import twist_many
-    ends = ends.copy()
     ends[:, 2] -= twist_many(field, z, ends[:, 0] + 1j * ends[:, 1])
 
     lo = np.array([z.real - 3 * delta, z.imag - 3 * delta, t - half_t])

@@ -1,6 +1,7 @@
 """Density fields: models of the subharmonic data (P, its gradient, and
 the plane density given by its Laplacian) together with disk-mass
-integration mu(z, r) = integral of the density over B(z, r).
+integration mu(z, r) = integral of the density over B(z, r): one checked
+entry point on ``DensityField``, one array kernel per family.
 
 Conventions
 -----------
@@ -86,7 +87,11 @@ def _poly_is_zero(coeffs: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 class DensityField:
-    """Base class: a plane density with optional potential data."""
+    """Base class: a plane density with optional potential data.
+
+    A family implements ``density``, the array kernel ``_disk_masses``
+    (flat finite centers, float radius r > 0) that ``disk_mass`` and
+    ``disk_mass_many`` run, and ``_disk_mass`` only where one disk differs."""
 
     family = "abstract"
 
@@ -104,8 +109,26 @@ class DensityField:
     # -- disk mass ---------------------------------------------------------
 
     def disk_mass(self, center, r):
-        """mu(center, r); subclasses override with analytic fast paths."""
-        return self.disk_mass_quadrature(center, r)
+        """mu(center, r), exact or to relative tolerance DISK_MASS_REL_TOL."""
+        _check_disk(r, center)
+        return self._disk_mass(complex(center), float(r))
+
+    def disk_mass_many(self, centers, r):
+        """mu over an array of centers at a common radius, in its shape.
+
+        Accuracy target is the coarse-search regime (~1e-5 relative);
+        final answers should go through :meth:`disk_mass`.
+        """
+        centers = np.asarray(centers, dtype=complex)
+        _check_disk(r, centers)
+        return self._disk_masses(centers.ravel(), float(r)).reshape(
+            centers.shape)
+
+    def _disk_mass(self, center, r):
+        return float(self._disk_masses(np.array([center]), r)[0])
+
+    def _disk_masses(self, centers, r):
+        raise NotImplementedError
 
     def disk_mass_quadrature(self, center, r, rel_tol=DISK_MASS_REL_TOL):
         """Force the generic adaptive polar quadrature path.
@@ -116,18 +139,6 @@ class DensityField:
         _check_disk(r, center)
         return quadrature.disk_integral(self.density, complex(center), float(r),
                                         rel_tol=rel_tol)
-
-    def disk_mass_many(self, centers, r):
-        """Vectorized mu over an array of centers at a common radius.
-
-        Accuracy target is the coarse-search regime (~1e-5 relative);
-        final answers should go through :meth:`disk_mass`.
-        """
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
-        flat = centers.ravel()
-        out = np.array([self.disk_mass(c, r) for c in flat])
-        return out.reshape(centers.shape)
 
     def __repr__(self):
         return f"<{type(self).__name__} family={self.family}>"
@@ -155,13 +166,7 @@ class ConstantDensity(DensityField):
         z = np.asarray(z, dtype=complex)
         return 0.5 * self.c * z.real, 0.5 * self.c * z.imag
 
-    def disk_mass(self, center, r):
-        _check_disk(r, center)
-        return self.c * math.pi * r * r
-
-    def disk_mass_many(self, centers, r):
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
+    def _disk_masses(self, centers, r):
         return np.full(centers.shape, self.c * math.pi * r * r)
 
 
@@ -179,13 +184,7 @@ class ZeroDensity(DensityField):
         z = np.asarray(z, dtype=complex)
         return np.zeros(z.shape), np.zeros(z.shape)
 
-    def disk_mass(self, center, r):
-        _check_disk(r, center)
-        return 0.0
-
-    def disk_mass_many(self, centers, r):
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
+    def _disk_masses(self, centers, r):
         return np.zeros(centers.shape)
 
 
@@ -260,13 +259,7 @@ class PolynomialPotential(DensityField):
         pz = _poly_eval(_poly_dz(self.coeffs), z)
         return 2.0 * pz.real, -2.0 * pz.imag
 
-    def disk_mass(self, center, r):
-        _check_disk(r, center)
-        return float(self.disk_mass_many(np.asarray(center, dtype=complex), r))
-
-    def disk_mass_many(self, centers, r):
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
+    def _disk_masses(self, centers, r):
         total = np.zeros(centers.shape)
         for a, Q in enumerate(self._diag_derivs):
             coef = math.pi * r ** (2 * a + 2) / ((a + 1) * math.factorial(a) ** 2)
@@ -382,9 +375,8 @@ class RadialProfileDensity(DensityField):
 
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
-    def disk_mass(self, center, r):
-        _check_disk(r, center)
-        d = abs(complex(center))
+    def _disk_mass(self, center, r):
+        d = abs(center)
         if d < 1e-12 * max(1.0, r):
             return 2.0 * math.pi * self.cumulative(r)
         factors = self._annulus_integrand(d, r)
@@ -421,10 +413,8 @@ class RadialProfileDensity(DensityField):
 
         return factors
 
-    def disk_mass_many(self, centers, r):
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
-        d = np.abs(centers).ravel()
+    def _disk_masses(self, centers, r):
+        d = np.abs(centers)
         out = np.zeros(d.shape)
         near = d < 1e-12 * max(1.0, r)
         if np.any(near):
@@ -440,7 +430,7 @@ class RadialProfileDensity(DensityField):
                 vals[inner] += 2.0 * math.pi * self._cumulative_array(
                     r - dd[inner])
             out[far] = vals
-        return out.reshape(centers.shape)
+        return out
 
 
 class RadialAlphaDensity(RadialProfileDensity):
@@ -598,9 +588,7 @@ class BumpLattice(DensityField):
             out += np.bincount(qi, weights=vals, minlength=len(flat))
         return out.reshape(z.shape)
 
-    def disk_mass(self, center, r):
-        _check_disk(r, center)
-        center = complex(center)
+    def _disk_mass(self, center, r):
         idx = np.asarray(self._tree.query_ball_point(
             (center.real, center.imag), self._reach(r), return_sorted=True),
             dtype=np.intp)
@@ -616,21 +604,18 @@ class BumpLattice(DensityField):
             total += v
         return total
 
-    def disk_mass_many(self, centers, r):
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
-        flat = centers.ravel()
-        out = np.zeros(flat.shape)
-        for qi, bi in self._near_pairs(flat, self._reach(r)):
-            d = np.abs(flat[qi] - self.centers[bi])
+    def _disk_masses(self, centers, r):
+        out = np.zeros(centers.shape)
+        for qi, bi in self._near_pairs(centers, self._reach(r)):
+            d = np.abs(centers[qi] - self.centers[bi])
             rho = self.radii[bi]
             inside = d + rho <= r
             partial = ~inside & (d - rho < r)
             frac = inside.astype(float)
             frac[partial] = _bump_fractions_inside(d[partial], rho[partial], r)
             out += np.bincount(qi, weights=self.masses[bi] * frac,
-                               minlength=len(flat))
-        return out.reshape(centers.shape)
+                               minlength=len(centers))
+        return out
 
 
 def decaying_bump_lattice(extent):
@@ -723,15 +708,6 @@ class GridDensity(DensityField):
             val = np.where(in_x & in_y, val, 0.0)
         return val
 
-    def disk_mass(self, center, r):
-        _check_disk(r, center)
-        return float(self._disk_masses(np.array([complex(center)]), r)[0])
-
-    def disk_mass_many(self, centers, r):
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
-        return self._disk_masses(centers.ravel(), r).reshape(centers.shape)
-
     def _line_count(self, r, n):
         """How many grid lines along an axis of n nodes ``_crossings``
         tries for a disk of radius r: under zero extension only the n
@@ -759,7 +735,6 @@ class GridDensity(DensityField):
         a block of centers, or, where one center has more, a run of its
         pieces.  Each piece is summed on its own and each mass is the sum
         of its pieces, so the blocking moves no bits."""
-        r = float(r)
         ny, nx = self.values.shape
         pieces = 1 + self._line_count(r, nx) + 2 * self._line_count(r, ny)
         step = max(1, _GRID_NODE_BLOCK // (pieces * _GRID_NODES))
@@ -838,7 +813,7 @@ class GridDensity(DensityField):
 # module-level operation wrappers
 
 def disk_mass(field: DensityField, center, r):
-    """mu(center, r) to relative tolerance ``DISK_MASS_REL_TOL``, by the
-    field's analytic fast path where it has one."""
+    """mu(center, r) to relative tolerance ``DISK_MASS_REL_TOL`` or exact:
+    ``field.disk_mass``."""
     return field.disk_mass(center, r)
 
