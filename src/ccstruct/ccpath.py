@@ -26,8 +26,7 @@ import numpy as np
 from .density import DensityField
 from .errors import CCStructError, DegenerateLoop
 from .geometry import Pen, boundary_line_integral, pen_mass, polygon_curve
-from .structure import (LambdaEstimate, SupOptions, WitnessDisk, lambda_sup,
-                        twist_many)
+from .structure import LambdaEstimate, lambda_sup, twist_many
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,7 @@ def control_from_polygon(vertices, delta):
 # ---------------------------------------------------------------------------
 # direct lower-bound sampler
 
-def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
-                         opts: SupOptions = None):
+def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0):
     """Lower bound for the structure value by explicit admissible loops.
 
     All candidate loops pass through z and have total length <= delta
@@ -225,7 +223,7 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0,
                      ("circle", center, rho, m))
 
     # witness-guided: wind the best weighted disk found by the sup search
-    witness = lambda_sup(field, z, delta, opts).witness
+    witness = lambda_sup(field, z, delta).witness
     n_witness = max(16, budget // 4)
     for i in range(n_witness):
         if i == 0:
@@ -284,8 +282,7 @@ _VOLUME_INTERVALS = 8
 _VOLUME_BINS = 64
 
 
-def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
-                   opts: SupOptions = None):
+def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0):
     """Reachable-set volume estimate from random horizontal paths.
 
     Integrates ``n_paths`` random piecewise-constant controls from
@@ -301,7 +298,7 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0,
             f"need n_paths >= {MIN_PATHS} for a meaningful histogram")
     z = complex(z)
     delta = float(delta)
-    upper = lambda_sup(field, z, 3.0 * delta, opts).value
+    upper = lambda_sup(field, z, 3.0 * delta).value
     half_t = max(upper, 1e-300)
 
     a, b, bps = _random_controls(np.random.default_rng(seed), n_paths,

@@ -29,9 +29,8 @@ from dataclasses import asdict, astuple, dataclass, field as dc_field
 
 import numpy as np
 
-from .density import DELTA_HAT_MIN, DensityField
-from .structure import (SupOptions, Window, lambda_sup,
-                        optimize_weighted_disk)
+from .density import DensityField
+from .structure import SupOptions, Window, lambda_sup, optimize_weighted_disk
 
 #: reduced search budget for classification sweeps (many lambda_sup calls)
 CLASSIFY_OPTS = SupOptions(n_rungs=10, grid=17, n_polish=2,
@@ -86,11 +85,11 @@ def fit_loglog_slope(deltas, values):
     return float(np.polyfit(np.log(d[keep]), np.log(v[keep]), 1)[0])
 
 
-def track_slope(field, track, deltas, opts: SupOptions = None):
+def track_slope(field, track, deltas):
     """Slope of log lambda_sup(track(delta), delta) vs log delta along a
     moving base point, e.g. track = lambda d: d**1.5."""
-    opts = opts or CLASSIFY_OPTS
-    vals = [lambda_sup(field, track(d), d, opts).value for d in deltas]
+    vals = [lambda_sup(field, track(d), d, CLASSIFY_OPTS).value
+            for d in deltas]
     return fit_loglog_slope(deltas, vals)
 
 
@@ -108,7 +107,7 @@ def _check_table(table, window, deltas):
 
 
 def check_linear_conditions(field: DensityField, window: Window, deltas,
-                            table, opts: SupOptions = None):
+                            table):
     """The two linear-type conditions on the sampled window, from the
     window's ``mass_table`` over ``deltas``.
 
@@ -120,7 +119,6 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     away from zero: its infimum is at least 1e-3 times its median, with
     positive median.
     """
-    opts = opts or CLASSIFY_OPTS
     deltas = tuple(float(d) for d in deltas)
     _check_table(table, window, deltas)
     per_delta_sup = table.max(axis=1) / np.asarray(deltas)
@@ -142,9 +140,8 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
         m_reach = dstar / 2.0
         per_z = []
         for z in window.points():
-            val, _ = optimize_weighted_disk(
-                field, z, dstar, DELTA_HAT_MIN, m_reach,
-                weight=lambda h: 1.0 / h, opts=opts)
+            val, _ = optimize_weighted_disk(field, z, dstar, m_reach, 1.0,
+                                            CLASSIFY_OPTS)
             per_z.append(val)
         per_z = np.asarray(per_z)
         inf_v = float(per_z.min())
@@ -261,19 +258,17 @@ def _decide(slopes, spread, linear_ok, quadratic_ok, slope_tol, spread_tol):
 
 
 def dichotomy_probe(field: DensityField, window: Window, deltas,
-                    slope_tol=0.15, spread_tol=0.3,
-                    opts: SupOptions = None):
+                    slope_tol=0.15, spread_tol=0.3):
     """Probe the linear/quadratic dichotomy on the window.
 
     Fits a log-log slope of the structure proxy per base point, runs both
     condition checks, and combines them into a verdict.  Requires the
     delta ladder to span at least two decades, otherwise Inconclusive.
     """
-    opts = opts or CLASSIFY_OPTS
     deltas = tuple(sorted(float(d) for d in deltas))
     slopes = {}
     meta = {"slope_tol": slope_tol, "spread_tol": spread_tol,
-            "opts": astuple(opts)}
+            "opts": astuple(CLASSIFY_OPTS)}
 
     enough = len(deltas) >= 3 and deltas[-1] / deltas[0] >= 100.0
     if not enough:
@@ -283,14 +278,13 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
         return report
 
     for z in window.points():
-        vals = [lambda_sup(field, z, d, opts).value for d in deltas]
+        vals = [lambda_sup(field, z, d, CLASSIFY_OPTS).value for d in deltas]
         slopes[z] = fit_loglog_slope(deltas, vals)
     finite = [s for s in slopes.values() if not math.isnan(s)]
     spread = float(max(finite) - min(finite)) if finite else math.nan
 
     table = mass_table(field, window, deltas)
-    lin_a, lin_b = check_linear_conditions(field, window, deltas, table,
-                                           opts=opts)
+    lin_a, lin_b = check_linear_conditions(field, window, deltas, table)
     quad_a, quad_b = check_quadratic_conditions(window, deltas, table)
     linear_ok = lin_a.verdict == "pass" and lin_b.verdict == "pass"
     quadratic_ok = quad_a.verdict == "pass" and quad_b.verdict == "pass"
@@ -302,8 +296,7 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
                      deltas, meta)
 
 
-def doubling_ratio(field: DensityField, window: Window, deltas,
-                   opts: SupOptions = None):
+def doubling_ratio(field: DensityField, window: Window, deltas):
     """Per-delta table of max_z lambda_sup(z, 2 delta)/lambda_sup(z, delta).
 
     Only ladder entries whose double is also on the ladder (within 1e-9
@@ -311,7 +304,6 @@ def doubling_ratio(field: DensityField, window: Window, deltas,
     The chain bound 49 applies to fields already classified as UGS; rows
     exceeding it are flagged, not fatal.
     """
-    opts = opts or CLASSIFY_OPTS
     deltas = sorted(float(d) for d in deltas)
     zs = window.points()
     rows = []
@@ -321,8 +313,8 @@ def doubling_ratio(field: DensityField, window: Window, deltas,
         ratios = []
         skipped = 0
         for z in zs:
-            lo = lambda_sup(field, z, d, opts).value
-            hi = lambda_sup(field, z, 2.0 * d, opts).value
+            lo = lambda_sup(field, z, d, CLASSIFY_OPTS).value
+            hi = lambda_sup(field, z, 2.0 * d, CLASSIFY_OPTS).value
             if lo <= 0:
                 skipped += 1
                 continue

@@ -29,11 +29,6 @@ from scipy.spatial import cKDTree
 from . import quadrature
 from .errors import PotentialUnavailable, QuadratureFailure
 
-#: Suprema over the inner disk radius use this lower cutoff: for bounded
-#: densities mu(z, h)/h -> 0 as h -> 0, so the supremum is attained away
-#: from zero and the cutoff only removes a vanishing tail.
-DELTA_HAT_MIN = 1e-3
-
 #: relative accuracy of every ``disk_mass`` that is not exact
 DISK_MASS_REL_TOL = 1e-6
 

@@ -399,13 +399,13 @@ def validate_stockyard(s: Stockyard) -> StockyardReport:
                            connected, messages)
 
 
-def stockyard_mass(field: DensityField, s: Stockyard, validated=False):
-    """Total mass of the stockyard: the sum of pen masses, counting each
-    listed copy of a repeated pen once per copy."""
-    if not validated:
-        report = validate_stockyard(s)
-        if not report.ok:
-            raise InvalidStockyard("; ".join(report.messages))
+def stockyard_mass(field: DensityField, s: Stockyard):
+    """Total mass of the validated stockyard: the sum of pen masses,
+    counting each listed copy of a repeated pen once per copy.  Raises
+    InvalidStockyard when the stockyard fails validation."""
+    report = validate_stockyard(s)
+    if not report.ok:
+        raise InvalidStockyard("; ".join(report.messages))
     return sum(pen_mass(field, p) for p in s.pens)
 
 

@@ -11,6 +11,7 @@ refinement concentrates where the density actually changes.
 from __future__ import annotations
 
 import heapq
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -173,7 +174,8 @@ def _triangle_fixed(fn, a, b, c, n=8):
 
 def triangle_integral(fn, a, b, c):
     """Integrate a plane density over a triangle, refining by midpoint
-    subdivision until the 4-child refinement agrees with the parent."""
+    subdivision until the 4-child refinement agrees with the parent.
+    Raises QuadratureFailure when a refinement is not finite."""
     rel_tol, max_depth = _TRIANGLE_REL_TOL, _TRIANGLE_MAX_DEPTH
 
     def recurse(a, b, c, coarse, depth):
@@ -181,6 +183,9 @@ def triangle_integral(fn, a, b, c):
         parts = [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         fine_vals = [_triangle_fixed(fn, *t) for t in parts]
         fine = sum(fine_vals)
+        if not math.isfinite(fine):
+            raise QuadratureFailure(
+                f"triangle quadrature gave a non-finite value ({fine})")
         if abs(fine - coarse) <= rel_tol * max(abs(fine), 1e-300) or depth >= max_depth:
             if depth >= max_depth and abs(fine - coarse) > 100 * rel_tol * max(abs(fine), 1e-300):
                 raise QuadratureFailure("triangle quadrature did not converge")

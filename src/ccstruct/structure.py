@@ -26,26 +26,40 @@ import numpy as np
 from scipy import optimize as _sciopt
 
 from . import quadrature
-from .density import DELTA_HAT_MIN, DensityField
+from .density import DensityField
 from .errors import CCStructError, InvalidStockyard
-from .geometry import Pen, Stockyard, stockyard_mass, validate_stockyard
+from .geometry import Pen, Stockyard, stockyard_mass
 
 #: relative tolerance of ``twist``, and the fixed Gauss-Legendre order of
 #: ``twist_many``
 _TWIST_REL_TOL = 1e-9
 _TWIST_NODES = 96
 
+#: Suprema over the inner disk radius use this lower cutoff: for bounded
+#: densities mu(z, h)/h -> 0 as h -> 0, so the supremum is attained away
+#: from zero and the cutoff only removes a vanishing tail.
+DELTA_HAT_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class SupOptions:
     """Search budget for the nested supremum.  Deterministic: a fixed
     log-spaced radius ladder crossed with a fixed spatial lattice, then
-    derivative-free polish from the best coarse cells."""
+    derivative-free polish from the best coarse cells.  A budget whose
+    coarse stage has no candidate is rejected."""
     n_rungs: int = 16
     grid: int = 33
     n_polish: int = 5
     delta_hat_min: float = DELTA_HAT_MIN
     polish_maxiter: int = 160
+
+    def __post_init__(self):
+        if not (self.n_rungs >= 1 and self.grid >= 3 and self.n_polish >= 1
+                and self.polish_maxiter >= 0 and self.delta_hat_min > 0
+                and math.isfinite(self.delta_hat_min)):
+            raise ValueError(
+                "need n_rungs >= 1, grid >= 3, n_polish >= 1, polish_maxiter "
+                f">= 0 and a positive finite delta_hat_min, got {self}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +86,9 @@ class LambdaEstimate:
 
 
 def optimize_weighted_disk(field: DensityField, center, search_radius,
-                           dh_min, dh_max, weight, opts: SupOptions):
-    """Maximize weight(h) * mu(zhat, h) over zhat in B(center, R) and
-    h in [dh_min, dh_max].
+                           dh_max, scale, opts: SupOptions):
+    """Maximize (scale / h) * mu(zhat, h) over zhat in B(center, R) and
+    h in [dh_min, dh_max], with dh_min = min(opts.delta_hat_min, dh_max).
 
     Coarse stage: log-spaced ladder of h crossed with a square lattice
     masked to the disk; the top cells are re-evaluated with the accurate
@@ -83,9 +97,7 @@ def optimize_weighted_disk(field: DensityField, center, search_radius,
     """
     center = complex(center)
     dh_max = float(dh_max)
-    dh_min = min(float(dh_min), dh_max)
-    if dh_min <= 0:
-        raise ValueError("inner radius cutoff must be positive")
+    dh_min = min(opts.delta_hat_min, dh_max)
 
     if dh_min == dh_max:
         rungs = np.array([dh_max])
@@ -99,7 +111,7 @@ def optimize_weighted_disk(field: DensityField, center, search_radius,
     candidates = []   # (coarse value, zhat, h)
     for h in rungs:
         vals = np.asarray(field.disk_mass_many(zz, float(h)), dtype=float)
-        vals = weight(float(h)) * vals
+        vals = (scale / float(h)) * vals
         top = np.argsort(vals)[::-1][: opts.n_polish]
         for i in top:
             candidates.append((float(vals[i]), complex(zz[i]), float(h)))
@@ -109,7 +121,7 @@ def optimize_weighted_disk(field: DensityField, center, search_radius,
     def objective_exact(zhat, h):
         if h <= 0:
             return 0.0
-        return weight(h) * field.disk_mass(zhat, h)
+        return (scale / h) * field.disk_mass(zhat, h)
 
     def project(x):
         zhat = complex(x[0], x[1])
@@ -146,20 +158,24 @@ def optimize_weighted_disk(field: DensityField, center, search_radius,
 
 def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
     """Upper-comparable proxy via the nested supremum of
-    (delta/h) * mu(zhat, h); returns the best value and its witness."""
+    (delta/h) * mu(zhat, h) at the search budget ``opts`` (default
+    ``SupOptions()``); returns the best value and its witness.  Raises
+    CCStructError when the value is not finite."""
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be positive and finite")
     opts = opts or SupOptions()
     z = complex(z)
+    delta = float(delta)
     cache = vars(field).setdefault("_lambda_cache", {})
-    key = ("sup", z, float(delta), opts)
+    key = ("sup", z, delta, opts)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    value, witness = optimize_weighted_disk(
-        field, z, float(delta), opts.delta_hat_min, float(delta),
-        weight=lambda h: float(delta) / h, opts=opts)
-    est = LambdaEstimate(z, float(delta), value, "sup", "upper_comparable",
+    value, witness = optimize_weighted_disk(field, z, delta, delta, delta,
+                                            opts)
+    if not math.isfinite(value):
+        raise CCStructError(f"lambda_sup at delta={delta!r} is {value}")
+    est = LambdaEstimate(z, delta, value, "sup", "upper_comparable",
                          witness, {"delta_hat_min": opts.delta_hat_min})
     cache[key] = est
     return est
@@ -187,13 +203,13 @@ def connector_circle(z, witness: WitnessDisk):
     return Pen.circle(center, gap / 2.0)
 
 
-def lambda_stockyard(field: DensityField, z, delta, opts: SupOptions = None):
+def lambda_stockyard(field: DensityField, z, delta):
     """Certified lower bound at budget 4*pi*delta: the witness disk from
     the sup search is encircled as many times as the fencing budget
     allows, linked to z by a connector circle.  The returned value is the
     validated stockyard's mass."""
     z = complex(z)
-    sup_est = lambda_sup(field, z, delta, opts)
+    sup_est = lambda_sup(field, z, delta)
     witness = sup_est.witness
     budget = 4.0 * math.pi * float(delta)
 
@@ -210,11 +226,7 @@ def lambda_stockyard(field: DensityField, z, delta, opts: SupOptions = None):
             "fencing budget cannot fit one witness copy (internal defect)")
     pens.extend(Pen.circle(witness.center, witness.radius) for _ in range(k))
     yard = Stockyard(pens, z, budget)
-    report = validate_stockyard(yard)
-    if not report.ok:
-        raise InvalidStockyard("constructed stockyard failed validation: "
-                               + "; ".join(report.messages))
-    mass = stockyard_mass(field, yard, validated=True)
+    mass = stockyard_mass(field, yard)
     return LambdaEstimate(z, float(delta), mass, "stockyard", "lower", yard,
                           {"budget": budget, "copies": k,
                            "witness": witness,
@@ -255,7 +267,7 @@ def twist_many(field: DensityField, z, ws):
     return -2.0 * vals
 
 
-def volume_estimate(field: DensityField, z, delta, opts: SupOptions = None):
+def volume_estimate(field: DensityField, z, delta):
     """Sandwich for the metric-ball volume from the two box inclusions:
 
         inner: cylinder of radius delta/4 and half-height at least the
@@ -266,8 +278,8 @@ def volume_estimate(field: DensityField, z, delta, opts: SupOptions = None):
     Returns (lower, upper) with lower <= upper.
     """
     z = complex(z)
-    lower_struct = lambda_stockyard(field, z, delta / (16.0 * math.pi), opts)
-    upper_struct = lambda_sup(field, z, 3.0 * delta, opts)
+    lower_struct = lambda_stockyard(field, z, delta / (16.0 * math.pi))
+    upper_struct = lambda_sup(field, z, 3.0 * delta)
     lower = math.pi * (delta / 4.0) ** 2 * 2.0 * lower_struct.value
     upper = math.pi * (3.0 * delta) ** 2 * 2.0 * upper_struct.value
     return min(lower, upper), upper
@@ -311,32 +323,16 @@ class SweepRow:
     error: str = None
 
 
-def lambda_estimate(field: DensityField, z, delta, method,
-                    opts: SupOptions = None, seed=0):
-    """The structure value at (z, delta) by ``method``: 'sup'
+def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
+                 seed=0):
+    """Evaluate ``method`` over all (z, delta) cells of the window crossed
+    with the strictly increasing, positive ladder ``deltas``: 'sup'
     (:func:`lambda_sup`), 'stockyard' (:func:`lambda_stockyard`) or
     'direct' (:func:`ccstruct.ccpath.sample_lambda_direct`, with
-    ``seed``)."""
+    ``seed``).  Rows are ordered (z index, delta index); per-row errors,
+    an unknown method among them, are recorded, not fatal."""
     from . import ccpath  # local import: avoid cycle at module load
 
-    # the estimators are looked up at call time, so a rebinding of the
-    # module attributes (as by a tracer) sees these calls
-    if method == "sup":
-        return lambda_sup(field, z, delta, opts)
-    if method == "stockyard":
-        return lambda_stockyard(field, z, delta, opts)
-    if method == "direct":
-        return ccpath.sample_lambda_direct(field, z, delta, seed=seed,
-                                           opts=opts)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
-                 opts: SupOptions = None, seed=0):
-    """Evaluate the chosen estimator over all (z, delta) cells of the
-    window crossed with the strictly increasing, positive ladder
-    ``deltas``.  Rows are ordered (z index, delta index); per-row errors
-    are recorded, not fatal.  Deterministic for a given seed."""
     deltas = tuple(float(d) for d in deltas)
     if any(b <= a for a, b in zip(deltas, deltas[1:])) or not deltas:
         raise ValueError("delta ladder must be strictly increasing")
@@ -344,8 +340,17 @@ def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
         raise ValueError("deltas must be positive and finite")
 
     def evaluate(z, delta):
+        # the estimators are looked up at call time, so a rebinding of the
+        # module attributes (as by a tracer) sees these calls
         try:
-            est = lambda_estimate(field, z, delta, method, opts, seed)
+            if method == "sup":
+                est = lambda_sup(field, z, delta)
+            elif method == "stockyard":
+                est = lambda_stockyard(field, z, delta)
+            elif method == "direct":
+                est = ccpath.sample_lambda_direct(field, z, delta, seed=seed)
+            else:
+                raise ValueError(f"unknown method {method!r}")
         except (CCStructError, ValueError) as exc:  # recorded per row
             return SweepRow(z, delta, method, error=f"{type(exc).__name__}: {exc}")
         row = SweepRow(z, delta, method, est.value)

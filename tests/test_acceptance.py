@@ -183,7 +183,7 @@ def test_c07_sandwich_soundness():
         yard = _random_stockyard(rng)
         report = validate_stockyard(yard)
         assert report.ok
-        mass = stockyard_mass(field, yard, validated=True)
+        mass = stockyard_mass(field, yard)
         sup = lambda_sup(field, yard.base, yard.budget, CLASSIFY_OPTS)
         assert mass <= sup.value * (1 + 1e-9)
     for field in fields:
@@ -241,8 +241,7 @@ def test_c11_doubling():
     for row in rows:
         assert abs(row["max_ratio"] - 4.0) <= 0.05
     lattice = decaying_bump_lattice(30)
-    rows = doubling_ratio(lattice, Window(-5, -5, 5, 5, 2),
-                          [2.0, 4.0, 8.0], opts=CLASSIFY_OPTS)
+    rows = doubling_ratio(lattice, Window(-5, -5, 5, 5, 2), [2.0, 4.0, 8.0])
     for row in rows:
         assert row["max_ratio"] <= 49.0
         assert not row["flagged"]

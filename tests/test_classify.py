@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ccstruct.classify import (CLASSIFY_OPTS, Window, check_linear_conditions,
+from ccstruct.classify import (Window, check_linear_conditions,
                                check_quadratic_conditions, dichotomy_probe,
                                doubling_ratio, fit_loglog_slope, mass_table,
                                track_slope)
@@ -180,8 +180,7 @@ def test_doubling_zero_density_skipped():
 
 def test_doubling_lattice_within_chain_bound():
     f = decaying_bump_lattice(30)
-    rows = doubling_ratio(f, Window(-5, -5, 5, 5, 2),
-                          [2.0, 4.0, 8.0], opts=CLASSIFY_OPTS)
+    rows = doubling_ratio(f, Window(-5, -5, 5, 5, 2), [2.0, 4.0, 8.0])
     for row in rows:
         assert 1.0 <= row["max_ratio"] <= 49.0
         assert not row["flagged"]

@@ -101,6 +101,34 @@ def test_nonfinite_z_and_window_exit_2(constant_spec):
                      "--window", window, "--delta", "1"]) == 2, window
 
 
+def test_nonfinite_value_exit_3(tmp_path, constant_spec):
+    # c pi delta^2 overflows at delta = 1e200: the row carries the error
+    # and the command exits 3, in seconds
+    out = tmp_path / "out.csv"
+    code = main(["lambda", "--density", constant_spec, "--z", "0,0",
+                 "--delta", "1e200", "--out", str(out)])
+    assert code == 3
+    (row,) = read_rows(out)
+    assert row["value_sup"] == "nan"
+    assert row["error"].startswith("CCStructError: lambda_sup at delta=")
+    assert main(["volume", "--density", constant_spec, "--z", "0,0",
+                 "--delta", "1e200", "--n-paths", "1000"]) == 3
+
+
+def test_zero_density_huge_delta_all_methods(tmp_path):
+    # the direct sampler's polygons span ~1e200, whose triangle areas
+    # overflow: each is dropped at once, and every method gives 0
+    spec = tmp_path / "zero.spec"
+    spec.write_text(ZERO_SPEC)
+    out = tmp_path / "out.csv"
+    code = main(["lambda", "--density", str(spec), "--z", "0,0",
+                 "--delta", "1e200", "--method", "all", "--out", str(out)])
+    assert code == 0
+    (row,) = read_rows(out)
+    assert [float(row[f"value_{m}"]) for m in
+            ("sup", "stockyard", "direct")] == [0.0, 0.0, 0.0]
+
+
 def test_volume_too_few_paths_exit_2(constant_spec, capsys):
     assert main(["volume", "--density", constant_spec, "--z", "0,0",
                  "--delta", "1", "--n-paths", "999"]) == 2

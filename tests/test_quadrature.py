@@ -75,6 +75,19 @@ def test_triangle_integral_orientation_independent():
         triangle_integral(f, c, b, a), rel=1e-9)
 
 
+def test_triangle_integral_rejects_nonfinite_refinement():
+    # twice the area of this triangle overflows to inf, and inf * 0 is nan:
+    # raise at once instead of refining the nan to the depth limit
+    def zero(z):
+        return np.zeros(np.shape(z))
+
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        triangle_integral(zero, 0j, 1e200 + 0j, 1e200j)
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        triangle_integral(lambda z: np.full(np.shape(z), np.nan),
+                          0j, 1.0 + 0j, 1j)
+
+
 # ---------------------------------------------------------------------------
 # callers of the order-doubling rule report non-convergence
 
