@@ -31,6 +31,15 @@ from .errors import PotentialUnavailable, QuadratureFailure
 
 #: relative accuracy of every ``disk_mass`` that is not exact
 DISK_MASS_REL_TOL = 1e-6
+#: Most float64 values (96 KB) an array kernel's temporaries hold at once.
+#: The kernels that build (points x nodes) arrays run in blocks of points
+#: within it, so each temporary stays under 128 KB, glibc's default
+#: threshold for mapping fresh pages per allocation; above it every
+#: temporary is a new mapping whose pages fault in one by one.  With
+#: 20,000 nodes a call a grid classify took 2.2 million page faults, a
+#: fifth of its run time spent as system time, and a 16-rung coarse stage
+#: of 797 radial centers took 28,176 minor faults (none when blocked).
+KERNEL_BUDGET = 12_000
 
 
 def _check_disk(r, centers=0j):
@@ -418,8 +427,12 @@ class RadialProfileDensity(DensityField):
         if np.any(far):
             dd = d[far]
             x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
-            values, jac = self._annulus_integrand(dd[:, None], r)(x)
-            vals = np.einsum("ij,ij->i", jac * w, values)
+            vals = np.empty(len(dd))
+            step = KERNEL_BUDGET // _ANNULUS_NODES
+            for lo in range(0, len(dd), step):
+                values, jac = self._annulus_integrand(
+                    dd[lo:lo + step, None], r)(x)
+                vals[lo:lo + step] = np.einsum("ij,ij->i", jac * w, values)
             inner = dd < r
             if np.any(inner):
                 vals[inner] += 2.0 * math.pi * self._cumulative_array(
@@ -628,12 +641,6 @@ def decaying_bump_lattice(extent):
 #: cuts the integrand is a trigonometric polynomial of degree at most 4,
 #: which this order integrates to round-off on pieces up to pi long
 _GRID_NODES = 20
-#: Most angular nodes the grid disk-mass kernel evaluates at once.  Its
-#: largest arrays (six table values per node) then stay under 128 KB,
-#: glibc's default threshold for mapping fresh pages per allocation: with
-#: 20,000 nodes a grid classify took 2.2 million page faults, a fifth of
-#: its run time spent as system time
-_GRID_NODE_BLOCK = 2_000
 
 
 class GridDensity(DensityField):
@@ -726,14 +733,16 @@ class GridDensity(DensityField):
     def _disk_masses(self, centers, r):
         """Masses of the disks of radius r about a flat array of centers.
 
-        The kernel sees at most about ``_GRID_NODE_BLOCK`` nodes at once:
-        a block of centers, or, where one center has more, a run of its
-        pieces.  Each piece is summed on its own and each mass is the sum
-        of its pieces, so the blocking moves no bits."""
+        Its largest arrays hold six table values per node (three tables
+        at both chord ends), so it sees at most ``KERNEL_BUDGET // 6``
+        nodes at once: a block of centers, or, where one center has more,
+        a run of its pieces.  Each piece is summed on its own and each
+        mass is the sum of its pieces, so the blocking moves no bits."""
         ny, nx = self.values.shape
         pieces = 1 + self._line_count(r, nx) + 2 * self._line_count(r, ny)
-        step = max(1, _GRID_NODE_BLOCK // (pieces * _GRID_NODES))
-        run = max(1, _GRID_NODE_BLOCK // _GRID_NODES)
+        nodes = KERNEL_BUDGET // 6
+        step = max(1, nodes // (pieces * _GRID_NODES))
+        run = max(1, nodes // _GRID_NODES)
         out = np.empty(len(centers))
         for lo in range(0, len(centers), step):
             block = centers[lo:lo + step]

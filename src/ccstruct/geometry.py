@@ -360,17 +360,19 @@ def validate_stockyard(s: Stockyard) -> StockyardReport:
     if not s.pens:
         return StockyardReport(False, False, math.inf, 0.0, False, 0, False,
                                ["stockyard has no pens"])
-    scale = max(1.0, abs(s.base), s.budget,
-                *(p.fencing for p in s.pens))
+    # a pen object listed k times is k copies of one region; the copies
+    # touch each other, so each distinct object is checked once
+    pens = list(dict.fromkeys(s.pens))
+    scale = max(1.0, abs(s.base), s.budget, *(p.fencing for p in pens))
     tol = GEOM_TOL * scale
 
-    base_dist = min(point_boundary_distance(s.base, p) for p in s.pens)
+    base_dist = min(point_boundary_distance(s.base, p) for p in pens)
     base_ok = base_dist <= tol
 
     fencing = sum(p.fencing for p in s.pens)
     fencing_ok = fencing <= s.budget + tol
 
-    n = len(s.pens)
+    n = len(pens)
     parent = list(range(n))
 
     def find(i):
@@ -382,7 +384,7 @@ def validate_stockyard(s: Stockyard) -> StockyardReport:
     for i in range(n):
         for j in range(i + 1, n):
             if find(i) != find(j) and pen_boundary_distance(
-                    s.pens[i], s.pens[j]) <= tol:
+                    pens[i], pens[j]) <= tol:
                 parent[find(i)] = find(j)
     n_components = len({find(i) for i in range(n)})
     connected = n_components == 1
@@ -401,12 +403,14 @@ def validate_stockyard(s: Stockyard) -> StockyardReport:
 
 def stockyard_mass(field: DensityField, s: Stockyard):
     """Total mass of the validated stockyard: the sum of pen masses,
-    counting each listed copy of a repeated pen once per copy.  Raises
-    InvalidStockyard when the stockyard fails validation."""
+    counting each listed copy of a repeated pen once per copy (its mass
+    is computed once).  Raises InvalidStockyard when the stockyard fails
+    validation."""
     report = validate_stockyard(s)
     if not report.ok:
         raise InvalidStockyard("; ".join(report.messages))
-    return sum(pen_mass(field, p) for p in s.pens)
+    masses = {p: pen_mass(field, p) for p in dict.fromkeys(s.pens)}
+    return sum(masses[p] for p in s.pens)
 
 
 # ---------------------------------------------------------------------------

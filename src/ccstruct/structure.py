@@ -26,7 +26,7 @@ import numpy as np
 from scipy import optimize as _sciopt
 
 from . import quadrature
-from .density import DensityField
+from .density import KERNEL_BUDGET, DensityField
 from .errors import CCStructError, InvalidStockyard
 from .geometry import Pen, Stockyard, stockyard_mass
 
@@ -39,6 +39,12 @@ _TWIST_NODES = 96
 #: densities mu(z, h)/h -> 0 as h -> 0, so the supremum is attained away
 #: from zero and the cutoff only removes a vanishing tail.
 DELTA_HAT_MIN = 1e-3
+
+#: Most witness copies a stockyard lists.  The copies are one pen object,
+#: but each is still a list entry and a term of the fencing and mass sums;
+#: a tiny witness disk at a large delta would need far more (about 2e9
+#: for a 0.001-radius bump at delta = 1e6).
+MAX_STOCKYARD_COPIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,8 @@ def lambda_stockyard(field: DensityField, z, delta):
     """Certified lower bound at budget 4*pi*delta: the witness disk from
     the sup search is encircled as many times as the fencing budget
     allows, linked to z by a connector circle.  The returned value is the
-    validated stockyard's mass."""
+    validated stockyard's mass.  Raises CCStructError when the budget
+    holds more than ``MAX_STOCKYARD_COPIES`` copies."""
     z = complex(z)
     sup_est = lambda_sup(field, z, delta)
     witness = sup_est.witness
@@ -224,7 +231,11 @@ def lambda_stockyard(field: DensityField, z, delta):
     if k < 1:
         raise InvalidStockyard(
             "fencing budget cannot fit one witness copy (internal defect)")
-    pens.extend(Pen.circle(witness.center, witness.radius) for _ in range(k))
+    if k > MAX_STOCKYARD_COPIES:
+        raise CCStructError(
+            f"stockyard at delta={delta:g} needs {k} witness copies, more "
+            f"than {MAX_STOCKYARD_COPIES}")
+    pens.extend([Pen.circle(witness.center, witness.radius)] * k)
     yard = Stockyard(pens, z, budget)
     mass = stockyard_mass(field, yard)
     return LambdaEstimate(z, float(delta), mass, "stockyard", "lower", yard,
@@ -256,14 +267,21 @@ def twist(field: DensityField, z, w):
 
 
 def twist_many(field: DensityField, z, ws):
-    """Vectorized twist over an array of endpoints (fixed-order rule)."""
+    """Vectorized twist over an array of endpoints (fixed-order rule), in
+    blocks whose complex (endpoints x nodes) arrays fit ``KERNEL_BUDGET``."""
     z = complex(z)
     ws = np.asarray(ws, dtype=complex).ravel()
     x, wts = quadrature.gl_nodes(0.0, 1.0, _TWIST_NODES)
-    pts = z + (ws[:, None] - z) * x[None, :]
-    px, py = field.potential_gradient(pts)
-    pz = 0.5 * (px - 1j * py)
-    vals = ((ws[:, None] - z) * pz).imag @ wts
+    vals = np.empty(len(ws))
+    step = KERNEL_BUDGET // (2 * _TWIST_NODES)
+    for lo in range(0, len(ws), step):
+        dw = ws[lo:lo + step, None] - z
+        px, py = field.potential_gradient(z + dw * x)
+        pz = 0.5 * (px - 1j * py)
+        # einsum sums each row in node order, as matmul does on these
+        # strided rows of two or more endpoints; on one endpoint matmul
+        # calls BLAS ddot, whose sum rounds differently
+        vals[lo:lo + step] = np.einsum("ij,j->i", (dw * pz).imag, wts)
     return -2.0 * vals
 
 

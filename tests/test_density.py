@@ -1,6 +1,7 @@
 """Density fields: closed-form disk masses against quadrature oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,10 +91,14 @@ def test_disk_mass_is_the_array_kernel_on_one_center():
               GridDensity(-2 - 1.5j, 0.5, values),
               GridDensity(-2 - 1.5j, 0.5, values, extension="periodic"))
     for f in fields:
-        for r in (0.05, 0.7, 2.5):
+        # at r = 2.5 a grid block holds a few centers, at r = 9 one
+        # periodic center's pieces run over several blocks
+        for r in (0.05, 0.7, 2.5, 9.0):
             scalar = [f.disk_mass(c, r) for c in centers]
             many = [f.disk_mass_many([c], r)[0] for c in centers]
             assert np.array_equal(_bits(scalar), _bits(many))
+            assert np.array_equal(_bits(scalar),
+                                  _bits(f.disk_mass_many(centers, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +264,37 @@ def test_radial_gradient_at_origin_only():
     px, py = f.potential_gradient(z)
     assert px.shape == py.shape == z.shape
     assert not np.any(px) and not np.any(py)
+
+
+def test_radial_many_is_per_center_across_blocks():
+    # the annulus kernel runs in blocks of centers; each center's mass must
+    # not depend on the batch it came in, near the origin, inside r or out
+    f = RadialAlphaDensity(0.5)
+    rng = np.random.default_rng(5)
+    r = 2.0
+    d = np.concatenate([[0.0], r * 10.0 ** rng.uniform(-16, -12, 40),
+                        r * rng.uniform(0.0, 3.0, 960)])
+    centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
+    rng.shuffle(centers)
+    one = [f.disk_mass_many([c], r)[0] for c in centers]
+    assert np.array_equal(_bits(f.disk_mass_many(centers, r)), _bits(one))
+    assert np.array_equal(_bits(f.disk_mass_many(centers[::-1], r)[::-1]),
+                          _bits(one))
+
+
+def test_radial_many_temporaries_stay_small():
+    # blocked, the kernel's peak allocation is a few blocks plus its 1-D
+    # arrays; unblocked, 5,000 centers x 192 nodes peaked at 46 MB
+    f = RadialAlphaDensity(0.5)
+    rng = np.random.default_rng(2)
+    centers = rng.uniform(-5.0, 5.0, 5000) + 1j * rng.uniform(-5.0, 5.0, 5000)
+    tracemalloc.start()
+    try:
+        f.disk_mass_many(centers, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])

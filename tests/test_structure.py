@@ -2,6 +2,8 @@
 volume sandwich, sweeps."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from ccstruct.density import (BumpLattice, ConstantDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity)
 from ccstruct.errors import CCStructError
-from ccstruct.geometry import validate_stockyard
+from ccstruct import geometry
+from ccstruct.geometry import pen_mass, validate_stockyard
 from ccstruct.structure import (SupOptions, Window, lambda_stockyard,
                                 lambda_sup, lambda_sweep, twist, twist_many,
                                 volume_estimate)
+from test_density import _bits
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +138,32 @@ def test_stockyard_zero_density_still_valid():
     assert validate_stockyard(est.witness).ok
 
 
+def test_stockyard_lists_one_pen_per_copy(monkeypatch):
+    # a 0.001-radius bump keeps the witness at h = 0.001, so delta = 10
+    # winds it 19,999 times: one pen object, validated and massed once
+    f = BumpLattice([0j], [1.0], [0.001])
+    lambda_sup(f, 0j, 10.0)               # the search is not timed
+    calls = []
+    monkeypatch.setattr(geometry, "pen_mass",
+                        lambda field, pen: calls.append(pen) or
+                        pen_mass(field, pen))
+    t0 = time.perf_counter()
+    est = lambda_stockyard(f, 0j, 10.0)
+    assert time.perf_counter() - t0 < 1.0
+    k, pens = est.meta["copies"], est.witness.pens
+    assert k == 19_999 and len(pens) == k + 1
+    assert all(p is pens[1] for p in pens[1:]) and len(calls) == 2
+    # the copies' masses are added one by one, as k separate pens would be
+    assert est.value == sum([pen_mass(f, pens[0])]
+                            + [pen_mass(f, pens[1])] * k)
+
+
+def test_stockyard_rejects_too_many_copies():
+    f = BumpLattice([0j], [1.0], [0.001])
+    with pytest.raises(CCStructError, match="witness copies"):
+        lambda_stockyard(f, 0j, 1000.0)   # about 2e6 copies
+
+
 # ---------------------------------------------------------------------------
 # twist
 
@@ -159,6 +189,33 @@ def test_twist_many_matches_scalar():
     many = twist_many(f, 1 + 0j, ws)
     for w, v in zip(ws, many):
         assert v == pytest.approx(twist(f, 1 + 0j, w), abs=1e-9)
+
+
+def test_twist_many_is_per_endpoint_across_blocks():
+    # twist_many runs in blocks of endpoints; each value must not depend on
+    # the batch it came in, one endpoint alone included
+    f = RadialAlphaDensity(0.5)
+    rng = np.random.default_rng(4)
+    ws = rng.normal(0.0, 4.0, 1000) + 1j * rng.normal(0.0, 4.0, 1000)
+    for z in (0j, 0.3 + 0.2j):
+        many = _bits(twist_many(f, z, ws))
+        assert np.array_equal(many, _bits([twist_many(f, z, [w])[0]
+                                           for w in ws]))
+        assert np.array_equal(many, _bits(twist_many(f, z, ws[::-1])[::-1]))
+
+
+def test_twist_many_temporaries_stay_small():
+    # unblocked, 5,000 endpoints x 96 complex nodes peaked at 39 MB
+    f = RadialAlphaDensity(0.5)
+    rng = np.random.default_rng(6)
+    ws = rng.normal(0.0, 4.0, 5000) + 1j * rng.normal(0.0, 4.0, 5000)
+    tracemalloc.start()
+    try:
+        twist_many(f, 0.3 + 0.2j, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
