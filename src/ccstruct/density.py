@@ -32,10 +32,11 @@ from .errors import PotentialUnavailable, QuadratureFailure
 #: relative accuracy of every ``disk_mass`` that is not exact
 DISK_MASS_REL_TOL = 1e-6
 #: Most float64 values (96 KB) an array kernel's temporaries hold at once.
-#: The kernels that build (points x nodes) arrays run in blocks of points
-#: within it, so each temporary stays under 128 KB, glibc's default
-#: threshold for mapping fresh pages per allocation; above it every
-#: temporary is a new mapping whose pages fault in one by one.  With
+#: The kernels that build (points x nodes) arrays (the grid, radial
+#: annulus and bump overlap kernels here, and ``structure.twist_many``) run
+#: in blocks of points within it, so each temporary stays under 128 KB,
+#: glibc's default threshold for mapping fresh pages per allocation; above
+#: it every temporary is a new mapping whose pages fault in one by one.  With
 #: 20,000 nodes a call a grid classify took 2.2 million page faults, a
 #: fifth of its run time spent as system time, and a 16-rung coarse stage
 #: of 797 radial centers took 28,176 minor faults (none when blocked).
@@ -496,12 +497,22 @@ def _mollifier_plane_mass():
 _MOLLIFIER_MASS = _mollifier_plane_mass()
 
 
-#: Most (query, bump) pairs a bump-lattice call handles at once; bounds
-#: the index lists and the (pairs x nodes) arrays of the overlap kernel.
+#: Most (query, bump) pairs a bump-lattice call lists at once; bounds the
+#: tree's index lists and the pair arrays built from them.
 _PAIR_BLOCK = 100_000
+#: Gauss-Legendre order of each radial piece of a partial bump overlap
+_BUMP_NODES = 48
+#: A scalar bump-lattice disk mass takes arrays over every bump, not the
+#: k-d tree's candidates, where its reach covers this share of the
+#: lattice.  The tree returns its candidates as a Python list, about
+#: 0.15 us each, and the arrays cost about 6 ns a bump, so with n bumps
+#: the arrays win once the reach holds about n/25 of them: on 5,041 bumps
+#: a disk of radius 32 takes 540 us through the tree and 50 us through
+#: the arrays.
+_ALL_BUMPS_SHARE = 1.0 / 16.0
 
 
-def _bump_fractions_inside(d, rho, r, n_nodes=48):
+def _bump_fractions_inside(d, rho, r):
     """Fractions of unit bumps at distances ``d`` (support radii ``rho``)
     lying inside a disk of radius r about the query center, one per
     (d, rho) pair.
@@ -510,29 +521,39 @@ def _bump_fractions_inside(d, rho, r, n_nodes=48):
     boundaries s = |r - d|/rho and s = (r + d)/rho where the wedge angle
     has kinks, so fixed Gauss-Legendre converges fast on each piece.  The
     piece beyond (r + d)/rho lies wholly outside the disk (wedge angle 0)
-    and is not evaluated.  Empty pieces add exactly zero, and each
-    piece's node sum is a BLAS dot product, so a pair's fraction does not
-    depend on the other pairs in the call.
+    and is not evaluated.  Both pieces of a block of pairs run as one
+    (pairs x 2 x nodes) array within ``KERNEL_BUDGET``.  Empty pieces add
+    exactly zero, and each piece's node sum is a BLAS dot product, so a
+    pair's fraction does not depend on the other pairs in the call.
     """
-    x, w = quadrature.gauss_legendre(n_nodes)
-    lo = np.minimum(np.abs(r - d) / rho, 1.0)
-    hi = np.minimum((r + d) / rho, 1.0)
-    at_center = (d < 1e-15)[:, None]
-    dc = d[:, None]
-    num = np.zeros(d.shape)
-    for a, b in ((np.zeros(d.shape), lo), (lo, hi)):
-        half = (0.5 * (b - a))[:, None]
-        s = a[:, None] + half * (x + 1.0)
-        radii = rho[:, None] * s
+    x, w = quadrature.gauss_legendre(_BUMP_NODES)
+    # the piece ends, one row (0, lo, hi) per pair
+    ends = np.zeros((len(d), 3))
+    np.minimum(np.abs(r - d) / rho, 1.0, out=ends[:, 1])
+    np.minimum((r + d) / rho, 1.0, out=ends[:, 2])
+    num = np.empty(d.shape)
+    step = KERNEL_BUDGET // (2 * _BUMP_NODES)
+    for k in range(0, len(d), step):
+        a, b = ends[k:k + step, :2], ends[k:k + step, 1:]
+        dc = d[k:k + step, None, None]
+        half = (0.5 * (b - a))[:, :, None]
+        s = a[:, :, None] + half * (x + 1.0)
+        radii = rho[k:k + step, None, None] * s
         with np.errstate(divide="ignore", invalid="ignore"):
             cosv = (dc * dc + radii ** 2 - r * r) / (2.0 * dc * radii)
-            ang = np.where(cosv <= -1.0, 2.0 * math.pi,
-                           np.where(cosv >= 1.0, 0.0,
-                                    2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))))
-        ang = np.where(at_center, np.where(radii <= r, 2.0 * math.pi, 0.0), ang)
-        vals = _mollifier(s) * s * ang
-        piece = ((half * w)[:, None, :] @ vals[:, :, None])[:, 0, 0]
-        num += np.where(b > a, piece, 0.0)
+            # arccos(-1) = pi and arccos(1) = 0, so the clip gives 2 pi
+            # wholly inside the disk and 0 wholly outside it
+            ang = 2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))
+            # the mollifier: s <= 1 on every node, and s = 1 gives
+            # exp(-inf) = 0
+            phi = np.exp(-1.0 / (1.0 - s * s))
+        if np.any(dc < 1e-15):
+            ang = np.where(dc < 1e-15,
+                           np.where(radii <= r, 2.0 * math.pi, 0.0), ang)
+        vals = phi * s * ang
+        piece = ((half * w)[..., None, :] @ vals[..., :, None])[..., 0, 0]
+        piece = np.where(b > a, piece, 0.0)
+        num[k:k + step] = piece[:, 0] + piece[:, 1]
     return num / _MOLLIFIER_MASS
 
 
@@ -541,8 +562,10 @@ class BumpLattice(DensityField):
     supported in the disk of radius rho_k around its center (supports may
     overlap).  Used to build the linear-growth test regime.
 
-    A k-d tree over the bump centers, built once, restricts every query
-    to the bumps whose supports can reach it."""
+    A k-d tree over the bump centers, built once, restricts the array
+    queries and the scalar queries of small disks to the bumps whose
+    supports can reach them; a scalar disk that reaches much of the
+    lattice takes arrays over every bump instead."""
 
     family = "bump_lattice"
 
@@ -563,6 +586,11 @@ class BumpLattice(DensityField):
         self.radii = radii
         self._tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         self._rho_max = float(np.max(radii))
+        # the support box: (x0, x1, y0, y1) around every bump's support
+        self._box = (float(np.min(centers.real)) - self._rho_max,
+                     float(np.max(centers.real)) + self._rho_max,
+                     float(np.min(centers.imag)) - self._rho_max,
+                     float(np.max(centers.imag)) + self._rho_max)
 
     def _reach(self, r):
         # the tree's distances may differ from np.abs in the last bit, so
@@ -596,19 +624,35 @@ class BumpLattice(DensityField):
             out += np.bincount(qi, weights=vals, minlength=len(flat))
         return out.reshape(z.shape)
 
+    def _takes_every_bump(self, center, reach):
+        """Whether a scalar disk mass should take every bump: the square
+        of half-side ``reach`` about ``center`` covers at least
+        ``_ALL_BUMPS_SHARE`` of the support box."""
+        x0, x1, y0, y1 = self._box
+        w = min(x1, center.real + reach) - max(x0, center.real - reach)
+        h = min(y1, center.imag + reach) - max(y0, center.imag - reach)
+        return (w > 0 and h > 0
+                and w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0))
+
     def _disk_mass(self, center, r):
-        idx = np.asarray(self._tree.query_ball_point(
-            (center.real, center.imag), self._reach(r), return_sorted=True),
-            dtype=np.intp)
-        d = np.abs(self.centers[idx] - center)
-        rho = self.radii[idx]
-        inside = d + rho <= r
-        partial = ~inside & (d - rho < r)
+        reach = self._reach(r)
+        if self._takes_every_bump(center, reach):
+            centers, masses, radii = self.centers, self.masses, self.radii
+        else:
+            idx = np.asarray(self._tree.query_ball_point(
+                (center.real, center.imag), reach, return_sorted=True),
+                dtype=np.intp)
+            centers, masses, radii = (self.centers[idx], self.masses[idx],
+                                      self.radii[idx])
+        d = np.abs(centers - center)
+        inside = d + radii <= r
+        partial = ~inside & (d - radii < r)
         # full masses first, then the partial ones one at a time, both in
-        # ascending bump index: the polish amplifies last-bit changes
-        total = float(np.sum(self.masses[idx[inside]]))
-        fracs = _bump_fractions_inside(d[partial], rho[partial], r)
-        for v in self.masses[idx[partial]] * fracs:
+        # ascending bump index: the polish amplifies last-bit changes.  A
+        # bump beyond the reach is neither, so both paths sum the same bumps.
+        total = float(np.sum(masses[inside]))
+        fracs = _bump_fractions_inside(d[partial], radii[partial], r)
+        for v in masses[partial] * fracs:
             total += v
         return total
 

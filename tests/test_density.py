@@ -416,10 +416,67 @@ def test_bump_indexed_matches_all_pairs(bumps, query, r):
 def test_bump_disk_mass_bitwise_at_c12_oracle_points():
     """The classify slope on c12's lattice depends on the last bits of
     disk_mass through the Nelder-Mead polish, so the indexed sum must
-    reproduce the all-pairs one exactly."""
+    reproduce the all-pairs one exactly, through the k-d tree for small
+    disks and through the arrays over every bump for large ones."""
     f = decaying_bump_lattice(70)
-    for z, d in ((0j, 5.0), (10 + 3j, 8.0), (-15 - 15j, 3.0)):
-        assert f.disk_mass(z, d) == _reference_disk_mass(f, z, d)
+    paths = set()
+    for z in (0j, 10 + 3j, -15 - 15j):
+        for d in (0.19, 3.0, 5.0, 8.0, 22.0, 40.0):
+            paths.add((d, f._takes_every_bump(z, f._reach(d))))
+            assert f.disk_mass(z, d) == _reference_disk_mass(f, z, d)
+    assert (0.19, False) in paths and (40.0, True) in paths
+
+
+def _two_piece_fractions(d, rho, r, n_nodes=48):
+    """The overlap kernel as one (pairs x nodes) array a radial piece,
+    with the mollifier masked to s < 1 and the wedge angle's limits as
+    explicit cases: the kernel's piece-stacked form must match it bit for
+    bit."""
+    x, w = quadrature.gauss_legendre(n_nodes)
+    lo = np.minimum(np.abs(r - d) / rho, 1.0)
+    hi = np.minimum((r + d) / rho, 1.0)
+    at_center = (d < 1e-15)[:, None]
+    dc = d[:, None]
+    num = np.zeros(d.shape)
+    for a, b in ((np.zeros(d.shape), lo), (lo, hi)):
+        half = (0.5 * (b - a))[:, None]
+        s = a[:, None] + half * (x + 1.0)
+        radii = rho[:, None] * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosv = (dc * dc + radii ** 2 - r * r) / (2.0 * dc * radii)
+            ang = np.where(cosv <= -1.0, 2.0 * math.pi,
+                           np.where(cosv >= 1.0, 0.0,
+                                    2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))))
+        ang = np.where(at_center, np.where(radii <= r, 2.0 * math.pi, 0.0), ang)
+        vals = density._mollifier(s) * s * ang
+        piece = ((half * w)[:, None, :] @ vals[:, :, None])[:, 0, 0]
+        num += np.where(b > a, piece, 0.0)
+    return num / density._MOLLIFIER_MASS
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 2.7])
+def test_bump_fractions_match_two_piece_kernel(r):
+    """Random pairs over several kernel blocks, with pairs at the center
+    (d = 0), pairs whose wedge cosine passes -1 or 1 (disk beyond or
+    inside the support), an empty first piece (d = r) and empty pieces
+    (lo = hi = 1, the support wholly inside or outside)."""
+    rng = np.random.default_rng(int(r * 100))
+    n = 3 * (density.KERNEL_BUDGET // (2 * density._BUMP_NODES)) + 7
+    d = rng.uniform(0.0, 2.0 * r + 1.0, n)
+    rho = rng.uniform(0.02, 1.5, n)
+    d[:20] = 0.0
+    d[20:40] = r
+    d[40:60] = r + rho[40:60] + rng.uniform(0.0, 1.0, 20)
+    d[60:80] = np.maximum(r - rho[60:80] - rng.uniform(0.0, 1.0, 20), 0.0)
+    d[80:90] = 1e-16
+    rng.shuffle(d)
+    got = density._bump_fractions_inside(d, rho, r)
+    assert np.array_equal(_bits(got), _bits(_two_piece_fractions(d, rho, r)))
+    # each pair's fraction is independent of the block it lands in
+    one = [density._bump_fractions_inside(d[i:i + 1], rho[i:i + 1], r)[0]
+           for i in range(0, n, 37)]
+    assert np.array_equal(_bits(one), _bits(got[::37]))
+    assert density._bump_fractions_inside(d[:0], rho[:0], r).shape == (0,)
 
 
 def test_decaying_lattice_masses():

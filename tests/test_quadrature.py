@@ -7,7 +7,8 @@ import pytest
 from scipy.special import roots_legendre
 
 from ccstruct import quadrature
-from ccstruct.density import RadialProfileDensity
+from ccstruct.density import (PolynomialPotential, RadialAlphaDensity,
+                              RadialProfileDensity)
 from ccstruct.errors import QuadratureFailure
 from ccstruct.geometry import Pen, boundary_line_integral
 from ccstruct.quadrature import (adaptive_1d, disk_integral, gl_nodes,
@@ -27,6 +28,104 @@ def test_adaptive_1d_smooth():
 
 def test_adaptive_1d_zero_interval():
     assert adaptive_1d(np.sin, 1.0, 1.0) == 0.0
+
+
+def _per_order_adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14,
+                           max_order=2048):
+    """The order-doubling rule with one call of f per order: the fused
+    start of ``adaptive_1d`` must give its values bit for bit."""
+    if b == a:
+        return 0.0
+    prev = None
+    n = 16
+    while n <= max_order:
+        x, w = gl_nodes(a, b, n)
+        val = float(np.dot(w, np.asarray(f(x), dtype=float)))
+        if prev is not None:
+            if abs(val - prev) <= rel_tol * max(abs(val), abs_floor):
+                return val
+        prev = val
+        n *= 2
+    raise QuadratureFailure("did not converge")
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _runge(x):
+    return 1.0 / (1.0 + 400.0 * x * x)
+
+
+def _counting(f):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted, calls
+
+
+def test_adaptive_1d_fused_start_is_bitwise():
+    rng = np.random.default_rng(7)
+    cases = [(np.sin, 0.0, math.pi), (np.sin, -1.3, 2.9), (np.exp, 0.0, 1.0),
+             (_runge, -1.0, 1.0)]
+    cases += [(np.sin, *sorted(rng.uniform(-5, 5, 2))) for _ in range(40)]
+    for f, a, b in cases:
+        assert _bits(adaptive_1d(f, a, b)) == _bits(
+            _per_order_adaptive_1d(f, a, b))
+    # the Runge function needs 64 nodes or more: the per-order loop after
+    # the fused start
+    f, calls = _counting(_runge)
+    adaptive_1d(f, -1.0, 1.0)
+    assert calls[0] == 48 and calls[-1] >= 64
+
+
+def test_adaptive_1d_fused_start_is_bitwise_on_its_callers(monkeypatch):
+    """The radial annulus integrand of a scalar disk mass, ``twist`` and
+    ``boundary_line_integral`` are elementwise, so their values do not
+    move with the fused start."""
+    rng = np.random.default_rng(11)
+    radial = RadialAlphaDensity(0.5)
+    profile = RadialProfileDensity(lambda s: np.exp(-np.asarray(s) ** 2))
+    poly = PolynomialPotential({(2, 2): 1.0})
+    disks = [(complex(*rng.uniform(-15, 15, 2)) * rng.choice([1e-3, 1.0]),
+              float(rng.uniform(0.01, 12.0))) for _ in range(60)]
+    ends = [(complex(*rng.uniform(-3, 3, 2)), complex(*rng.uniform(-3, 3, 2)))
+            for _ in range(20)]
+
+    def values():
+        out = [field.disk_mass(c, r) for c, r in disks
+               for field in (radial, profile)]
+        out += [twist(field, z, w) for z, w in ends
+                for field in (radial, poly)]
+        out += [boundary_line_integral(radial, Pen.circle(z, 1.5).boundary)
+                for z, _ in ends]
+        return out
+
+    fused = values()
+    monkeypatch.setattr(quadrature, "adaptive_1d", _per_order_adaptive_1d)
+    assert np.array_equal(_bits(fused), _bits(values()))
+
+
+def test_adaptive_1d_converged_at_32_nodes_calls_f_once():
+    # degree 5: the 16- and 32-node rules are both exact
+    f, calls = _counting(lambda x: x ** 5 - 2.0 * x)
+    assert adaptive_1d(f, 0.0, 2.0) == pytest.approx(32.0 / 3.0 - 4.0,
+                                                     rel=1e-14)
+    assert calls == [48]
+
+
+def test_adaptive_1d_small_max_order_raises():
+    f, calls = _counting(np.sin)
+    with pytest.raises(QuadratureFailure):
+        adaptive_1d(f, 0.0, 1.0, max_order=16)
+    assert calls == [16]
+    f, calls = _counting(np.sin)
+    with pytest.raises(QuadratureFailure):
+        adaptive_1d(f, 0.0, 1.0, max_order=8)
+    assert calls == []
 
 
 def test_disk_integral_constant():
