@@ -406,7 +406,7 @@ class RadialProfileDensity(DensityField):
         d^2 + s^2 - r^2 for a small disk far from the origin; the
         half-angle atan2 form keeps full precision near 0 and 2 pi."""
         span = 2.0 * np.minimum(d, r)
-        u0 = np.where(d >= r, -r, r - 2.0 * d)    # |d-r| - d, formed stably
+        u0 = r - span    # |d-r| - d: r - 2d for d < r, exactly -r otherwise
 
         def factors(x):
             off = u0 + span * np.sin(x) ** 2
@@ -419,6 +419,8 @@ class RadialProfileDensity(DensityField):
         return factors
 
     def _disk_masses(self, centers, r):
+        # the mass depends on a center only through d = |center|: one kernel
+        # row per distinct far distance, each row's arithmetic its own
         d = np.abs(centers)
         out = np.zeros(d.shape)
         near = d < 1e-12 * max(1.0, r)
@@ -426,7 +428,7 @@ class RadialProfileDensity(DensityField):
             out[near] = 2.0 * math.pi * self.cumulative(r)
         far = ~near
         if np.any(far):
-            dd = d[far]
+            dd, back = np.unique(d[far], return_inverse=True)
             x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
             vals = np.empty(len(dd))
             step = KERNEL_BUDGET // _ANNULUS_NODES
@@ -438,7 +440,7 @@ class RadialProfileDensity(DensityField):
             if np.any(inner):
                 vals[inner] += 2.0 * math.pi * self._cumulative_array(
                     r - dd[inner])
-            out[far] = vals
+            out[far] = vals[back]
         return out
 
 
@@ -461,18 +463,16 @@ class RadialAlphaDensity(RadialProfileDensity):
         )
 
     def _cumulative_array(self, r):
-        # the scalar closed form's operations in its order, in place on two
-        # flat buffers (array temporaries raise the peak RSS of a volume
-        # run); the power runs through the builtin pow, the libm call of
-        # Python's **, as np.power's SIMD loops round differently
+        # the scalar closed form's steps in its order, in place on one flat
+        # buffer (temporaries raise a volume run's peak RSS); float_power's
+        # float64 loop is libm pow, as Python's float ** float for the base
+        # 1 + r^2 >= 1, where np.power's SIMD loops round differently
         x = np.multiply(r, r).ravel()
         x += 1.0
-        m = np.fromiter(map(pow, memoryview(x),
-                            itertools.repeat(1.0 - self.alpha / 2.0)),
-                        float, count=x.size)
-        m -= 1.0
-        m /= 2.0 - self.alpha
-        return m.reshape(np.shape(r))
+        np.float_power(x, 1.0 - self.alpha / 2.0, out=x)
+        x -= 1.0
+        x /= 2.0 - self.alpha
+        return x.reshape(np.shape(r))
 
 
 # ---------------------------------------------------------------------------

@@ -242,20 +242,35 @@ def _log_uniform_radii(seed, shape):
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
 def test_radial_alpha_dP_bitwise_per_radius(alpha):
-    # the array closed form must give the scalar cumulative's bits
+    # the array closed form must give the scalar cumulative's bits, also at
+    # the edges of its power: a base 1 + r^2 that rounds to 1, and an r^2
+    # that overflows to inf; the radii passed in are left as they were
     f = RadialAlphaDensity(alpha)
     radii = _log_uniform_radii(7, (40, 50))
+    rng = np.random.default_rng(8)
+    tiny = np.append(10.0 ** rng.uniform(-300.0, -8.0, 200), [1e-8, 5e-324])
+    root_max = math.sqrt(np.finfo(float).max)
+    huge = np.append(10.0 ** rng.uniform(155.0, 308.0, 200),
+                     [1e155, root_max, np.nextafter(root_max, math.inf),
+                      np.finfo(float).max])
+    assert np.all(1.0 + tiny * tiny == 1.0)
+    with np.errstate(over="ignore"):
+        assert np.isinf(huge * huge).sum() == huge.size - 1
     inputs = [float(radii[0, 0]),            # what P's quad passes
               np.array(radii[0, 1]),         # 0-d array
               np.empty(0),
               radii,                         # 2-D
-              radii[::3, 1::2]]              # non-contiguous slice
+              radii[::3, 1::2],              # non-contiguous slice
+              tiny, huge]
     for r in inputs:
-        got = f.dP(r)
+        kept = np.array(r, copy=True)
+        with np.errstate(over="ignore"):
+            got = f.dP(r)
         r_arr = np.asarray(r, dtype=float)
         want = [f.cumulative(ri) / ri for ri in r_arr.flat]
         assert np.shape(got) == r_arr.shape
         assert np.array_equal(_bits(np.ravel(got)), _bits(want))
+        assert np.array_equal(_bits(np.ravel(r)), _bits(np.ravel(kept)))
 
 
 def test_radial_gradient_at_origin_only():
@@ -295,6 +310,42 @@ def test_radial_many_temporaries_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _search_lattice(center, radius=1.5, n=33):
+    # the coarse lattice of optimize_weighted_disk: n x n masked to the disk
+    ax = np.linspace(-radius, radius, n)
+    zz = (center + ax[None, :] + 1j * ax[:, None]).ravel()
+    return zz[np.abs(zz - center) <= radius + 1e-12 * max(1.0, radius)]
+
+
+def test_radial_many_runs_one_row_per_distinct_distance(monkeypatch):
+    # a radial disk mass depends on its center only through |center|: the
+    # annulus kernel sees each distinct far distance once, and every center
+    # still gets its one-center value
+    f = RadialAlphaDensity(0.5)
+    rows = []
+    kernel = RadialProfileDensity._annulus_integrand
+
+    def counting(self, d, r):
+        rows.append(np.size(d))
+        return kernel(self, d, r)
+
+    monkeypatch.setattr(RadialProfileDensity, "_annulus_integrand", counting)
+    rng = np.random.default_rng(3)
+    scattered = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+    mixed = np.concatenate([scattered, np.conj(scattered[:50]),
+                            -scattered[50:100], scattered[::-7],
+                            [0j, 1e-13, -1e-13j, 3e-14 + 4e-14j]])
+    cases = [(_search_lattice(1 + 1j), 406), (_search_lattice(0j), 103),
+             (mixed, 200)]
+    for centers, distinct in cases:
+        for r in (0.7, 1.5):
+            one = [f.disk_mass_many([c], r)[0] for c in centers]
+            rows.clear()
+            many = f.disk_mass_many(centers, r)
+            assert sum(rows) == distinct
+            assert np.array_equal(_bits(many), _bits(one))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
