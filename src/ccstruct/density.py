@@ -19,7 +19,6 @@ field carries past construction is the memo that
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -33,13 +32,15 @@ from .errors import PotentialUnavailable, QuadratureFailure
 DISK_MASS_REL_TOL = 1e-6
 #: Most float64 values (96 KB) an array kernel's temporaries hold at once.
 #: The kernels that build (points x nodes) arrays (the grid, radial
-#: annulus and bump overlap kernels here, and ``structure.twist_many``) run
-#: in blocks of points within it, so each temporary stays under 128 KB,
-#: glibc's default threshold for mapping fresh pages per allocation; above
-#: it every temporary is a new mapping whose pages fault in one by one.  With
-#: 20,000 nodes a call a grid classify took 2.2 million page faults, a
-#: fifth of its run time spent as system time, and a 16-rung coarse stage
-#: of 797 radial centers took 28,176 minor faults (none when blocked).
+#: annulus and bump overlap kernels here, and ``structure.twist_many``) and
+#: the bump lattice's (centers x bumps) rows run in blocks of points within
+#: it (at least one point a block), so each temporary stays near or under
+#: 128 KB, glibc's default threshold for mapping fresh pages per
+#: allocation; above it every temporary is a new mapping whose pages fault
+#: in one by one.  With 20,000 nodes a call a grid classify took 2.2 million
+#: page faults, a fifth of its run time spent as system time, and a 16-rung
+#: coarse stage of 797 radial centers took 28,176 minor faults (none when
+#: blocked).
 KERNEL_BUDGET = 12_000
 
 
@@ -497,18 +498,20 @@ def _mollifier_plane_mass():
 _MOLLIFIER_MASS = _mollifier_plane_mass()
 
 
-#: Most (query, bump) pairs a bump-lattice call lists at once; bounds the
-#: tree's index lists and the pair arrays built from them.
+#: Most (query, bump) pairs of the k-d tree a bump-lattice array call holds
+#: at once; bounds its pair arrays.
 _PAIR_BLOCK = 100_000
 #: Gauss-Legendre order of each radial piece of a partial bump overlap
 _BUMP_NODES = 48
-#: A scalar bump-lattice disk mass takes arrays over every bump, not the
-#: k-d tree's candidates, where its reach covers this share of the
-#: lattice.  The tree returns its candidates as a Python list, about
-#: 0.15 us each, and the arrays cost about 6 ns a bump, so with n bumps
-#: the arrays win once the reach holds about n/25 of them: on 5,041 bumps
-#: a disk of radius 32 takes 540 us through the tree and 50 us through
-#: the arrays.
+#: A bump-lattice disk mass takes arrays over every bump, not the k-d
+#: tree's candidates, where its reach covers this share of the lattice.
+#: A scalar query gets its candidates as a Python list, about 0.15 us each,
+#: and the arrays cost about 6 ns a bump, so with n bumps the arrays win
+#: once the reach holds about n/25 of them: on 5,041 bumps a disk of
+#: radius 32 takes 540 us through the tree and 50 us through the arrays.
+#: An array query gets its pairs as one array, so the share matters less
+#: there: on the 149 calls of a classify on 5,041 bumps, those with r >= 15
+#: took 0.06 s as rows over every bump and 0.17 s as the tree's pairs.
 _ALL_BUMPS_SHARE = 1.0 / 16.0
 
 
@@ -557,15 +560,30 @@ def _bump_fractions_inside(d, rho, r):
     return num / _MOLLIFIER_MASS
 
 
+def _held_masses(d, r, masses, radii):
+    """Each bump's mass times the fraction of it inside a disk of radius r
+    whose center lies at distance ``d``: the mass itself wholly inside,
+    exactly 0.0 wholly outside.  ``masses`` and ``radii`` broadcast
+    against ``d``."""
+    radii = np.broadcast_to(radii, d.shape)
+    inside = d + radii <= r
+    partial = ~inside & (d - radii < r)
+    frac = inside.astype(float)
+    frac[partial] = _bump_fractions_inside(d[partial], radii[partial], r)
+    return masses * frac
+
+
 class BumpLattice(DensityField):
     """A finite sum of smooth radial bumps.  Bump k has total mass m_k
     supported in the disk of radius rho_k around its center (supports may
     overlap).  Used to build the linear-growth test regime.
 
-    A k-d tree over the bump centers, built once, restricts the array
-    queries and the scalar queries of small disks to the bumps whose
-    supports can reach them; a scalar disk that reaches much of the
-    lattice takes arrays over every bump instead."""
+    A disk whose reach covers much of the lattice (``_takes_every_bump``)
+    takes arrays over every bump.  Other disk masses, and the density, go
+    through a k-d tree over the bump centers, built once, which restricts
+    them to the bumps whose supports can reach them: a scalar query lists
+    them, and an array query meets a tree of its points in one C-level pass
+    that returns its pairs as one array."""
 
     family = "bump_lattice"
 
@@ -577,8 +595,9 @@ class BumpLattice(DensityField):
             raise ValueError("centers, masses, radii must have equal length")
         if len(centers) == 0:
             raise ValueError("at least one bump is required")
-        if np.any(masses <= 0) or np.any(radii <= 0):
-            raise ValueError("masses and radii must be positive")
+        if not (np.all(np.isfinite(masses) & (masses > 0))
+                and np.all(np.isfinite(radii) & (radii > 0))):
+            raise ValueError("masses and radii must be positive and finite")
         if not np.all(np.isfinite(centers)):
             raise ValueError("bump centers must be finite")
         self.centers = centers
@@ -599,19 +618,27 @@ class BumpLattice(DensityField):
 
     def _near_pairs(self, points, reach):
         """Yield (query index, bump index) arrays of the pairs within
-        ``reach``, in blocks of about ``_PAIR_BLOCK`` pairs, ordered by
-        query and then by ascending bump index."""
+        ``reach``, ordered by query and then by ascending bump index, in
+        blocks of queries holding at most ``_PAIR_BLOCK`` pairs (a lone
+        query may hold more).  A k-d tree of each block of queries meets
+        the bump tree in one C-level pass, and one sort of the integer key
+        query * bumps + bump puts its pairs in order."""
         xy = np.column_stack([points.real, points.imag])
-        counts = self._tree.query_ball_point(xy, reach, return_length=True)
-        block = np.cumsum(counts) // _PAIR_BLOCK
-        edges = [0, *(np.flatnonzero(np.diff(block)) + 1), len(points)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = counts[lo:hi]
-            lists = self._tree.query_ball_point(xy[lo:hi], reach,
-                                                return_sorted=True)
-            bi = np.fromiter(itertools.chain.from_iterable(lists),
-                             dtype=np.intp, count=int(np.sum(n)))
-            yield np.repeat(np.arange(lo, hi), n), bi
+        n = len(self.centers)
+        lo = 0
+        while lo < len(points):
+            hi = len(points)
+            block = cKDTree(xy[lo:hi])
+            while (hi - lo > 1
+                   and block.count_neighbors(self._tree, reach) > _PAIR_BLOCK):
+                hi = lo + (hi - lo) // 2
+                block = cKDTree(xy[lo:hi])
+            pairs = block.sparse_distance_matrix(self._tree, reach,
+                                                 output_type="ndarray")
+            key = np.sort(pairs["i"] * n + pairs["j"])
+            qi, bi = np.divmod(key, n)
+            yield qi + lo, bi
+            lo = hi
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -624,15 +651,18 @@ class BumpLattice(DensityField):
             out += np.bincount(qi, weights=vals, minlength=len(flat))
         return out.reshape(z.shape)
 
-    def _takes_every_bump(self, center, reach):
-        """Whether a scalar disk mass should take every bump: the square
-        of half-side ``reach`` about ``center`` covers at least
-        ``_ALL_BUMPS_SHARE`` of the support box."""
+    def _takes_every_bump(self, centers, reach):
+        """Whether a disk mass about each of ``centers`` (a complex number
+        or an array) should take every bump: the square of half-side
+        ``reach`` about it covers at least ``_ALL_BUMPS_SHARE`` of the
+        support box."""
         x0, x1, y0, y1 = self._box
-        w = min(x1, center.real + reach) - max(x0, center.real - reach)
-        h = min(y1, center.imag + reach) - max(y0, center.imag - reach)
-        return (w > 0 and h > 0
-                and w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0))
+        w = np.minimum(x1, centers.real + reach) - np.maximum(
+            x0, centers.real - reach)
+        h = np.minimum(y1, centers.imag + reach) - np.maximum(
+            y0, centers.imag - reach)
+        return ((w > 0) & (h > 0)
+                & (w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0)))
 
     def _disk_mass(self, center, r):
         reach = self._reach(r)
@@ -657,16 +687,26 @@ class BumpLattice(DensityField):
         return total
 
     def _disk_masses(self, centers, r):
+        """Each center's mass is the sum, in ascending bump index, of its
+        bumps' held masses: one row over every bump where the reach covers
+        much of the lattice, the tree's pairs otherwise.  A bump beyond the
+        reach adds exactly 0.0, so both give the same bits."""
+        reach = self._reach(r)
         out = np.zeros(centers.shape)
-        for qi, bi in self._near_pairs(centers, self._reach(r)):
-            d = np.abs(centers[qi] - self.centers[bi])
-            rho = self.radii[bi]
-            inside = d + rho <= r
-            partial = ~inside & (d - rho < r)
-            frac = inside.astype(float)
-            frac[partial] = _bump_fractions_inside(d[partial], rho[partial], r)
-            out += np.bincount(qi, weights=self.masses[bi] * frac,
-                               minlength=len(centers))
+        every = self._takes_every_bump(centers, reach)
+        wide = np.flatnonzero(every)
+        step = max(1, KERNEL_BUDGET // len(self.centers))
+        for lo in range(0, len(wide), step):
+            rows = wide[lo:lo + step]
+            d = np.abs(centers[rows, None] - self.centers)
+            held = _held_masses(d, r, self.masses, self.radii)
+            # cumsum adds along each row in order, as bincount does below
+            out[rows] = np.cumsum(held, axis=1)[:, -1]
+        narrow = np.flatnonzero(~every)
+        for qi, bi in self._near_pairs(centers[narrow], reach):
+            d = np.abs(centers[narrow[qi]] - self.centers[bi])
+            held = _held_masses(d, r, self.masses[bi], self.radii[bi])
+            out[narrow] += np.bincount(qi, weights=held, minlength=len(narrow))
         return out
 
 

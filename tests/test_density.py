@@ -1,5 +1,6 @@
 """Density fields: closed-form disk masses against quadrature oracles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -478,6 +479,110 @@ def test_bump_disk_mass_bitwise_at_c12_oracle_points():
     assert (0.19, False) in paths and (40.0, True) in paths
 
 
+def _listed_pairs(f, points, reach):
+    """The former pair search: the k-d tree's Python index lists, sorted
+    by bump index, in blocks of about ``_PAIR_BLOCK`` pairs."""
+    xy = np.column_stack([points.real, points.imag])
+    counts = f._tree.query_ball_point(xy, reach, return_length=True)
+    block = np.cumsum(counts) // density._PAIR_BLOCK
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1), len(points)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = counts[lo:hi]
+        lists = f._tree.query_ball_point(xy[lo:hi], reach, return_sorted=True)
+        bi = np.fromiter(itertools.chain.from_iterable(lists),
+                         dtype=np.intp, count=int(np.sum(n)))
+        yield np.repeat(np.arange(lo, hi), n), bi
+
+
+def _listed_disk_masses(f, centers, r):
+    """The former bump-lattice array kernel over the listed pairs, summed
+    per center by bincount."""
+    out = np.zeros(centers.shape)
+    for qi, bi in _listed_pairs(f, centers, f._reach(r)):
+        d = np.abs(centers[qi] - f.centers[bi])
+        rho = f.radii[bi]
+        inside = d + rho <= r
+        partial = ~inside & (d - rho < r)
+        frac = inside.astype(float)
+        frac[partial] = density._bump_fractions_inside(d[partial],
+                                                       rho[partial], r)
+        out += np.bincount(qi, weights=f.masses[bi] * frac,
+                           minlength=len(centers))
+    return out
+
+
+def _listed_density(f, z):
+    out = np.zeros(z.shape)
+    for qi, bi in _listed_pairs(f, z, f._reach(0.0)):
+        rho = f.radii[bi]
+        vals = (f.masses[bi] / (rho ** 2 * density._MOLLIFIER_MASS)
+                * density._mollifier(np.abs(z[qi] - f.centers[bi]) / rho))
+        out += np.bincount(qi, weights=vals, minlength=len(z))
+    return out
+
+
+@pytest.fixture(scope="module")
+def lattice35():
+    return decaying_bump_lattice(35)
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.19, 1.0, 5.0, 12.0, 20.0, 40.0])
+def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
+    """Whole-lattice rows and the tree's pair array sum each center's
+    bumps in ascending index, as the listed pairs did, so every bit is
+    kept: 17-grids about 0 and 10 + 3i, scattered centers, duplicates, a
+    bump center and centers beyond every support."""
+    f = lattice35
+    rng = np.random.default_rng(15)
+    ax = np.linspace(-2.0, 2.0, 17)
+    grid = (ax[None, :] + 1j * ax[:, None]).ravel()
+    centers = np.concatenate([
+        grid, grid + (10 + 3j),
+        rng.uniform(-45.0, 45.0, 60) + 1j * rng.uniform(-45.0, 45.0, 60),
+        [0j, 0j, 1 + 1j, 1 + 1j, f.centers[7], 80 + 80j, -200j]])
+    assert np.array_equal(_bits(f.disk_mass_many(centers, r)),
+                          _bits(_listed_disk_masses(f, centers, r)))
+
+
+def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
+    f = lattice35
+    rng = np.random.default_rng(16)
+    # a tree-side call of more than _PAIR_BLOCK pairs runs in split blocks
+    sparse = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
+                                                                 2000)
+    reach = f._reach(5.0)
+    assert not np.any(f._takes_every_bump(sparse, reach))
+    blocks = [len(bi) for _, bi in f._near_pairs(sparse, reach)]
+    assert len(blocks) > 1 and sum(blocks) > density._PAIR_BLOCK
+    assert max(blocks) <= density._PAIR_BLOCK
+    assert np.array_equal(_bits(f.disk_mass_many(sparse, 5.0)),
+                          _bits(_listed_disk_masses(f, sparse, 5.0)))
+    # the coarse lattice of a sup search at delta = 40: most centers take
+    # whole-lattice rows, the corners take the tree's pairs
+    lattice = _search_lattice(0j, 40.0)
+    every = f._takes_every_bump(lattice, f._reach(12.0))
+    assert np.any(every) and not np.all(every)
+    assert np.array_equal(_bits(f.disk_mass_many(lattice, 12.0)),
+                          _bits(_listed_disk_masses(f, lattice, 12.0)))
+    z = rng.uniform(-37.0, 37.0, 4000) + 1j * rng.uniform(-37.0, 37.0, 4000)
+    assert np.array_equal(_bits(f.density(z)), _bits(_listed_density(f, z)))
+
+
+@pytest.mark.parametrize("r", [12.0, 40.0])
+def test_bump_many_memory_is_bounded(lattice35, r):
+    # the pair arrays and whole-lattice rows stay within _PAIR_BLOCK
+    # pairs a block; the listed pairs peaked at 12.3 MB on this call
+    lattice = _search_lattice(0j, 40.0)
+    assert len(lattice) == 797
+    tracemalloc.start()
+    try:
+        lattice35.disk_mass_many(lattice, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
 def _two_piece_fractions(d, rho, r, n_nodes=48):
     """The overlap kernel as one (pairs x nodes) array a radial piece,
     with the mollifier masked to s < 1 and the wedge angle's limits as
@@ -535,6 +640,17 @@ def test_decaying_lattice_masses():
     # bump at the origin has mass 1, at k=1 mass 1/2, at k=1+1j mass 1/(1+sqrt 2)
     assert f.disk_mass(0, 0.3) == pytest.approx(1.0, rel=1e-9)
     assert f.disk_mass(1 + 0j, 0.3) == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("masses, radii", [([math.nan], [1.0]),
+                                            ([math.inf], [1.0]),
+                                            ([1.0], [math.nan]),
+                                            ([1.0], [math.inf])])
+def test_bump_lattice_rejects_non_finite_masses_and_radii(masses, radii):
+    # a nan or inf mass made every disk mass nan or inf, and a nan or inf
+    # radius a silent 0.0
+    with pytest.raises(ValueError, match="finite"):
+        BumpLattice([0j], masses, radii)
 
 
 def test_bump_lattice_has_no_potential():
