@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports its submodules on first use; this one comes with ccstruct
+from numpy.random import default_rng
 
 from .density import DensityField
 from .errors import CCStructError, DegenerateLoop
@@ -204,7 +206,7 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0):
         raise ValueError("delta must be positive and finite")
     z = complex(z)
     delta = float(delta)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     best_val = 0.0
     best_loop = None
@@ -301,7 +303,7 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0):
     upper = lambda_sup(field, z, 3.0 * delta).value
     half_t = max(upper, 1e-300)
 
-    a, b, bps = _random_controls(np.random.default_rng(seed), n_paths,
+    a, b, bps = _random_controls(default_rng(seed), n_paths,
                                  _VOLUME_INTERVALS)
     ends = integrate_endpoints(field, (z.real, z.imag, float(t)), a, b, bps,
                                delta)

@@ -22,8 +22,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy.spatial import cKDTree
 
 from . import quadrature
 from .errors import PotentialUnavailable, QuadratureFailure
@@ -305,7 +303,7 @@ def nagel_lambda_polynomial(field: PolynomialPotential, z, delta):
 # ---------------------------------------------------------------------------
 # radial fields
 
-#: relative error bound of the radial quadratures (m(r) and P(r))
+#: relative error bound of the radial quadrature of m(r)
 _RADIAL_REL_TOL = 1e-9
 #: the annulus integral of a radial disk mass: relative tolerance of the
 #: adaptive rule in ``disk_mass``, fixed order in ``disk_mass_many``
@@ -332,6 +330,8 @@ class RadialProfileDensity(DensityField):
             return 0.0
         if self._cumulative is not None:
             return float(self._cumulative(r))
+        # only a profile without a closed form loads scipy
+        from scipy import integrate as _sciint
         val, err = _sciint.quad(lambda s: s * self.profile(s), 0.0, r,
                                 epsabs=1e-13, epsrel=1e-12, limit=200)
         if err > _RADIAL_REL_TOL * max(abs(val), 1e-12):
@@ -351,17 +351,6 @@ class RadialProfileDensity(DensityField):
         """P'(r) = m(r)/r for an array of radii r > 0."""
         r = np.asarray(r, dtype=float)
         return self._cumulative_array(r) / r
-
-    def P(self, r):
-        """P(r) with the normalization P(0) = 0."""
-        r = float(r)
-        if r <= 0:
-            return 0.0
-        val, err = _sciint.quad(self.dP, 0.0, r,
-                                epsabs=1e-13, epsrel=1e-12, limit=200)
-        if err > _RADIAL_REL_TOL * max(abs(val), 1e-12):
-            raise QuadratureFailure("radial potential integral did not converge")
-        return val
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -489,13 +478,9 @@ def _mollifier(s):
     return out
 
 
-def _mollifier_plane_mass():
-    val, _ = _sciint.quad(lambda s: 2.0 * math.pi * s * float(_mollifier(np.array([s]))[0]),
-                          0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
-    return val
-
-
-_MOLLIFIER_MASS = _mollifier_plane_mass()
+#: The mollifier's plane mass, int_0^1 2 pi s exp(-1/(1-s^2)) ds, as
+#: scipy's quad gives it at epsabs 1e-14, epsrel 1e-13
+_MOLLIFIER_MASS = 0.46651239317833004
 
 
 #: Most (query, bump) pairs of the k-d tree a bump-lattice array call holds
@@ -603,6 +588,9 @@ class BumpLattice(DensityField):
         self.centers = centers
         self.masses = masses
         self.radii = radii
+        # only a bump lattice loads scipy.spatial; _near_pairs reuses the class
+        from scipy.spatial import cKDTree
+        self._kdtree = cKDTree
         self._tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         self._rho_max = float(np.max(radii))
         # the support box: (x0, x1, y0, y1) around every bump's support
@@ -622,23 +610,37 @@ class BumpLattice(DensityField):
         blocks of queries holding at most ``_PAIR_BLOCK`` pairs (a lone
         query may hold more).  A k-d tree of each block of queries meets
         the bump tree in one C-level pass, and one sort of the integer key
-        query * bumps + bump puts its pairs in order."""
+        query * bumps + bump puts its pairs in order.  The pairs are
+        counted only where the block's points times the bumps in their
+        bounding box widened by ``reach`` could exceed ``_PAIR_BLOCK``."""
         xy = np.column_stack([points.real, points.imag])
         n = len(self.centers)
         lo = 0
         while lo < len(points):
             hi = len(points)
-            block = cKDTree(xy[lo:hi])
-            while (hi - lo > 1
-                   and block.count_neighbors(self._tree, reach) > _PAIR_BLOCK):
+            while True:
+                block = self._kdtree(xy[lo:hi])
+                if (hi - lo == 1
+                        or self._pair_bound(xy[lo:hi], reach) <= _PAIR_BLOCK
+                        or block.count_neighbors(self._tree, reach)
+                        <= _PAIR_BLOCK):
+                    break
                 hi = lo + (hi - lo) // 2
-                block = cKDTree(xy[lo:hi])
             pairs = block.sparse_distance_matrix(self._tree, reach,
                                                  output_type="ndarray")
             key = np.sort(pairs["i"] * n + pairs["j"])
             qi, bi = np.divmod(key, n)
             yield qi + lo, bi
             lo = hi
+
+    def _pair_bound(self, xy, reach):
+        """An upper bound on the pairs within ``reach`` of the points ``xy``
+        (rows x, y): their number times the bumps in their bounding box
+        widened by ``reach``."""
+        (x0, y0), (x1, y1) = xy.min(axis=0) - reach, xy.max(axis=0) + reach
+        bx, by = self.centers.real, self.centers.imag
+        near = (bx >= x0) & (bx <= x1) & (by >= y0) & (by <= y1)
+        return len(xy) * int(np.count_nonzero(near))
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)

@@ -15,6 +15,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+# numpy imports its submodules on first use; this one comes with ccstruct
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
@@ -22,7 +24,7 @@ from .errors import QuadratureFailure
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    return leggauss(n)
 
 
 def gl_nodes(a: float, b: float, n: int):

@@ -258,3 +258,61 @@ def test_validate_zero_tolerance_fails(capsys):
     # degenerate tolerance: the residual report must flag the identities
     assert main(["validate", "--tol", "0"]) == 1
     assert "residual" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+_SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+
+import ccstruct.cli
+from ccstruct import SupOptions, lambda_sup, load_density_spec
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+seen = {"import": scipy_modules()}
+opts = SupOptions(n_rungs=3, grid=5, n_polish=2, polish_maxiter=20)
+for spec in sys.argv[1:]:
+    field = load_density_spec(spec)
+    lambda_sup(field, 0.5 + 0.25j, 1.5, opts)
+    seen[Path(spec).stem] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_startup_loads_scipy_only_for_bumps(tmp_path):
+    # scipy is a set-up cost of about a second: importing the CLI and
+    # running the polish must not load it; a bump lattice's k-d tree may
+    # load scipy.spatial, and nothing else of scipy runs there
+    import os
+    import subprocess
+    import sys
+
+    import ccstruct
+
+    (tmp_path / "vals.csv").write_text("1,2,1\n0.5,1,0.5\n1,2,1\n")
+    specs = {
+        "radial": ALPHA_SPEC,
+        "grid": ("family = grid\ngrid_file = vals.csv\norigin = -1,-1\n"
+                 "cell_size = 1\nextension = periodic\n"),
+        "polynomial": "family = polynomial\ncoeffs = 1,1,1,0; 2,2,0.5,0\n",
+        "bumps": "family = bump_lattice\nbumps = 0,0,1,0.25; 1,0,0.5,0.25\n",
+    }
+    for name, text in specs.items():
+        (tmp_path / f"{name}.spec").write_text(text)
+    src = os.path.dirname(os.path.dirname(ccstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE]
+        + [str(tmp_path / f"{name}.spec") for name in specs],
+        env=env, capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out)
+    for step in ("import", "radial", "grid", "polynomial"):
+        assert seen[step] == [], step
+    assert not [m for m in seen["bumps"]
+                if m.startswith(("scipy.optimize", "scipy.integrate"))]

@@ -225,7 +225,12 @@ def test_radial_gradient_finite_difference():
     f = RadialAlphaDensity(0.5)
     z = 1.2 - 0.7j
     h = 1e-6
-    P = f.P
+    # P(r) = int_0^r P'(s) ds with P(0) = 0
+    from scipy.integrate import quad
+
+    def P(r):
+        return quad(f.dP, 0.0, r, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
     px, py = f.potential_gradient(z)
     num_px = (P(abs(z + h)) - P(abs(z - h))) / (2 * h)
     num_py = (P(abs(z + 1j * h)) - P(abs(z - 1j * h))) / (2 * h)
@@ -386,6 +391,15 @@ def test_bump_many_matches_scalar():
     many = f.disk_mass_many(centers, 1.7)
     for c, v in zip(centers, many):
         assert v == pytest.approx(f.disk_mass(c, 1.7), rel=1e-8, abs=1e-12)
+
+
+def test_mollifier_mass_is_the_quad_value():
+    # the literal must be scipy quad's value of the plane mass
+    from scipy.integrate import quad
+    val, _ = quad(lambda s: 2.0 * math.pi * s
+                  * float(density._mollifier(np.array([s]))[0]),
+                  0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    assert density._MOLLIFIER_MASS == val
 
 
 def _reference_fraction_inside(d, rho, r, n_nodes=48):

@@ -16,9 +16,9 @@ from ccstruct.density import (BumpLattice, ConstantDensity,
 from ccstruct.errors import CCStructError
 from ccstruct import geometry
 from ccstruct.geometry import pen_mass, validate_stockyard
-from ccstruct.structure import (SupOptions, Window, lambda_stockyard,
-                                lambda_sup, lambda_sweep, twist, twist_many,
-                                volume_estimate)
+from ccstruct.structure import (SupOptions, Window, _nelder_mead,
+                                lambda_stockyard, lambda_sup, lambda_sweep,
+                                twist, twist_many, volume_estimate)
 from test_density import _bits
 
 
@@ -101,6 +101,50 @@ def test_lambda_sup_deterministic():
     f2 = RadialAlphaDensity(0.5)    # fresh instance, fresh cache
     b = lambda_sup(f2, 2 + 1j, 7.0, CLASSIFY_OPTS)
     assert a.value == b.value
+
+
+def _nm_objectives():
+    # each objective takes the leading coordinates of c for its dimension
+    c = np.array([0.3, -1.2, 0.7, -0.15])
+    a = np.array([[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, -0.2, 0.0],
+                  [0.0, -0.2, 0.5, 0.0], [0.1, 0.0, 0.0, 0.8]])
+
+    def quadratic(x):
+        d = x - c[:len(x)]
+        return float(d @ a[:len(x), :len(x)] @ d)
+
+    return {
+        "quadratic": quadratic,
+        # integer steps: many exact ties among the simplex values
+        "plateau": lambda x: float(np.floor(4.0 * np.sum(np.abs(
+            x - c[:len(x)])))),
+        "clipped": lambda x: -max(0.0, 1.0 - float(np.sum(
+            (x - c[:len(x)]) ** 2))),
+        "flat": lambda x: 0.0,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nm_objectives()))
+@pytest.mark.parametrize("x0", [(1.0, 2.0, -0.5), (0.0, 0.0, 0.0),
+                                (0.0, -3.0, 1e-3), (-2.5, 0.0, 4.0),
+                                (-0.9, -0.4, -4.0, -0.5)])
+@pytest.mark.parametrize("maxiter", [0, 1, 5, 60, 160])
+def test_nelder_mead_repeats_scipy_bitwise(name, x0, maxiter):
+    # the polish's port must take scipy's steps: the same x to the bit and
+    # the same evaluation count, on ties (the 4-D plateau start meets ties
+    # that a stable sort orders differently), zero start coordinates and
+    # iteration limits that stop it before any step
+    from scipy.optimize import minimize
+    fun = _nm_objectives()[name]
+    ref = minimize(fun, np.array(x0), method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": 1e-8,
+                            "fatol": 1e-12, "adaptive": True})
+    got = _nelder_mead(fun, np.array(x0), maxiter=maxiter, xatol=1e-8,
+                       fatol=1e-12)
+    assert _bits(got.x).tolist() == _bits(ref.x).tolist()
+    assert got.nfev == ref.nfev
+    assert _bits(got.fun) == _bits(ref.fun)
+    assert got.fun == fun(got.x)
 
 
 # ---------------------------------------------------------------------------
