@@ -483,20 +483,20 @@ def _mollifier(s):
 _MOLLIFIER_MASS = 0.46651239317833004
 
 
-#: Most (query, bump) pairs of the k-d tree a bump-lattice array call holds
-#: at once; bounds its pair arrays.
+#: Most (query, bump) pairs of the cell list a bump-lattice array call
+#: holds at once; bounds its pair arrays.
 _PAIR_BLOCK = 100_000
 #: Gauss-Legendre order of each radial piece of a partial bump overlap
 _BUMP_NODES = 48
-#: A bump-lattice disk mass takes arrays over every bump, not the k-d
-#: tree's candidates, where its reach covers this share of the lattice.
-#: A scalar query gets its candidates as a Python list, about 0.15 us each,
-#: and the arrays cost about 6 ns a bump, so with n bumps the arrays win
-#: once the reach holds about n/25 of them: on 5,041 bumps a disk of
-#: radius 32 takes 540 us through the tree and 50 us through the arrays.
+#: A bump-lattice disk mass takes arrays over every bump, not the cell
+#: list's candidates, where its reach covers this share of the support box.
+#: Both paths run the partial-overlap kernel on the same bumps; besides it,
+#: a scalar query on 5,041 bumps costs about 19 us plus 0.034 us a
+#: candidate through the cells and 33 us through the arrays, which meet
+#: near this share (324 candidates at share 0.055: 31 us against 32 us).
 #: An array query gets its pairs as one array, so the share matters less
-#: there: on the 149 calls of a classify on 5,041 bumps, those with r >= 15
-#: took 0.06 s as rows over every bump and 0.17 s as the tree's pairs.
+#: there: on the 149 calls of a classify on 5,041 bumps, a share of 1/5 for
+#: them took 0.310 s against 0.325 s at this one.
 _ALL_BUMPS_SHARE = 1.0 / 16.0
 
 
@@ -527,7 +527,9 @@ def _bump_fractions_inside(d, rho, r):
         half = (0.5 * (b - a))[:, :, None]
         s = a[:, :, None] + half * (x + 1.0)
         radii = rho[k:k + step, None, None] * s
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a pair with dc < 1e-15 (a subnormal dc too) may divide by 0 or
+        # overflow here; its angle is replaced below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cosv = (dc * dc + radii ** 2 - r * r) / (2.0 * dc * radii)
             # arccos(-1) = pi and arccos(1) = 0, so the clip gives 2 pi
             # wholly inside the disk and 0 wholly outside it
@@ -565,10 +567,12 @@ class BumpLattice(DensityField):
 
     A disk whose reach covers much of the lattice (``_takes_every_bump``)
     takes arrays over every bump.  Other disk masses, and the density, go
-    through a k-d tree over the bump centers, built once, which restricts
-    them to the bumps whose supports can reach them: a scalar query lists
-    them, and an array query meets a tree of its points in one C-level pass
-    that returns its pairs as one array."""
+    through a cell list built once: the bump centers binned on a uniform
+    grid over the support box, each cell's bumps one run of ``_order``.
+    The cells that meet the square of half-side ``reach`` about a query
+    form one run of ``_order`` per cell row, so a query's candidates are a
+    few slices, and an array query's pairs come out of one expansion of
+    those slices."""
 
     family = "bump_lattice"
 
@@ -588,63 +592,98 @@ class BumpLattice(DensityField):
         self.centers = centers
         self.masses = masses
         self.radii = radii
-        # only a bump lattice loads scipy.spatial; _near_pairs reuses the class
-        from scipy.spatial import cKDTree
-        self._kdtree = cKDTree
-        self._tree = cKDTree(np.column_stack([centers.real, centers.imag]))
         self._rho_max = float(np.max(radii))
         # the support box: (x0, x1, y0, y1) around every bump's support
         self._box = (float(np.min(centers.real)) - self._rho_max,
                      float(np.max(centers.real)) + self._rho_max,
                      float(np.min(centers.imag)) - self._rho_max,
                      float(np.max(centers.imag)) + self._rho_max)
+        # cells of side at least rho_max, about one bump each on an even
+        # lattice and at most 3 n + 1 of them however the bumps lie (the
+        # side is finite even where the box's width overflows)
+        x0, x1, y0, y1 = self._box
+        w, h, n = x1 - x0, y1 - y0, len(centers)
+        self._side = min(max(self._rho_max, math.sqrt(w / n) * math.sqrt(h),
+                             max(w, h) / n), np.finfo(float).max)
+        self._ncols = 1 + int(min(n, w / self._side))
+        self._nrows = 1 + int(min(n, h / self._side))
+        col, _ = self._cell_span(centers.real, 0.0, x0, self._ncols)
+        row, _ = self._cell_span(centers.imag, 0.0, y0, self._nrows)
+        cell = row * self._ncols + col
+        # cell k holds the bumps _order[_starts[k]:_starts[k + 1]], ascending
+        self._order = np.argsort(cell, kind="stable")
+        self._starts = np.searchsorted(
+            cell[self._order], np.arange(self._nrows * self._ncols + 1))
+
+    def _cell_span(self, coords, reach, origin, count):
+        """The first and last of the ``count`` cells along one axis that
+        [c - reach, c + reach] meets, for each coordinate c of an array;
+        first > last where it meets none.  Clipped in float before the
+        cast, so that no coordinate overflows or wraps an index."""
+        first = np.floor((coords - reach - origin) / self._side)
+        last = np.floor((coords + reach - origin) / self._side)
+        return (np.clip(first, 0, count).astype(np.intp),
+                np.clip(last, -1, count - 1).astype(np.intp))
+
+    def _cell_span_one(self, c, reach, origin, count):
+        """``_cell_span`` of one coordinate, on Python floats."""
+        first = (c - reach - origin) / self._side
+        last = (c + reach - origin) / self._side
+        return (math.floor(min(max(first, 0.0), count)),
+                math.floor(min(max(last, -1.0), count - 1)))
 
     def _reach(self, r):
-        # the tree's distances may differ from np.abs in the last bit, so
-        # the search radius carries a margin; extra candidates add nothing
+        # a bump adds to a disk mass where np.abs(center - bump) - rho < r,
+        # with np.abs rounded; the margin keeps every such bump strictly
+        # inside the square of half-side reach, so the cells, found from
+        # the square through monotone roundings and floor, list it.  Extra
+        # candidates add exactly 0.0
         return (r + self._rho_max) * (1.0 + 1e-12)
 
     def _near_pairs(self, points, reach):
-        """Yield (query index, bump index) arrays of the pairs within
-        ``reach``, ordered by query and then by ascending bump index, in
-        blocks of queries holding at most ``_PAIR_BLOCK`` pairs (a lone
-        query may hold more).  A k-d tree of each block of queries meets
-        the bump tree in one C-level pass, and one sort of the integer key
-        query * bumps + bump puts its pairs in order.  The pairs are
-        counted only where the block's points times the bumps in their
-        bounding box widened by ``reach`` could exceed ``_PAIR_BLOCK``."""
-        xy = np.column_stack([points.real, points.imag])
+        """Yield (query index, bump index) arrays of candidate pairs,
+        ordered by query and then by ascending bump index, in blocks of
+        queries holding at most ``_PAIR_BLOCK`` pairs (a lone query may
+        hold more).  The candidates of a query are the bumps in the cells
+        that the square of half-side ``reach`` about it meets, a superset
+        of the bumps within ``reach``.  Each (query, cell row) is one run
+        of ``_order``; the runs are counted first, the blocks cut on their
+        running total, and one sort of the integer key query * bumps + bump
+        puts each block's pairs in order."""
         n = len(self.centers)
+        x0, _, y0, _ = self._box
+        col0, col1 = self._cell_span(points.real, reach, x0, self._ncols)
+        row0, row1 = self._cell_span(points.imag, reach, y0, self._nrows)
+        rows = np.where(col0 <= col1, np.maximum(row1 - row0 + 1, 0), 0)
+        # one run per (query, cell row), queries ascending
+        run_q = np.repeat(np.arange(len(points)), rows)
+        ends = np.cumsum(rows)
+        row = row0[run_q] + np.arange(len(run_q)) - (ends - rows)[run_q]
+        first = self._starts[row * self._ncols + col0[run_q]]
+        count = self._starts[row * self._ncols + col1[run_q] + 1] - first
+        total = np.concatenate([[0], np.cumsum(count)])
+        # the pairs of the queries up to each one, on which blocks are cut
+        upto = total[ends]
         lo = 0
         while lo < len(points):
-            hi = len(points)
-            while True:
-                block = self._kdtree(xy[lo:hi])
-                if (hi - lo == 1
-                        or self._pair_bound(xy[lo:hi], reach) <= _PAIR_BLOCK
-                        or block.count_neighbors(self._tree, reach)
-                        <= _PAIR_BLOCK):
-                    break
-                hi = lo + (hi - lo) // 2
-            pairs = block.sparse_distance_matrix(self._tree, reach,
-                                                 output_type="ndarray")
-            key = np.sort(pairs["i"] * n + pairs["j"])
+            base = upto[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(upto, base + _PAIR_BLOCK,
+                                                 side="right")))
+            r0, r1 = ends[lo] - rows[lo], ends[hi - 1]
+            k = count[r0:r1]
+            # each run's positions first, first + 1, ... in _order
+            pos = np.repeat(first[r0:r1] - total[r0:r1], k) + np.arange(
+                total[r0], total[r1])
+            key = np.sort(np.repeat(run_q[r0:r1], k) * n + self._order[pos])
             qi, bi = np.divmod(key, n)
-            yield qi + lo, bi
+            yield qi, bi
             lo = hi
-
-    def _pair_bound(self, xy, reach):
-        """An upper bound on the pairs within ``reach`` of the points ``xy``
-        (rows x, y): their number times the bumps in their bounding box
-        widened by ``reach``."""
-        (x0, y0), (x1, y1) = xy.min(axis=0) - reach, xy.max(axis=0) + reach
-        bx, by = self.centers.real, self.centers.imag
-        near = (bx >= x0) & (bx <= x1) & (by >= y0) & (by <= y1)
-        return len(xy) * int(np.count_nonzero(near))
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("density points must be finite")
         out = np.zeros(flat.shape)
         for qi, bi in self._near_pairs(flat, self._reach(0.0)):
             rho = self.radii[bi]
@@ -659,21 +698,20 @@ class BumpLattice(DensityField):
         ``reach`` about it covers at least ``_ALL_BUMPS_SHARE`` of the
         support box."""
         x0, x1, y0, y1 = self._box
-        w = np.minimum(x1, centers.real + reach) - np.maximum(
-            x0, centers.real - reach)
-        h = np.minimum(y1, centers.imag + reach) - np.maximum(
-            y0, centers.imag - reach)
-        return ((w > 0) & (h > 0)
-                & (w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0)))
+        # the overlap's sides, clipped at 0 so that a far center's product
+        # does not overflow
+        w = np.maximum(np.minimum(x1, centers.real + reach)
+                       - np.maximum(x0, centers.real - reach), 0.0)
+        h = np.maximum(np.minimum(y1, centers.imag + reach)
+                       - np.maximum(y0, centers.imag - reach), 0.0)
+        return w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0)
 
     def _disk_mass(self, center, r):
         reach = self._reach(r)
         if self._takes_every_bump(center, reach):
             centers, masses, radii = self.centers, self.masses, self.radii
         else:
-            idx = np.asarray(self._tree.query_ball_point(
-                (center.real, center.imag), reach, return_sorted=True),
-                dtype=np.intp)
+            idx = self._candidates(center, reach)
             centers, masses, radii = (self.centers[idx], self.masses[idx],
                                       self.radii[idx])
         d = np.abs(centers - center)
@@ -686,13 +724,28 @@ class BumpLattice(DensityField):
         fracs = _bump_fractions_inside(d[partial], radii[partial], r)
         for v in masses[partial] * fracs:
             total += v
-        return total
+        return float(total)
+
+    def _candidates(self, center, reach):
+        """``_near_pairs`` for one complex center, on Python scalars: the
+        ascending indices of the bumps in the cells that the square of
+        half-side ``reach`` about it meets."""
+        x0, _, y0, _ = self._box
+        col0, col1 = self._cell_span_one(center.real, reach, x0, self._ncols)
+        row0, row1 = self._cell_span_one(center.imag, reach, y0, self._nrows)
+        if col0 > col1 or row0 > row1:
+            return np.empty(0, np.intp)
+        starts, ncols = self._starts, self._ncols
+        return np.sort(np.concatenate([
+            self._order[starts[row * ncols + col0]:
+                        starts[row * ncols + col1 + 1]]
+            for row in range(row0, row1 + 1)]))
 
     def _disk_masses(self, centers, r):
         """Each center's mass is the sum, in ascending bump index, of its
         bumps' held masses: one row over every bump where the reach covers
-        much of the lattice, the tree's pairs otherwise.  A bump beyond the
-        reach adds exactly 0.0, so both give the same bits."""
+        much of the lattice, the cell list's pairs otherwise.  A bump beyond
+        the reach adds exactly 0.0, so both give the same bits."""
         reach = self._reach(r)
         out = np.zeros(centers.shape)
         every = self._takes_every_bump(centers, reach)

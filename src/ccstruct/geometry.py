@@ -11,6 +11,7 @@ integral reports the (positive) enclosed mass directly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -221,9 +222,11 @@ class Pen:
 
     @classmethod
     def circle(cls, center, radius):
-        if radius <= 0:
-            raise ValueError("circle radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("circle radius must be positive and finite")
         center = complex(center)
+        if not cmath.isfinite(center):
+            raise ValueError("circle center must be finite")
         return cls("circle", circle_curve(center, radius),
                    2.0 * math.pi * radius, {"center": center, "radius": radius})
 
@@ -232,6 +235,8 @@ class Pen:
         vs = [complex(v) for v in vertices]
         if len(vs) < 3:
             raise ValueError("a polygon pen needs at least 3 vertices")
+        if not all(map(cmath.isfinite, vs)):
+            raise ValueError("polygon vertices must be finite")
         if abs(_polygon_signed_area(vs)) < GEOM_TOL:
             raise ValueError("degenerate polygon (zero area)")
         if _polygon_signed_area(vs) > 0:  # ccw input: flip to mass-positive

@@ -285,10 +285,10 @@ print(json.dumps(seen))
 """
 
 
-def test_startup_loads_scipy_only_for_bumps(tmp_path):
-    # scipy is a set-up cost of about a second: importing the CLI and
-    # running the polish must not load it; a bump lattice's k-d tree may
-    # load scipy.spatial, and nothing else of scipy runs there
+def test_startup_loads_no_scipy(tmp_path):
+    # scipy is a set-up cost of about a second: importing the CLI, running
+    # the polish and building any of these fields (a bump lattice's cell
+    # list included) must not load it
     import os
     import subprocess
     import sys
@@ -312,7 +312,5 @@ def test_startup_loads_scipy_only_for_bumps(tmp_path):
         + [str(tmp_path / f"{name}.spec") for name in specs],
         env=env, capture_output=True, text=True, check=True).stdout
     seen = json.loads(out)
-    for step in ("import", "radial", "grid", "polynomial"):
+    for step in ("import", "radial", "grid", "polynomial", "bumps"):
         assert seen[step] == [], step
-    assert not [m for m in seen["bumps"]
-                if m.startswith(("scipy.optimize", "scipy.integrate"))]

@@ -494,15 +494,18 @@ def test_bump_disk_mass_bitwise_at_c12_oracle_points():
 
 
 def _listed_pairs(f, points, reach):
-    """The former pair search: the k-d tree's Python index lists, sorted
-    by bump index, in blocks of about ``_PAIR_BLOCK`` pairs."""
+    """The former pair search: a k-d tree's Python index lists over the
+    bump centers, sorted by bump index, in blocks of about ``_PAIR_BLOCK``
+    pairs."""
+    from scipy.spatial import cKDTree
+    tree = cKDTree(np.column_stack([f.centers.real, f.centers.imag]))
     xy = np.column_stack([points.real, points.imag])
-    counts = f._tree.query_ball_point(xy, reach, return_length=True)
+    counts = tree.query_ball_point(xy, reach, return_length=True)
     block = np.cumsum(counts) // density._PAIR_BLOCK
     edges = [0, *(np.flatnonzero(np.diff(block)) + 1), len(points)]
     for lo, hi in zip(edges[:-1], edges[1:]):
         n = counts[lo:hi]
-        lists = f._tree.query_ball_point(xy[lo:hi], reach, return_sorted=True)
+        lists = tree.query_ball_point(xy[lo:hi], reach, return_sorted=True)
         bi = np.fromiter(itertools.chain.from_iterable(lists),
                          dtype=np.intp, count=int(np.sum(n)))
         yield np.repeat(np.arange(lo, hi), n), bi
@@ -595,6 +598,96 @@ def test_bump_many_memory_is_bounded(lattice35, r):
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+_mass = st.floats(min_value=0.1, max_value=2.0)
+_small = st.floats(min_value=0.01, max_value=0.5)
+_bump = st.tuples(_coord, _coord, _mass, _small)
+_awkward_lattices = st.one_of(
+    # a single bump
+    _bump.map(lambda b: [b]),
+    # collinear bumps: a support box of height 2 rho
+    st.builds(lambda y, xs, rho: [(x, y, 1.0, rho) for x in xs],
+              _coord, st.lists(_coord, min_size=2, max_size=12), _small),
+    # coincident centers
+    st.builds(lambda b, n: [b[:2] + (b[2] * (k + 1), b[3] / (k + 1))
+                            for k in range(n)],
+              _bump, st.integers(min_value=2, max_value=5)),
+    # one large-rho bump among small ones
+    st.builds(lambda big, small: [big] + small,
+              st.tuples(_coord, _coord, _mass,
+                        st.floats(min_value=3.0, max_value=20.0)),
+              st.lists(st.tuples(_coord, _coord, _mass,
+                                 st.floats(min_value=0.01, max_value=0.2)),
+                       min_size=1, max_size=20)))
+_far = st.sampled_from([(1e200, 0.0), (-1e200, 0.0), (0.0, 1e200),
+                        (0.0, -1e200), (1e200, -1e200), (-40.0, 35.0)])
+_queries = st.lists(st.one_of(st.tuples(st.floats(-8.0, 8.0),
+                                        st.floats(-8.0, 8.0)),
+                              st.integers(min_value=0, max_value=20), _far),
+                    min_size=1, max_size=8)
+
+
+def _all_bump_disk_masses(f, centers, r):
+    """The array path's sum over every bump: each center's held masses
+    added in ascending bump index."""
+    return np.array([np.cumsum(density._held_masses(
+        np.abs(c - f.centers), r, f.masses, f.radii))[-1] for c in centers])
+
+
+@given(bumps=_awkward_lattices, queries=_queries,
+       r=st.floats(min_value=1e-3, max_value=30.0))
+@example(bumps=[(0.0, 0.0, 1.0, 0.25)], queries=[(1e200, 0.0), 0], r=0.5)
+@example(bumps=[(-3.0, 1.0, 1.0, 0.05), (3.0, 1.0, 1.0, 0.05),
+                (0.0, 1.0, 1.0, 0.05)],
+         queries=[(0.0, 1.1), (-3.0, -1e200)], r=2.9)
+@settings(max_examples=80, deadline=None)
+def test_bump_cell_list_on_awkward_lattices(bumps, queries, r):
+    """The cell list's candidates hold every bump within the reach, in
+    ascending index, on a single bump, collinear and coincident bumps, one
+    wide bump among narrow ones, and queries far outside the box; the disk
+    masses keep the all-bump sums' bits."""
+    xs, ys, masses, radii = map(np.array, zip(*bumps))
+    f = BumpLattice(xs + 1j * ys, masses, radii)
+    zs = np.array([complex(f.centers[q % len(f.centers)])
+                   if isinstance(q, int) else complex(*q) for q in queries])
+    reach = f._reach(r)
+    pairs = list(f._near_pairs(zs, reach))
+    qi = np.concatenate([p[0] for p in pairs])
+    bi = np.concatenate([p[1] for p in pairs])
+    key = qi * len(f.centers) + bi
+    assert np.all(np.diff(key) > 0)
+    for k, z in enumerate(zs):
+        near = np.flatnonzero(np.abs(z - f.centers) <= reach)
+        cand = f._candidates(z, reach)
+        assert np.all(np.diff(cand) > 0)
+        assert set(near) <= set(cand)
+        assert set(near) <= set(bi[qi == k])
+        got = f.disk_mass(z, r)
+        assert type(got) is float
+        assert _bits(got) == _bits(_reference_disk_mass(f, z, r))
+    assert np.array_equal(_bits(f.disk_mass_many(zs, r)),
+                          _bits(_all_bump_disk_masses(f, zs, r)))
+    assert f.density(zs) == pytest.approx(_reference_density(f, zs),
+                                          rel=1e-12, abs=0.0)
+
+
+def test_bump_disk_mass_is_a_float():
+    # the sum that adds a partial bump, and the one that adds none, both
+    # return a Python float with the all-pairs bits
+    f = decaying_bump_lattice(5)
+    for z, r, partial in ((0.3 + 0.1j, 0.7, True), (0j, 0.3, False)):
+        d = np.abs(f.centers - z)
+        assert np.any((d + f.radii > r) & (d - f.radii < r)) == partial
+        got = f.disk_mass(z, r)
+        assert type(got) is float
+        assert _bits(got) == _bits(_reference_disk_mass(f, z, r))
+
+
+def test_bump_density_rejects_non_finite_points():
+    f = BumpLattice([0j], [1.0], [0.25])
+    with pytest.raises(ValueError, match="finite"):
+        f.density(np.array([0j, complex(math.nan, 0.0)]))
 
 
 def _two_piece_fractions(d, rho, r, n_nodes=48):

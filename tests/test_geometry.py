@@ -99,6 +99,22 @@ def test_pen_polygon_orientation_normalized():
         4.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Pen.polygon([0, 1, complex(math.nan, 0.0)]),
+    lambda: Pen.polygon([0, 1, complex(0.0, math.inf)]),
+    lambda: Pen.circle(complex(math.nan, 0.0), 1.0),
+    lambda: Pen.circle(complex(0.0, -math.inf), 1.0),
+    lambda: Pen.circle(0j, math.inf),
+    lambda: Pen.circle(0j, math.nan),
+], ids=["polygon-nan", "polygon-inf", "circle-nan-center",
+        "circle-inf-center", "circle-inf-radius", "circle-nan-radius"])
+def test_pen_rejects_non_finite_input(make):
+    # a nan vertex gave fencing nan, and a nan center or an infinite
+    # radius a pen that every later step misreads
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_pen_mass_nonconvex_polygon():
     # L-shaped hexagon, area 3: mass = 4 * 3 for P = |z|^2
     vs = [0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]
