@@ -74,12 +74,6 @@ def _random_controls(rng, n_paths, n_intervals):
     return r * np.cos(th), r * np.sin(th), bps
 
 
-def random_control(rng, n_intervals=8):
-    """Uniform-in-disk piecewise-constant control on a uniform partition."""
-    a, b, bps = _random_controls(rng, 1, n_intervals)
-    return ControlSignal(tuple(bps), tuple(zip(a[0], b[0])))
-
-
 def integrate_path(field: DensityField, start, control: ControlSignal,
                    delta, steps=16):
     """End state (x, y, t) of the horizontal ODE from ``start`` under

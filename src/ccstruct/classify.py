@@ -36,12 +36,15 @@ from .structure import SupOptions, Window, lambda_sup, optimize_weighted_disk
 CLASSIFY_OPTS = SupOptions(n_rungs=10, grid=17, n_polish=2,
                            polish_maxiter=60)
 
-#: the fixed rules of the verdict: the slope bands of the two types, the
-#: crossover scales delta* tried by both condition checks, their trend
-#: slope bounds (linear over the last LINEAR_TREND_TAIL rungs), the
-#: quadratic band-ratio bound, and the bound that flags a doubling ratio
+#: the fixed rules of the verdict: the slope bands of the two types, their
+#: slack and the widest cross-z slope spread, the crossover scales delta*
+#: tried by both condition checks, their trend slope bounds (linear over
+#: the last LINEAR_TREND_TAIL rungs), the quadratic band-ratio bound, and
+#: the bound that flags a doubling ratio
 LINEAR_BAND = (0.85, 1.15)
 QUADRATIC_BAND = (1.85, 2.15)
+SLOPE_TOL = 0.15
+SPREAD_TOL = 0.3
 DELTA_STAR_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0)
 LINEAR_TREND_TOL = 0.2
 LINEAR_TREND_TAIL = 4
@@ -225,7 +228,7 @@ def check_quadratic_conditions(window: Window, deltas, table):
     return check_a, check_b
 
 
-def _decide(slopes, spread, linear_ok, quadratic_ok, slope_tol, spread_tol):
+def _decide(slopes, spread, linear_ok, quadratic_ok):
     """Verdict rule combining slope geometry with the condition checks.
 
     The checks carry the structural evidence; slopes alone decide only
@@ -248,17 +251,16 @@ def _decide(slopes, spread, linear_ok, quadratic_ok, slope_tol, spread_tol):
         return "Quadratic"
 
     # neither family of conditions holds
-    if spread <= spread_tol:
-        in_linear = lin_lo - slope_tol <= mean <= lin_hi + slope_tol
-        in_quadratic = quad_lo - slope_tol <= mean <= quad_hi + slope_tol
+    if spread <= SPREAD_TOL:
+        in_linear = lin_lo - SLOPE_TOL <= mean <= lin_hi + SLOPE_TOL
+        in_quadratic = quad_lo - SLOPE_TOL <= mean <= quad_hi + SLOPE_TOL
         if not in_linear and not in_quadratic:
             return "NoUGS"      # uniform growth at an inadmissible exponent
         return "Inconclusive"   # slopes look fine but checks disagree
     return "NoUGS"              # exponent varies with the base point
 
 
-def dichotomy_probe(field: DensityField, window: Window, deltas,
-                    slope_tol=0.15, spread_tol=0.3):
+def dichotomy_probe(field: DensityField, window: Window, deltas):
     """Probe the linear/quadratic dichotomy on the window.
 
     Fits a log-log slope of the structure proxy per base point, runs both
@@ -267,7 +269,7 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
     """
     deltas = tuple(sorted(float(d) for d in deltas))
     slopes = {}
-    meta = {"slope_tol": slope_tol, "spread_tol": spread_tol,
+    meta = {"slope_tol": SLOPE_TOL, "spread_tol": SPREAD_TOL,
             "opts": astuple(CLASSIFY_OPTS)}
 
     enough = len(deltas) >= 3 and deltas[-1] / deltas[0] >= 100.0
@@ -289,8 +291,7 @@ def dichotomy_probe(field: DensityField, window: Window, deltas,
     linear_ok = lin_a.verdict == "pass" and lin_b.verdict == "pass"
     quadratic_ok = quad_a.verdict == "pass" and quad_b.verdict == "pass"
 
-    verdict = _decide(slopes, spread, linear_ok, quadratic_ok,
-                      slope_tol, spread_tol)
+    verdict = _decide(slopes, spread, linear_ok, quadratic_ok)
     checks = [lin_a, lin_b, quad_a, quad_b]
     return UGSReport(verdict, checks, slopes, spread, window.as_dict(),
                      deltas, meta)

@@ -186,9 +186,7 @@ def cmd_classify(args):
     field = _load_field(args)
     window = _parse_window(args.window)
     deltas = _parse_deltas(args.delta)
-    report = classify.dichotomy_probe(field, window, deltas,
-                                      slope_tol=args.slope_tol,
-                                      spread_tol=args.spread_tol)
+    report = classify.dichotomy_probe(field, window, deltas)
     _write_json(args, {"report": report.as_dict()})
     print(report.verdict)
     return EXIT_OK
@@ -356,10 +354,8 @@ def build_parser():
     p.add_argument("--method", choices=("sup", "stockyard", "direct"),
                    default="sup")
 
-    p = subcommand("classify", cmd_classify, "UGS dichotomy probe",
-                   "density", "window", "delta", "out")
-    p.add_argument("--slope-tol", type=float, default=0.15)
-    p.add_argument("--spread-tol", type=float, default=0.3)
+    subcommand("classify", cmd_classify, "UGS dichotomy probe",
+               "density", "window", "delta", "out")
 
     p = subcommand("volume", cmd_volume, "ball-volume sandwich + Monte Carlo",
                    "density", "z", "delta", "seed", "out", "format")

@@ -13,7 +13,7 @@ lattice.
 Field operations are pure and never change the field.  The one state a
 field carries past construction is the memo that
 ``structure.lambda_sup`` stores on it as ``_lambda_cache`` (ROADMAP item
-4 moves it off the field).
+6 moves it off the field).
 """
 
 from __future__ import annotations
@@ -93,14 +93,22 @@ def _poly_is_zero(coeffs: np.ndarray) -> bool:
 class DensityField:
     """Base class: a plane density with optional potential data.
 
-    A family implements ``density``, the array kernel ``_disk_masses``
-    (flat finite centers, float radius r > 0) that ``disk_mass`` and
-    ``disk_mass_many`` run, and ``_disk_mass`` only where one disk differs."""
+    A family implements ``_density`` (a finite complex array) that
+    ``density`` runs, the array kernel ``_disk_masses`` (flat finite
+    centers, float radius r > 0) that ``disk_mass`` and ``disk_mass_many``
+    run, and ``_disk_mass`` only where one disk differs."""
 
     family = "abstract"
 
     def density(self, z):
-        """Density value(s) at complex point(s) ``z``.  Vectorized."""
+        """Density value(s) at complex point(s) ``z``, in their shape;
+        raises ValueError at a point that is not finite."""
+        z = np.asarray(z, dtype=complex)
+        if not np.isfinite(z).all():
+            raise ValueError("density points must be finite")
+        return self._density(z)
+
+    def _density(self, z):
         raise NotImplementedError
 
     def potential_gradient(self, z):
@@ -162,8 +170,7 @@ class ConstantDensity(DensityField):
                              "use ZeroDensity for the zero test double")
         self.c = c
 
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
+    def _density(self, z):
         return np.full(z.shape, self.c)
 
     def potential_gradient(self, z):
@@ -180,8 +187,7 @@ class ZeroDensity(DensityField):
 
     family = "zero"
 
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
+    def _density(self, z):
         return np.zeros(z.shape)
 
     def potential_gradient(self, z):
@@ -255,7 +261,7 @@ class PolynomialPotential(DensityField):
             Q = _poly_dzbar(_poly_dz(Q))
         return out
 
-    def density(self, z):
+    def _density(self, z):
         vals = _poly_eval(self.lap_coeffs, z).real
         return np.maximum(vals, 0.0)
 
@@ -352,8 +358,7 @@ class RadialProfileDensity(DensityField):
         r = np.asarray(r, dtype=float)
         return self._cumulative_array(r) / r
 
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
+    def _density(self, z):
         return np.asarray(self.profile(np.abs(z)), dtype=float)
 
     def potential_gradient(self, z):
@@ -679,11 +684,8 @@ class BumpLattice(DensityField):
             yield qi, bi
             lo = hi
 
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
+    def _density(self, z):
         flat = z.ravel()
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("density points must be finite")
         out = np.zeros(flat.shape)
         for qi, bi in self._near_pairs(flat, self._reach(0.0)):
             rho = self.radii[bi]
@@ -826,8 +828,7 @@ class GridDensity(DensityField):
         self._column_tables = np.stack([cum, values, half_slope]).reshape(
             3, -1)
 
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
+    def _density(self, z):
         gx = (z.real - self.origin.real) / self.cell_size
         gy = (z.imag - self.origin.imag) / self.cell_size
         ny, nx = self.values.shape

@@ -172,7 +172,8 @@ def polygon_curve(vertices):
 def _polygon_signed_area(vertices):
     vs = np.asarray(vertices, dtype=complex)
     nxt = np.roll(vs, -1)
-    return 0.5 * float(np.sum(vs.real * nxt.imag - nxt.real * vs.imag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.sum(vs.real * nxt.imag - nxt.real * vs.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,9 @@ class Pen:
 
     @classmethod
     def circle(cls, center, radius):
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValueError("circle radius must be positive and finite")
+        if not (radius > 0 and math.isfinite(2.0 * math.pi * radius)):
+            raise ValueError("circle radius must be positive, its fencing "
+                             "finite")
         center = complex(center)
         if not cmath.isfinite(center):
             raise ValueError("circle center must be finite")
@@ -237,11 +239,14 @@ class Pen:
             raise ValueError("a polygon pen needs at least 3 vertices")
         if not all(map(cmath.isfinite, vs)):
             raise ValueError("polygon vertices must be finite")
-        if abs(_polygon_signed_area(vs)) < GEOM_TOL:
-            raise ValueError("degenerate polygon (zero area)")
-        if _polygon_signed_area(vs) > 0:  # ccw input: flip to mass-positive
+        area = _polygon_signed_area(vs)
+        if area > 0:  # ccw input: flip to mass-positive
             vs = vs[::-1]
         perimeter = sum(abs(b - a) for a, b in zip(vs, vs[1:] + vs[:1]))
+        if not (math.isfinite(area) and math.isfinite(perimeter)):
+            raise ValueError("polygon area and fencing must be finite")
+        if abs(area) < GEOM_TOL:
+            raise ValueError("degenerate polygon (zero area)")
         return cls("polygon", polygon_curve(vs), perimeter, {"vertices": vs})
 
     def __repr__(self):

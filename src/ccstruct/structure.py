@@ -56,16 +56,14 @@ class SupOptions:
     n_rungs: int = 16
     grid: int = 33
     n_polish: int = 5
-    delta_hat_min: float = DELTA_HAT_MIN
     polish_maxiter: int = 160
 
     def __post_init__(self):
         if not (self.n_rungs >= 1 and self.grid >= 3 and self.n_polish >= 1
-                and self.polish_maxiter >= 0 and self.delta_hat_min > 0
-                and math.isfinite(self.delta_hat_min)):
+                and self.polish_maxiter >= 0):
             raise ValueError(
-                "need n_rungs >= 1, grid >= 3, n_polish >= 1, polish_maxiter "
-                f">= 0 and a positive finite delta_hat_min, got {self}")
+                "need n_rungs >= 1, grid >= 3, n_polish >= 1 and "
+                f"polish_maxiter >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ _sciopt = types.SimpleNamespace(minimize=_nelder_mead)
 def optimize_weighted_disk(field: DensityField, center, search_radius,
                            dh_max, scale, opts: SupOptions):
     """Maximize (scale / h) * mu(zhat, h) over zhat in B(center, R) and
-    h in [dh_min, dh_max], with dh_min = min(opts.delta_hat_min, dh_max).
+    h in [dh_min, dh_max], with dh_min = min(DELTA_HAT_MIN, dh_max).
 
     Coarse stage: log-spaced ladder of h crossed with a square lattice
     masked to the disk; the top cells are re-evaluated with the accurate
@@ -205,7 +203,7 @@ def optimize_weighted_disk(field: DensityField, center, search_radius,
     """
     center = complex(center)
     dh_max = float(dh_max)
-    dh_min = min(opts.delta_hat_min, dh_max)
+    dh_min = min(DELTA_HAT_MIN, dh_max)
 
     if dh_min == dh_max:
         rungs = np.array([dh_max])
@@ -281,8 +279,7 @@ def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
                                             opts)
     if not math.isfinite(value):
         raise CCStructError(f"lambda_sup at delta={delta!r} is {value}")
-    est = LambdaEstimate(z, delta, value, "sup", "upper_comparable",
-                         witness, {"delta_hat_min": opts.delta_hat_min})
+    est = LambdaEstimate(z, delta, value, "sup", "upper_comparable", witness)
     cache[key] = est
     return est
 

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ccstruct.ccpath import (ControlSignal, ball_volume_mc,
+from ccstruct.ccpath import (ControlSignal, _random_controls, ball_volume_mc,
                              control_from_polygon, integrate_endpoints,
                              integrate_path, loop_displacement,
-                             random_control, sample_lambda_direct)
+                             sample_lambda_direct)
 from ccstruct.density import (ConstantDensity, PolynomialPotential,
                               RadialAlphaDensity, ZeroDensity)
 from ccstruct.geometry import circle_curve, polygon_curve
@@ -18,6 +18,15 @@ from ccstruct.structure import lambda_sup
 P_Z2 = PolynomialPotential({(1, 1): 1.0})
 P_Z4 = PolynomialPotential({(2, 2): 1.0})
 RADIAL = RadialAlphaDensity(0.5)
+
+
+def _controls(seed, n_paths, n_intervals=8):
+    """``n_paths`` random controls, drawn as ``ball_volume_mc`` draws its
+    paths."""
+    a, b, bps = _random_controls(np.random.default_rng(seed), n_paths,
+                                 n_intervals)
+    return [ControlSignal(tuple(bps), tuple(zip(ar, br)))
+            for ar, br in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +46,7 @@ def test_control_validation():
 
 
 def test_random_control_respects_constraint():
-    rng = np.random.default_rng(0)
-    c = random_control(rng, 8)
+    (c,) = _controls(0, 1, 8)
     assert c.n_intervals == 8
     assert all(a * a + b * b <= 1 + 1e-12 for a, b in c.values)
 
@@ -60,8 +68,7 @@ def test_straight_control_planar_part():
 
 
 def test_t_translation_invariance():
-    rng = np.random.default_rng(5)
-    c = random_control(rng, 4)
+    (c,) = _controls(5, 1, 4)
     x0, y0, t0 = integrate_path(P_Z2, (0.5, -0.5, 0.0), c, 1.5)
     x7, y7, t7 = integrate_path(P_Z2, (0.5, -0.5, 7.0), c, 1.5)
     assert (x7, y7) == pytest.approx((x0, y0))
@@ -112,7 +119,7 @@ def test_bridge_identity_random_loops(field):
 
 @pytest.mark.parametrize("field", [P_Z4, RADIAL])
 def test_batch_matches_single_paths_bitwise(field):
-    controls = [random_control(np.random.default_rng(i), 8) for i in range(50)]
+    controls = _controls(0, 50)
     a = np.array([[v[0] for v in c.values] for c in controls])
     b = np.array([[v[1] for v in c.values] for c in controls])
     start = (0.3, -0.7, 1.0)

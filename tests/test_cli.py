@@ -141,7 +141,8 @@ UNREAD_FLAGS = {
     "sweep": (["--window=0,0,1,1,2", "--delta", "1"],
               ["--jobs=2", "--tol=9"]),
     "classify": (["--window=0,0,1,1,2", "--delta", "1"],
-                 ["--seed=5", "--jobs=2", "--format=csv", "--tol=9"]),
+                 ["--seed=5", "--jobs=2", "--format=csv", "--tol=9",
+                  "--slope-tol=0.15", "--spread-tol=0.3"]),
     "volume": (["--z", "0,0", "--delta", "1", "--n-paths", "1000"],
                ["--jobs=2", "--tol=9"]),
     "validate": (None, ["--density=nope.spec", "--seed=5", "--jobs=2",

@@ -80,6 +80,18 @@ def test_disk_mass_many_keeps_the_shape_of_its_centers():
             assert many.shape == cs.shape and many.dtype == float
 
 
+def test_density_rejects_non_finite_points():
+    # each family gave its own answer here: c, 0.0, nan or a ValueError
+    for f in _one_field_per_family():
+        for z in (complex(math.nan, 0.0), complex(0.0, math.inf),
+                  np.array([0.5 + 0.5j, complex(-math.inf, 1.0)])):
+            with pytest.raises(ValueError, match="finite"):
+                f.density(z)
+        vals = f.density(np.array([[0j, 0.5 + 0.5j]]))
+        assert vals.shape == (1, 2) and vals.dtype == float
+        assert np.all(np.isfinite(vals))
+
+
 def test_disk_mass_is_the_array_kernel_on_one_center():
     # the families without a scalar path of their own: disk_mass runs
     # disk_mass_many's kernel, so the two agree to the last bit

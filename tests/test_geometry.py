@@ -106,11 +106,16 @@ def test_pen_polygon_orientation_normalized():
     lambda: Pen.circle(complex(0.0, -math.inf), 1.0),
     lambda: Pen.circle(0j, math.inf),
     lambda: Pen.circle(0j, math.nan),
+    lambda: Pen.polygon([0, 1e200, 1e200j]),
+    lambda: Pen.polygon([0, 1e308, 1e308j]),
+    lambda: Pen.circle(0j, 1e308),
 ], ids=["polygon-nan", "polygon-inf", "circle-nan-center",
-        "circle-inf-center", "circle-inf-radius", "circle-nan-radius"])
+        "circle-inf-center", "circle-inf-radius", "circle-nan-radius",
+        "polygon-1e200", "polygon-1e308", "circle-1e308"])
 def test_pen_rejects_non_finite_input(make):
     # a nan vertex gave fencing nan, and a nan center or an infinite
-    # radius a pen that every later step misreads
+    # radius a pen that every later step misreads; finite input whose
+    # area or fencing overflows gave an infinite pen
     with pytest.raises(ValueError, match="finite"):
         make()
 
