@@ -41,6 +41,10 @@ CLI_CASES = {
     "classify_constant.json": [
         "classify", "--density", "constant.spec", "--window=-2,-2,2,2,2",
         "--delta", "1:100:7"],
+    # decaying_bump_lattice(8), the c12 regime on a smaller lattice
+    "classify_bump_lattice.json": [
+        "classify", "--density", "bump_lattice.spec", "--window=0,0,0,0,1",
+        "--delta", "0.4:40:5"],
 }
 
 #: stdout of ``validate`` (its residuals come from boundary_line_integral)
