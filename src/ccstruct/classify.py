@@ -30,7 +30,8 @@ from dataclasses import asdict, astuple, dataclass, field as dc_field
 import numpy as np
 
 from .density import DensityField
-from .structure import SupOptions, Window, lambda_sup, optimize_weighted_disk
+from .structure import (SupOptions, Window, lambda_sup,
+                        optimize_weighted_disk, prime_lambda_sup)
 
 #: reduced search budget for classification sweeps (many lambda_sup calls)
 CLASSIFY_OPTS = SupOptions(n_rungs=10, grid=17, n_polish=2,
@@ -138,15 +139,16 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
         {"trend_slope": trend, "trend_tol": LINEAR_TREND_TOL,
          "per_delta_sup": per_delta_sup.tolist(), "deltas": list(deltas)})
 
+    # every delta* x z search in one polish
+    zs = window.points()
+    found = optimize_weighted_disk(
+        field, [(z, dstar, dstar / 2.0, 1.0)
+                for dstar in DELTA_STAR_LADDER for z in zs], CLASSIFY_OPTS)
     best = None
-    for dstar in DELTA_STAR_LADDER:
+    for k, dstar in enumerate(DELTA_STAR_LADDER):
         m_reach = dstar / 2.0
-        per_z = []
-        for z in window.points():
-            val, _ = optimize_weighted_disk(field, z, dstar, m_reach, 1.0,
-                                            CLASSIFY_OPTS)
-            per_z.append(val)
-        per_z = np.asarray(per_z)
+        per_z = np.asarray([val for val, _, _ in
+                            found[k * len(zs):(k + 1) * len(zs)]])
         inf_v = float(per_z.min())
         med_v = float(np.median(per_z))
         ok = med_v > 0 and inf_v >= 1e-3 * med_v
@@ -279,6 +281,9 @@ def dichotomy_probe(field: DensityField, window: Window, deltas):
         report.meta["reason"] = "delta ladder spans fewer than two decades"
         return report
 
+    # every window x ladder search in one polish, then each from the memo
+    prime_lambda_sup(field, [(z, d) for z in window.points() for d in deltas],
+                     CLASSIFY_OPTS)
     for z in window.points():
         vals = [lambda_sup(field, z, d, CLASSIFY_OPTS).value for d in deltas]
         slopes[z] = fit_loglog_slope(deltas, vals)

@@ -201,6 +201,9 @@ def cmd_volume(args):
     columns = ["re(z)", "im(z)", "delta", "lower", "upper",
                "mc_estimate", "mc_lo", "mc_hi", "in_sandwich"]
     rows = []
+    # every delta's searches in one polish
+    structure.prime_lambda_sup(field, [
+        cell for d in deltas for cell in structure.volume_search_cells(z, d)])
     for d in deltas:
         try:
             lower, upper = structure.volume_estimate(field, z, d)

@@ -43,9 +43,11 @@ KERNEL_BUDGET = 12_000
 
 
 def _check_disk(r, centers=0j):
-    """Reject a radius that is not positive and finite, and a center
-    (or an array of centers) that is not finite."""
-    if not (math.isfinite(r) and r > 0):
+    """Reject a radius (or an array of radii) that is not positive and
+    finite, and a center (or an array of centers) that is not finite."""
+    positive = (np.all(np.isfinite(r) & (r > 0)) if isinstance(r, np.ndarray)
+                else math.isfinite(r) and r > 0)
+    if not positive:
         raise ValueError("disk radius must be positive and finite")
     finite = (np.isfinite(centers).all() if isinstance(centers, np.ndarray)
               else cmath.isfinite(complex(centers)))
@@ -96,7 +98,10 @@ class DensityField:
     A family implements ``_density`` (a finite complex array) that
     ``density`` runs, the array kernel ``_disk_masses`` (flat finite
     centers, float radius r > 0) that ``disk_mass`` and ``disk_mass_many``
-    run, and ``_disk_mass`` only where one disk differs."""
+    run, and ``_disk_mass`` only where one disk differs.  A family whose
+    ``_disk_mass`` is not ``_disk_masses`` at one center may give
+    ``_disk_mass_batch`` (flat centers, flat radii) a kernel of its own;
+    by default it runs ``_disk_mass`` pair by pair."""
 
     family = "abstract"
 
@@ -121,9 +126,22 @@ class DensityField:
     # -- disk mass ---------------------------------------------------------
 
     def disk_mass(self, center, r):
-        """mu(center, r), exact or to relative tolerance DISK_MASS_REL_TOL."""
-        _check_disk(r, center)
-        return self._disk_mass(complex(center), float(r))
+        """mu(center, r), exact or to relative tolerance DISK_MASS_REL_TOL.
+
+        ``center`` and ``r`` may also be arrays of one shape: then the mass
+        of each (center, radius) pair, in that shape, each with the bits of
+        its lone call."""
+        if np.ndim(center) == 0 and np.ndim(r) == 0:
+            _check_disk(r, center)
+            return self._disk_mass(complex(center), float(r))
+        centers = np.asarray(center, dtype=complex)
+        radii = np.asarray(r, dtype=float)
+        if centers.shape != radii.shape:
+            raise ValueError(f"centers of shape {centers.shape} and radii of "
+                             f"shape {radii.shape} do not pair up")
+        _check_disk(radii, centers)
+        return self._disk_mass_batch(centers.ravel(), radii.ravel()).reshape(
+            centers.shape)
 
     def disk_mass_many(self, centers, r):
         """mu over an array of centers at a common radius, in its shape.
@@ -138,6 +156,10 @@ class DensityField:
 
     def _disk_mass(self, center, r):
         return float(self._disk_masses(np.array([center]), r)[0])
+
+    def _disk_mass_batch(self, centers, radii):
+        return np.array([self._disk_mass(c, r) for c, r in
+                         zip(centers.tolist(), radii.tolist())], dtype=float)
 
     def _disk_masses(self, centers, r):
         raise NotImplementedError
@@ -272,7 +294,11 @@ class PolynomialPotential(DensityField):
     def _disk_masses(self, centers, r):
         total = np.zeros(centers.shape)
         for a, Q in enumerate(self._diag_derivs):
-            coef = math.pi * r ** (2 * a + 2) / ((a + 1) * math.factorial(a) ** 2)
+            try:
+                power = r ** (2 * a + 2)
+            except OverflowError:   # a float's ** raises where numpy gives inf
+                power = math.inf
+            coef = math.pi * power / ((a + 1) * math.factorial(a) ** 2)
             total = total + coef * _poly_eval(Q, centers).real
         return np.maximum(total, 0.0)
 
@@ -376,18 +402,40 @@ class RadialProfileDensity(DensityField):
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
     def _disk_mass(self, center, r):
-        d = abs(center)
-        if d < 1e-12 * max(1.0, r):
-            return 2.0 * math.pi * self.cumulative(r)
-        factors = self._annulus_integrand(d, r)
-        total = 0.0
-        if d < r:
-            # the sub-disk |w| < r - d is fully covered
-            total += 2.0 * math.pi * self.cumulative(r - d)
-        total += quadrature.adaptive_1d(lambda x: np.multiply(*factors(x)),
-                                        0.0, 0.5 * math.pi,
-                                        rel_tol=_ANNULUS_REL_TOL)
-        return total
+        return float(self._disk_mass_batch(np.array([center]),
+                                           np.array([r]))[0])
+
+    def _disk_mass_batch(self, centers, radii):
+        """Each disk's mass: 2 pi m(r) about the origin; elsewhere 2 pi
+        m(r - d) for the covered disk |w| < r - d where d < r, plus the
+        annulus integral.  The annulus integrals of all the disks run as
+        rows of one ``adaptive_1d`` doubling loop, in blocks of rows within
+        ``KERNEL_BUDGET``; each row stops at its own order."""
+        # Python's abs: np.abs rounds a third of these distances differently
+        d = np.array([abs(c) for c in centers.tolist()], dtype=float)
+        out = np.zeros(len(d))
+        near = d < 1e-12 * np.maximum(1.0, radii)
+        for i in np.flatnonzero(near):
+            out[i] = 2.0 * math.pi * self.cumulative(radii[i])
+        far = np.flatnonzero(~near)
+        d, r = d[far], radii[far]
+        total = np.zeros(len(far))
+        for i in np.flatnonzero(d < r):
+            total[i] += 2.0 * math.pi * self.cumulative(r[i] - d[i])
+
+        def integrand(x, live):
+            step = max(1, KERNEL_BUDGET // len(x))
+            return np.concatenate([
+                np.multiply(*self._annulus_integrand(
+                    d[rows, None], r[rows, None])(x))
+                for rows in (live[lo:lo + step]
+                             for lo in range(0, len(live), step))])
+
+        total += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
+                                        rel_tol=_ANNULUS_REL_TOL,
+                                        rows=len(far))
+        out[far] = total
+        return out
 
     def _annulus_integrand(self, d, r):
         """The annulus integrand for centers at distance d (a float or a
@@ -507,8 +555,8 @@ _ALL_BUMPS_SHARE = 1.0 / 16.0
 
 def _bump_fractions_inside(d, rho, r):
     """Fractions of unit bumps at distances ``d`` (support radii ``rho``)
-    lying inside a disk of radius r about the query center, one per
-    (d, rho) pair.
+    lying inside a disk of radius ``r`` about the query center, one per
+    (d, rho, r) triple; a float r is every pair's radius.
 
     The 1D radial integral over s in [0, 1] is split at the regime
     boundaries s = |r - d|/rho and s = (r + d)/rho where the wedge angle
@@ -520,6 +568,7 @@ def _bump_fractions_inside(d, rho, r):
     pair's fraction does not depend on the other pairs in the call.
     """
     x, w = quadrature.gauss_legendre(_BUMP_NODES)
+    r = np.broadcast_to(r, d.shape)
     # the piece ends, one row (0, lo, hi) per pair
     ends = np.zeros((len(d), 3))
     np.minimum(np.abs(r - d) / rho, 1.0, out=ends[:, 1])
@@ -529,13 +578,14 @@ def _bump_fractions_inside(d, rho, r):
     for k in range(0, len(d), step):
         a, b = ends[k:k + step, :2], ends[k:k + step, 1:]
         dc = d[k:k + step, None, None]
+        rc = r[k:k + step, None, None]
         half = (0.5 * (b - a))[:, :, None]
         s = a[:, :, None] + half * (x + 1.0)
         radii = rho[k:k + step, None, None] * s
         # a pair with dc < 1e-15 (a subnormal dc too) may divide by 0 or
         # overflow here; its angle is replaced below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cosv = (dc * dc + radii ** 2 - r * r) / (2.0 * dc * radii)
+            cosv = (dc * dc + radii ** 2 - rc * rc) / (2.0 * dc * radii)
             # arccos(-1) = pi and arccos(1) = 0, so the clip gives 2 pi
             # wholly inside the disk and 0 wholly outside it
             ang = 2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))
@@ -544,7 +594,7 @@ def _bump_fractions_inside(d, rho, r):
             phi = np.exp(-1.0 / (1.0 - s * s))
         if np.any(dc < 1e-15):
             ang = np.where(dc < 1e-15,
-                           np.where(radii <= r, 2.0 * math.pi, 0.0), ang)
+                           np.where(radii <= rc, 2.0 * math.pi, 0.0), ang)
         vals = phi * s * ang
         piece = ((half * w)[..., None, :] @ vals[..., :, None])[..., 0, 0]
         piece = np.where(b > a, piece, 0.0)
@@ -727,6 +777,58 @@ class BumpLattice(DensityField):
         for v in masses[partial] * fracs:
             total += v
         return float(total)
+
+    def _disk_mass_batch(self, centers, radii):
+        """Each disk's mass with the bits of its ``_disk_mass``: per disk,
+        ``np.sum`` adds the masses of the bumps wholly inside it, then the
+        partial masses are added one at a time, both in ascending bump
+        index.  The disks whose reach covers much of the lattice take rows
+        over every bump, in blocks within ``KERNEL_BUDGET``, the others the
+        cell list's pairs; all the partial overlaps run in one call.  A
+        lone disk takes its own, faster path."""
+        if len(centers) < 2:
+            return super()._disk_mass_batch(centers, radii)
+        reach = self._reach(radii)
+        every = self._takes_every_bump(centers, reach)
+        out = np.zeros(len(centers))
+        parts = []     # (disk, bump, distance) of each partial overlap
+
+        def add(disk, bump, d):
+            # the pairs of each disk are ascending in bump, disks ascending
+            r, rho = radii[disk], self.radii[bump]
+            inside = d + rho <= r
+            partial = ~inside & (d - rho < r)
+            disk_in = disk[inside]
+            cuts = np.flatnonzero(disk_in[1:] != disk_in[:-1]) + 1
+            masses = self.masses[bump[inside]]
+            for lo, hi in zip([0, *cuts], [*cuts, len(disk_in)]):
+                if hi > lo:
+                    out[disk_in[lo]] = np.sum(masses[lo:hi])
+            parts.append((disk[partial], bump[partial], d[partial]))
+
+        wide = np.flatnonzero(every)
+        step = max(1, KERNEL_BUDGET // len(self.centers))
+        for lo in range(0, len(wide), step):
+            rows = wide[lo:lo + step]
+            d = np.abs(self.centers - centers[rows, None])
+            qi, bi = np.nonzero(d - self.radii < radii[rows, None])
+            add(rows[qi], bi, d[qi, bi])
+        narrow = np.flatnonzero(~every)
+        for qi, bi in self._near_pairs(centers[narrow], reach[narrow]):
+            qi = narrow[qi]
+            add(qi, bi, np.abs(self.centers[bi] - centers[qi]))
+        disk, bump, d = (np.concatenate(a) for a in zip(*parts))
+        order = np.argsort(disk, kind="stable")
+        disk, bump, d = disk[order], bump[order], d[order]
+        held = self.masses[bump] * _bump_fractions_inside(
+            d, self.radii[bump], radii[disk])
+        cuts = np.searchsorted(disk, np.arange(len(centers) + 1))
+        for i in np.flatnonzero(cuts[1:] > cuts[:-1]):
+            total = out[i]
+            for v in held[cuts[i]:cuts[i + 1]]:
+                total += v
+            out[i] = total
+        return out
 
     def _candidates(self, center, reach):
         """``_near_pairs`` for one complex center, on Python scalars: the

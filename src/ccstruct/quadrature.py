@@ -34,7 +34,8 @@ def gl_nodes(a: float, b: float, n: int):
     return a + half * (x + 1.0), half * w
 
 
-def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048):
+def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
+                rows=None):
     """Integrate a smooth scalar function on [a, b]; ``f`` maps an array
     of nodes to its values elementwise.
 
@@ -44,30 +45,51 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048):
     ``f`` on both rules' nodes, and each estimate is the dot product of
     its own slice, so an elementwise ``f`` gives the same value as one
     call per rule.  Raises QuadratureFailure if the budget is exhausted.
+
+    With ``rows`` = k, k integrands on [a, b] run in one doubling loop:
+    ``f(x, live)`` maps the nodes to a (len(live), len(x)) array, the
+    integrands of the rows ``live`` (ascending indices below k), and an
+    array of k integrals is returned.  Each row stops at its own order
+    and each estimate is the dot product of its own row, so a row's
+    integral has the bits of a lone call of that row.
     """
-    if b == a:
-        return 0.0
-
-    def estimates():
-        n = 16
-        if max_order >= 32:
-            x, w = gl_nodes(a, b, 16)
-            x2, w2 = gl_nodes(a, b, 32)
-            vals = np.asarray(f(np.concatenate([x, x2])), dtype=float)
-            yield float(np.dot(w, vals[:16]))
-            yield float(np.dot(w2, vals[16:]))
-            n = 64
-        while n <= max_order:
-            x, w = gl_nodes(a, b, n)
-            yield float(np.dot(w, np.asarray(f(x), dtype=float)))
-            n *= 2
-
+    lone = rows is None
+    if lone:
+        # a lone integrand is a batch of one row
+        def fun(x, live):
+            return np.asarray(f(x), dtype=float)[None]
+    else:
+        fun = f
+    out = np.zeros(1 if lone else rows)
+    if b == a or not len(out):
+        return 0.0 if lone else out
+    # the orders of the rules, each group sharing one call of f
+    groups, n = [], 16
+    if max_order >= 32:
+        groups, n = [[16, 32]], 64
+    while n <= max_order:
+        groups.append([n])
+        n *= 2
+    live = np.arange(len(out))
     prev = None
-    for val in estimates():
-        if prev is not None:
-            if abs(val - prev) <= rel_tol * max(abs(val), abs_floor):
-                return val
-        prev = val
+    for group in groups:
+        rules = [gl_nodes(a, b, m) for m in group]
+        vals = np.asarray(fun(np.concatenate([x for x, _ in rules]), live),
+                          dtype=float)
+        lo = 0
+        for x, w in rules:
+            est = np.array([float(np.dot(w, v[lo:lo + len(x)]))
+                            for v in vals])
+            lo += len(x)
+            if prev is not None:
+                done = np.abs(est - prev) <= rel_tol * np.maximum(
+                    np.abs(est), abs_floor)
+                out[live[done]] = est[done]
+                live, prev, vals = live[~done], est[~done], vals[~done]
+                if not len(live):
+                    return float(out[0]) if lone else out
+            else:
+                prev = est
     raise QuadratureFailure(
         f"1D quadrature on [{a}, {b}] did not converge to rel_tol={rel_tol}"
     )

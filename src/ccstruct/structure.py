@@ -5,7 +5,13 @@ Three routes are provided:
 * ``lambda_sup`` — the computable upper-comparable proxy: the nested
   supremum of (delta/h) * mu(zhat, h) over zhat in B(z, delta) and
   h in [h_min, delta], found by a coarse log-ladder/lattice search plus
-  Nelder-Mead polish.
+  Nelder-Mead polish.  The polish runs all its starts in lock step, and
+  ``prime_lambda_sup`` runs many searches' starts so: each round
+  evaluates the points of every live start with one array call of
+  ``disk_mass``, whose masses have the bits of scalar calls, and each
+  start takes the steps of its lone run.  A search's value and witness
+  are thus those of a lone search, while the disk-mass calls number the
+  rounds, not the evaluations.
 * ``lambda_stockyard`` — a certified lower bound: the best witness disk
   is turned into an explicit validated stockyard (connector circle plus
   repeated copies of the witness disk) whose mass is a true lower bound
@@ -89,15 +95,15 @@ class LambdaEstimate:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _nelder_mead(fun, x0, maxiter, xatol, fatol):
-    """Minimize ``fun`` from ``x0`` by adaptive Nelder-Mead (Gao and Han
-    2012), step for step as scipy 1.17.1's ``minimize(fun, x0,
-    method="Nelder-Mead", options={"adaptive": True, ...})`` with no
-    bounds and no evaluation limit: the same start simplex, coefficients,
-    stopping test, array expressions and argsort ordering (ties included),
-    so ``x`` and the evaluation count ``nfev`` keep every bit.  ``fun`` is
-    the value at ``x``: scipy's ``fun``, unless some value was nan."""
-    x0 = np.array(x0, dtype=float).ravel()
+def _nm_start(x0, maxiter, xatol, fatol):
+    """One start of ``_nelder_mead`` as a generator: it yields each (p, N)
+    array of points it needs and is sent their p values, and returns its
+    (x, fun, nfev).  The steps are scipy 1.17.1's adaptive Nelder-Mead
+    (Gao and Han 2012) with no bounds and no evaluation limit: the same
+    start simplex, coefficients, stopping test, array expressions and
+    argsort ordering, ties included.  The N points of a shrink are asked
+    for at once; scipy evaluates them one by one, but none depends on
+    another's value."""
     N = len(x0)
     dim = float(N)
     rho = 1
@@ -117,9 +123,7 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
             y[k] = zdelt
         sim[k + 1] = y
 
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = fun(sim[k])
+    fsim = np.array((yield sim), dtype=float)
     nfev = N + 1
     # scipy sorts the start simplex twice; numpy does not promise that the
     # second sort keeps tied values in place, so it is repeated here
@@ -136,13 +140,13 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
 
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = fun(xr)
+        fxr = (yield xr[None])[0]
         nfev += 1
         doshrink = 0
 
         if fxr < fsim[0]:
             xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = fun(xe)
+            fxe = (yield xe[None])[0]
             nfev += 1
             if fxe < fxr:
                 sim[-1] = xe
@@ -157,7 +161,7 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
             if fxr < fsim[-1]:
                 # outside contraction
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = fun(xc)
+                fxc = (yield xc[None])[0]
                 nfev += 1
                 if fxc <= fxr:
                     sim[-1] = xc
@@ -167,7 +171,7 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
             else:
                 # inside contraction
                 xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = fun(xcc)
+                fxcc = (yield xcc[None])[0]
                 nfev += 1
                 if fxcc < fsim[-1]:
                     sim[-1] = xcc
@@ -175,15 +179,54 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
                 else:
                     doshrink = 1
             if doshrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = fun(sim[j])
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
                 nfev += N
         iterations += 1
         ind = np.argsort(fsim)
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
-    return types.SimpleNamespace(x=sim[0], fun=fsim[0], nfev=nfev)
+    return sim[0], fsim[0], nfev
+
+
+def _nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """Minimize by adaptive Nelder-Mead from each row of the (k, N) array
+    ``x0``, all starts in lock step: each round calls ``fun(points,
+    owners)`` once, on the (m, N) array of the points that the live starts
+    need next, ``owners`` naming the start of each row, for their m
+    values.  Each start takes the steps of its lone run, step for step as
+    scipy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
+    options={"adaptive": True, ...})``, so its ``x`` and evaluation count
+    keep every bit whatever the other starts do.
+
+    Returns ``x`` (k, N) and ``fun`` (k,), the value at each ``x`` (scipy's
+    ``fun``, unless some value was nan); ``nfev``, the evaluations of all
+    starts; and per start ``start_nfev`` and ``start_rounds``, the rounds
+    in which it was evaluated."""
+    x0 = np.array(x0, dtype=float)
+    runs = [_nm_start(x, maxiter, xatol, fatol) for x in x0]
+    asks = [next(run) for run in runs]
+    done = [None] * len(runs)
+    rounds = [0] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        sizes = [len(asks[i]) for i in live]
+        vals = np.asarray(fun(np.concatenate([asks[i] for i in live]),
+                              np.repeat(live, sizes)), dtype=float)
+        lo = 0
+        for i, p in zip(live, sizes):
+            rounds[i] += 1
+            try:
+                asks[i] = runs[i].send(vals[lo:lo + p])
+            except StopIteration as stop:
+                done[i] = stop.value
+            lo += p
+        live = [i for i in live if done[i] is None]
+    nfev = [n for _, _, n in done]
+    return types.SimpleNamespace(
+        x=np.array([x for x, _, _ in done]),
+        fun=np.array([f for _, f, _ in done]), nfev=sum(nfev),
+        start_nfev=nfev, start_rounds=rounds)
 
 
 # perfbench/layers.py times the polish by rebinding ``_sciopt.minimize``;
@@ -191,97 +234,163 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
 _sciopt = types.SimpleNamespace(minimize=_nelder_mead)
 
 
-def optimize_weighted_disk(field: DensityField, center, search_radius,
-                           dh_max, scale, opts: SupOptions):
+def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     """Maximize (scale / h) * mu(zhat, h) over zhat in B(center, R) and
-    h in [dh_min, dh_max], with dh_min = min(DELTA_HAT_MIN, dh_max).
+    h in [dh_min, dh_max], with dh_min = min(DELTA_HAT_MIN, dh_max), for
+    each (center, R, dh_max, scale) of ``searches``.  Returns one
+    (value, witness, counts) per search.
 
-    Coarse stage: log-spaced ladder of h crossed with a square lattice
-    masked to the disk; the top cells are re-evaluated with the accurate
-    disk-mass query and polished by Nelder-Mead in (x, y, log h) with
-    projection onto the feasible set.
+    Coarse stage, per search: log-spaced ladder of h crossed with a square
+    lattice masked to the disk.  Polish: the top cells of all the searches
+    are polished together by one lock-step Nelder-Mead in (x, y, log h)
+    with projection onto each search's feasible set (``_nelder_mead``).
+    Each round evaluates all its points with one array call of
+    ``disk_mass``, and the first round also evaluates each top cell
+    itself.  Every array mass has the bits of the scalar ``disk_mass`` and
+    every start takes the steps of its lone run, so a search's value and
+    witness do not depend on the searches polished with it.  Each witness
+    is picked as a lone search would: over its top cells in order, the
+    cell itself and then its polished point.  ``counts`` holds the
+    search's polish evaluations (``polish_nfev``, over its starts) and
+    lock-step rounds (``polish_rounds``, the most of any of its starts).
     """
-    center = complex(center)
-    dh_max = float(dh_max)
-    dh_min = min(DELTA_HAT_MIN, dh_max)
+    bounds = []       # (center, R, log dh_min, log dh_max, dh_min, dh_max)
+    scales = []
+    starts = []       # (search, coarse zhat, coarse h) per polish start
+    for center, search_radius, dh_max, scale in searches:
+        center = complex(center)
+        search_radius = float(search_radius)
+        dh_max = float(dh_max)
+        dh_min = min(DELTA_HAT_MIN, dh_max)
 
-    if dh_min == dh_max:
-        rungs = np.array([dh_max])
-    else:
-        rungs = np.geomspace(dh_min, dh_max, opts.n_rungs)
-    ax = np.linspace(-search_radius, search_radius, opts.grid)
-    zz = (center + ax[None, :] + 1j * ax[:, None]).ravel()
-    mask = np.abs(zz - center) <= search_radius + 1e-12 * max(1.0, search_radius)
-    zz = zz[mask]
+        if dh_min == dh_max:
+            rungs = np.array([dh_max])
+        else:
+            rungs = np.geomspace(dh_min, dh_max, opts.n_rungs)
+        ax = np.linspace(-search_radius, search_radius, opts.grid)
+        zz = (center + ax[None, :] + 1j * ax[:, None]).ravel()
+        mask = np.abs(zz - center) <= search_radius + 1e-12 * max(
+            1.0, search_radius)
+        zz = zz[mask]
 
-    candidates = []   # (coarse value, zhat, h)
-    for h in rungs:
-        vals = np.asarray(field.disk_mass_many(zz, float(h)), dtype=float)
-        vals = (scale / float(h)) * vals
-        top = np.argsort(vals)[::-1][: opts.n_polish]
-        for i in top:
-            candidates.append((float(vals[i]), complex(zz[i]), float(h)))
-    candidates.sort(key=lambda t: -t[0])
-    candidates = candidates[: opts.n_polish]
+        candidates = []   # (coarse value, zhat, h)
+        for h in rungs:
+            vals = np.asarray(field.disk_mass_many(zz, float(h)), dtype=float)
+            vals = (scale / float(h)) * vals
+            top = np.argsort(vals)[::-1][: opts.n_polish]
+            for i in top:
+                candidates.append((float(vals[i]), complex(zz[i]), float(h)))
+        candidates.sort(key=lambda t: -t[0])
+        starts += [(len(bounds), zhat, h)
+                   for _, zhat, h in candidates[: opts.n_polish]]
+        bounds.append((center, search_radius, math.log(dh_min),
+                       math.log(dh_max), dh_min, dh_max))
+        scales.append(scale)
 
-    def objective_exact(zhat, h):
-        if h <= 0:
-            return 0.0
-        return (scale / h) * field.disk_mass(zhat, h)
-
-    def project(x):
+    def project(x, search):
+        center, search_radius, log_lo, log_hi, lo, hi = bounds[search]
         zhat = complex(x[0], x[1])
         off = zhat - center
         r = abs(off)
         if r > search_radius:
             zhat = center + off * (search_radius / r)
-        h = math.exp(min(max(x[2], math.log(dh_min)), math.log(dh_max)))
-        return zhat, min(max(h, dh_min), dh_max)
+        h = math.exp(min(max(x[2], log_lo), log_hi))
+        return zhat, min(max(h, lo), hi)
 
-    best_val = 0.0
-    best_witness = WitnessDisk(center, dh_max)
-    for _, zhat0, h0 in candidates:
-        v0 = objective_exact(zhat0, h0)
-        if v0 > best_val:
-            best_val, best_witness = v0, WitnessDisk(zhat0, h0)
+    start_values = []
 
-        def neg(x):
-            zhat, h = project(x)
-            return -objective_exact(zhat, h)
+    def neg(points, owners):
+        search = [starts[i][0] for i in owners]
+        disks = [project(x, s) for x, s in zip(points, search)]
+        if not start_values:
+            # the first round also evaluates every start's coarse cell
+            disks += [(zhat, h) for _, zhat, h in starts]
+            search += [s for s, _, _ in starts]
+        h = np.array([h for _, h in disks], dtype=float)
+        scale = np.array([scales[s] for s in search], dtype=float)
+        vals = (scale / h) * field.disk_mass(
+            np.array([zhat for zhat, _ in disks], dtype=complex), h)
+        if not start_values:
+            start_values.extend(vals[len(points):])
+        return -vals[:len(points)]
 
-        res = _sciopt.minimize(
-            neg, np.array([zhat0.real, zhat0.imag, math.log(h0)]),
-            maxiter=opts.polish_maxiter, xatol=1e-8, fatol=1e-12)
+    res = _sciopt.minimize(
+        neg, np.array([[zhat.real, zhat.imag, math.log(h)]
+                       for _, zhat, h in starts]),
+        maxiter=opts.polish_maxiter, xatol=1e-8, fatol=1e-12)
+
+    out = [[0.0, WitnessDisk(b[0], b[5]), {"polish_nfev": 0,
+                                           "polish_rounds": 0}]
+           for b in bounds]
+    for i, (search, zhat0, h0) in enumerate(starts):
+        best = out[search]
+        if start_values[i] > best[0]:
+            best[0], best[1] = start_values[i], WitnessDisk(zhat0, h0)
         # the polish has evaluated its best point: no second disk mass
-        zhat, h = project(res.x)
-        val = -float(res.fun)
-        if val > best_val:
-            best_val, best_witness = val, WitnessDisk(zhat, h)
-    return best_val, best_witness
+        val = -float(res.fun[i])
+        if val > best[0]:
+            best[0], best[1] = val, WitnessDisk(*project(res.x[i], search))
+        counts = best[2]
+        counts["polish_nfev"] += res.start_nfev[i]
+        counts["polish_rounds"] = max(counts["polish_rounds"],
+                                      res.start_rounds[i])
+    return [(float(v), w, c) for v, w, c in out]
+
+
+def _sup_key(z, delta, opts):
+    return ("sup", complex(z), float(delta), opts or SupOptions())
 
 
 def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
     """Upper-comparable proxy via the nested supremum of
     (delta/h) * mu(zhat, h) at the search budget ``opts`` (default
-    ``SupOptions()``); returns the best value and its witness.  Raises
-    CCStructError when the value is not finite."""
+    ``SupOptions()``); returns the best value and its witness, with the
+    polish's counts in ``meta``.  Raises CCStructError when the value is
+    not finite."""
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be positive and finite")
-    opts = opts or SupOptions()
-    z = complex(z)
-    delta = float(delta)
+    key = _sup_key(z, delta, opts)
+    _, z, delta, opts = key
     cache = vars(field).setdefault("_lambda_cache", {})
-    key = ("sup", z, delta, opts)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    value, witness = optimize_weighted_disk(field, z, delta, delta, delta,
-                                            opts)
+    (value, witness, counts), = optimize_weighted_disk(
+        field, [(z, delta, delta, delta)], opts)
     if not math.isfinite(value):
         raise CCStructError(f"lambda_sup at delta={delta!r} is {value}")
-    est = LambdaEstimate(z, delta, value, "sup", "upper_comparable", witness)
+    est = LambdaEstimate(z, delta, value, "sup", "upper_comparable", witness,
+                         counts)
     cache[key] = est
     return est
+
+
+def prime_lambda_sup(field: DensityField, cells, opts: SupOptions = None):
+    """Run the ``lambda_sup`` searches of the (z, delta) ``cells`` that
+    its memo does not hold yet in one call of ``optimize_weighted_disk``,
+    and store their finite estimates in the memo.  ``lambda_sup`` at each
+    cell then returns its estimate as a lone search would give it, and
+    still raises where the value is not finite or delta is invalid.  When
+    a search fails, the memo is left as it was, so that each cell's lone
+    search raises its own error."""
+    cache = vars(field).setdefault("_lambda_cache", {})
+    keys = {}
+    for z, delta in cells:
+        if math.isfinite(delta) and delta > 0:
+            key = _sup_key(z, delta, opts)
+            if key not in cache:
+                keys[key] = None
+    if not keys:
+        return
+    try:
+        found = optimize_weighted_disk(
+            field, [(z, d, d, d) for _, z, d, _ in keys], opts or SupOptions())
+    except CCStructError:
+        return
+    for key, (value, witness, counts) in zip(keys, found):
+        if math.isfinite(value):
+            cache[key] = LambdaEstimate(key[1], key[2], value, "sup",
+                                        "upper_comparable", witness, counts)
 
 
 def connector_circle(z, witness: WitnessDisk):
@@ -382,6 +491,14 @@ def twist_many(field: DensityField, z, ws):
     return -2.0 * vals
 
 
+def volume_search_cells(z, delta):
+    """The (z, delta) cells of the two ``lambda_sup`` searches that
+    ``volume_estimate`` at delta runs: the stockyard's at delta/(16 pi)
+    and the upper proxy's at 3 delta."""
+    z = complex(z)
+    return [(z, delta / (16.0 * math.pi)), (z, 3.0 * delta)]
+
+
 def volume_estimate(field: DensityField, z, delta):
     """Sandwich for the metric-ball volume from the two box inclusions:
 
@@ -392,9 +509,9 @@ def volume_estimate(field: DensityField, z, delta):
 
     Returns (lower, upper) with lower <= upper.
     """
-    z = complex(z)
-    lower_struct = lambda_stockyard(field, z, delta / (16.0 * math.pi))
-    upper_struct = lambda_sup(field, z, 3.0 * delta)
+    (z, lower_delta), (_, upper_delta) = volume_search_cells(z, delta)
+    lower_struct = lambda_stockyard(field, z, lower_delta)
+    upper_struct = lambda_sup(field, z, upper_delta)
     lower = math.pi * (delta / 4.0) ** 2 * 2.0 * lower_struct.value
     upper = math.pi * (3.0 * delta) ** 2 * 2.0 * upper_struct.value
     return min(lower, upper), upper

@@ -115,6 +115,23 @@ def test_nonfinite_value_exit_3(tmp_path, constant_spec):
                  "--delta", "1e200", "--n-paths", "1000"]) == 3
 
 
+def test_polynomial_overflow_exit_3(tmp_path):
+    # r^4 of the |z|^4 field's disk mass overflows at delta = 1e100: the
+    # mass is inf, not a traceback, and lambda_sup turns it into a row
+    # error and exit 3, as for the constant field
+    spec = tmp_path / "z4.spec"
+    spec.write_text("family = polynomial\ncoeffs = 2,2,1,0\n")
+    out = tmp_path / "out.csv"
+    code = main(["lambda", "--density", str(spec), "--z", "0,0",
+                 "--delta", "1e100", "--out", str(out)])
+    assert code == 3
+    (row,) = read_rows(out)
+    assert row["value_sup"] == "nan"
+    assert row["error"].startswith("CCStructError: lambda_sup at delta=")
+    assert main(["volume", "--density", str(spec), "--z", "0,0",
+                 "--delta", "1e100", "--n-paths", "1000"]) == 3
+
+
 def test_zero_density_huge_delta_all_methods(tmp_path):
     # the direct sampler's polygons span ~1e200, whose triangle areas
     # overflow: each is dropped at once, and every method gives 0

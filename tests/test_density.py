@@ -114,6 +114,76 @@ def test_disk_mass_is_the_array_kernel_on_one_center():
                                   _bits(f.disk_mass_many(centers, r)))
 
 
+def _pair_cases(f):
+    """(centers, radii) pairs for ``f``'s family: the radial cases hold
+    near-origin centers, d < r and d >= r; the bump cases mix wide and
+    narrow reaches and hold duplicates, a query on a bump center and far
+    queries."""
+    rng = np.random.default_rng(21)
+    centers = rng.uniform(-4.0, 4.0, 40) + 1j * rng.uniform(-4.0, 4.0, 40)
+    radii = 10.0 ** rng.uniform(-2.0, 1.2, 40)
+    if isinstance(f, RadialProfileDensity):
+        centers = np.append(centers, [0j, 1e-13, 5e-13j, 2.0, 2.0, 1 + 1j])
+        radii = np.append(radii, [3.0, 0.5, 20.0, 1.0, 2.0 + 1e-9, 1e-3])
+    if isinstance(f, BumpLattice):
+        centers = np.append(centers, [2 + 1j, 2 + 1j, 0j, 50 + 50j,
+                                      -40 + 3j, 1.5 + 0.5j])
+        radii = np.append(radii, [0.3, 0.3, 30.0, 1.0, 45.0, 0.01])
+    return centers, radii
+
+
+@pytest.mark.parametrize("f", _one_field_per_family(),
+                         ids=lambda f: f.family)
+def test_disk_mass_pairs_repeat_lone_calls_bitwise(f):
+    # an array call of disk_mass gives each (center, radius) the bits of
+    # its lone call, whatever else is in the batch: both orders, and a
+    # 2-D batch in its shape
+    centers, radii = _pair_cases(f)
+    lone = [f.disk_mass(c, r) for c, r in zip(centers, radii)]
+    assert np.array_equal(_bits(f.disk_mass(centers, radii)), _bits(lone))
+    assert np.array_equal(_bits(f.disk_mass(centers[::-1], radii[::-1])),
+                          _bits(lone[::-1]))
+    two_d = f.disk_mass(centers[:12].reshape(3, 4), radii[:12].reshape(3, 4))
+    assert two_d.shape == (3, 4)
+    assert np.array_equal(_bits(two_d).ravel(), _bits(lone[:12]))
+    assert f.disk_mass(centers[:0], radii[:0]).shape == (0,)
+
+
+def test_radial_disk_mass_pairs_keep_the_lone_adaptive_rule():
+    # each radial mass is 2 pi m(r - d) for the covered disk plus a lone
+    # adaptive_1d of the annulus integrand, as the scalar path computed it
+    f = RadialAlphaDensity(0.5)
+    centers, radii = _pair_cases(f)
+    got = f.disk_mass(centers, radii)
+    for c, r, g in zip(centers, radii, got):
+        d = abs(complex(c))
+        if d < 1e-12 * max(1.0, r):
+            want = 2.0 * math.pi * f.cumulative(r)
+        else:
+            want = 0.0
+            if d < r:
+                want += 2.0 * math.pi * f.cumulative(r - d)
+            factors = f._annulus_integrand(d, float(r))
+            want += quadrature.adaptive_1d(
+                lambda x: np.multiply(*factors(x)), 0.0, 0.5 * math.pi,
+                rel_tol=density._ANNULUS_REL_TOL)
+        assert _bits(g) == _bits(want), (c, r)
+
+
+def test_disk_mass_pairs_reject_bad_input():
+    for f in _one_field_per_family():
+        with pytest.raises(ValueError, match="pair up"):
+            f.disk_mass(np.array([0j, 1j]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="pair up"):
+            f.disk_mass(np.array([0j, 1j]), 1.0)
+        for r in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                f.disk_mass(np.array([0j, 1j]), np.array([1.0, r]))
+        with pytest.raises(ValueError, match="center"):
+            f.disk_mass(np.array([0j, complex(math.nan, 0.0)]),
+                        np.array([1.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # polynomial potentials
 

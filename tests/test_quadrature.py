@@ -31,9 +31,14 @@ def test_adaptive_1d_zero_interval():
 
 
 def _per_order_adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14,
-                           max_order=2048):
+                           max_order=2048, rows=None):
     """The order-doubling rule with one call of f per order: the fused
-    start of ``adaptive_1d`` must give its values bit for bit."""
+    start of ``adaptive_1d`` must give its values bit for bit.  With
+    ``rows``, each row of the batch runs the rule on its own."""
+    if rows is not None:
+        return np.array([_per_order_adaptive_1d(
+            lambda x, i=i: f(x, np.array([i]))[0], a, b, rel_tol, abs_floor,
+            max_order) for i in range(rows)])
     if b == a:
         return 0.0
     prev = None

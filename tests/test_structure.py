@@ -18,7 +18,8 @@ from ccstruct import geometry
 from ccstruct.geometry import pen_mass, validate_stockyard
 from ccstruct.structure import (SupOptions, Window, _nelder_mead,
                                 lambda_stockyard, lambda_sup, lambda_sweep,
-                                twist, twist_many, volume_estimate)
+                                prime_lambda_sup, twist, twist_many,
+                                volume_estimate)
 from test_density import _bits
 
 
@@ -100,6 +101,62 @@ def test_lambda_sup_deterministic():
     assert a.value == b.value
 
 
+def test_lambda_sup_meta_counts_the_polish(monkeypatch):
+    # meta records the polish's evaluations (over its starts) and its
+    # lock-step rounds; a fresh field runs the search, the memo repeats it
+    from ccstruct import structure
+    seen = []
+    minimize = structure._sciopt.minimize
+
+    def recording(*args, **kwargs):
+        seen.append(minimize(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(structure._sciopt, "minimize", recording)
+    est = lambda_sup(RadialAlphaDensity(0.5), 1 + 1j, 2.0)
+    (res,) = seen
+    assert len(res.start_nfev) == SupOptions().n_polish
+    assert est.meta == {"polish_nfev": res.nfev,
+                        "polish_rounds": max(res.start_rounds)}
+    assert 0 < est.meta["polish_rounds"] < est.meta["polish_nfev"]
+    assert est.meta["polish_nfev"] == sum(res.start_nfev)
+
+
+def test_primed_lambda_sup_repeats_lone_searches():
+    # searches polished together give each cell the value, witness and
+    # counts of its lone search; a cell already in the memo is not re-run
+    f, g = RadialAlphaDensity(0.5), RadialAlphaDensity(0.5)
+    cells = [(z, d) for z in (0j, 1 + 1j, -2 + 0.5j) for d in (0.5, 4.0)]
+    lambda_sup(f, 0j, 0.5, CLASSIFY_OPTS)
+    prime_lambda_sup(f, cells + [(0j, math.nan)], CLASSIFY_OPTS)
+    for z, d in cells:
+        got, want = lambda_sup(f, z, d, CLASSIFY_OPTS), lambda_sup(
+            g, z, d, CLASSIFY_OPTS)
+        assert _bits(got.value) == _bits(want.value)
+        assert got.witness == want.witness and got.meta == want.meta
+    with pytest.raises(ValueError):
+        lambda_sup(f, 0j, math.nan, CLASSIFY_OPTS)
+
+
+def test_failed_prime_leaves_the_memo(monkeypatch):
+    # a failing batch stores nothing: each cell's lone search then raises
+    # its own error, as without the batch
+    from ccstruct import structure
+    from ccstruct.errors import QuadratureFailure
+
+    def failing(*args, **kwargs):
+        raise QuadratureFailure("no convergence")
+
+    f = RadialAlphaDensity(0.5)
+    lambda_sup(f, 0j, 0.5, CLASSIFY_OPTS)
+    memo = dict(f._lambda_cache)
+    monkeypatch.setattr(structure, "optimize_weighted_disk", failing)
+    prime_lambda_sup(f, [(0j, 0.5), (1j, 2.0)], CLASSIFY_OPTS)
+    assert f._lambda_cache == memo
+    with pytest.raises(QuadratureFailure):
+        lambda_sup(f, 1j, 2.0, CLASSIFY_OPTS)
+
+
 def _nm_objectives():
     # each objective takes the leading coordinates of c for its dimension
     c = np.array([0.3, -1.2, 0.7, -0.15])
@@ -136,12 +193,48 @@ def test_nelder_mead_repeats_scipy_bitwise(name, x0, maxiter):
     ref = minimize(fun, np.array(x0), method="Nelder-Mead",
                    options={"maxiter": maxiter, "xatol": 1e-8,
                             "fatol": 1e-12, "adaptive": True})
-    got = _nelder_mead(fun, np.array(x0), maxiter=maxiter, xatol=1e-8,
-                       fatol=1e-12)
+    got = _nelder_mead(_batch(fun), np.array([x0]), maxiter=maxiter,
+                       xatol=1e-8, fatol=1e-12)
+    got.x, got.fun = got.x[0], got.fun[0]
     assert _bits(got.x).tolist() == _bits(ref.x).tolist()
     assert got.nfev == ref.nfev
     assert _bits(got.fun) == _bits(ref.fun)
     assert got.fun == fun(got.x)
+
+
+def _batch(fun):
+    """``fun`` of one point as the polish's ``fun(points, owners)``."""
+    return lambda points, owners: [fun(x) for x in points]
+
+
+@pytest.mark.parametrize("name", sorted(_nm_objectives()))
+@pytest.mark.parametrize("maxiter", [0, 5, 160])
+def test_nelder_mead_lock_step_starts_repeat_lone_runs(name, maxiter):
+    # k starts in lock step take the steps of k lone runs, whatever the
+    # others do: the same x, fun and evaluation count, bit for bit; and
+    # every round asks for each live start's points once, in start order
+    fun = _nm_objectives()[name]
+    starts = np.array([(1.0, 2.0, -0.5), (0.0, 0.0, 0.0), (0.0, -3.0, 1e-3),
+                       (-2.5, 0.0, 4.0), (1.0, 2.0, -0.5), (0.3, -1.2, 0.7)])
+    calls = []
+
+    def recording(points, owners):
+        calls.append(list(owners))
+        return [fun(x) for x in points]
+
+    got = _nelder_mead(recording, starts, maxiter=maxiter, xatol=1e-8,
+                       fatol=1e-12)
+    lone = [_nelder_mead(_batch(fun), x0[None], maxiter=maxiter, xatol=1e-8,
+                         fatol=1e-12) for x0 in starts]
+    for i, one in enumerate(lone):
+        assert _bits(got.x[i]).tolist() == _bits(one.x[0]).tolist()
+        assert _bits(got.fun[i]) == _bits(one.fun[0])
+        assert got.start_nfev[i] == one.nfev == one.start_nfev[0]
+        assert got.start_rounds[i] == one.start_rounds[0]
+    assert got.nfev == sum(one.nfev for one in lone)
+    assert len(calls) == max(got.start_rounds)
+    assert all(owners == sorted(owners) for owners in calls)
+    assert calls[0] == sorted(list(range(len(starts))) * 4)
 
 
 # ---------------------------------------------------------------------------
