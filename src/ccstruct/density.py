@@ -700,11 +700,12 @@ class BumpLattice(DensityField):
         ordered by query and then by ascending bump index, in blocks of
         queries holding at most ``_PAIR_BLOCK`` pairs (a lone query may
         hold more).  The candidates of a query are the bumps in the cells
-        that the square of half-side ``reach`` about it meets, a superset
-        of the bumps within ``reach``.  Each (query, cell row) is one run
-        of ``_order``; the runs are counted first, the blocks cut on their
-        running total, and one sort of the integer key query * bumps + bump
-        puts each block's pairs in order."""
+        that the square of half-side ``reach`` (a float, or one per query)
+        about it meets, a superset of the bumps within that reach.  Each
+        (query, cell row) is one run of ``_order``; the runs are counted
+        first, the blocks cut on their running total, and one sort of the
+        integer key query * bumps + bump puts each block's pairs in
+        order."""
         n = len(self.centers)
         x0, _, y0, _ = self._box
         col0, col1 = self._cell_span(points.real, reach, x0, self._ncols)
