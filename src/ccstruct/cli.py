@@ -103,6 +103,33 @@ def _parse_window(text):
         raise ConfigError(f"--window: {exc}") from None
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer, as numpy seeds take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {text!r}")
+    return seed
+
+
+def _tol(text):
+    """A --tol value: a finite residual limit, 0 asking for exact
+    identities."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative and finite, got {text!r}")
+    return tol
+
+
 def _config_hash(args):
     payload = sorted((k, repr(v)) for k, v in vars(args).items()
                      if k not in ("func", "out"))
@@ -322,7 +349,7 @@ _SHARED_FLAGS = {
     "window": dict(required=True, help="'x0,y0,x1,y1,n'"),
     "delta": dict(required=True,
                   help="delta value or geometric ladder 'a:b:n'"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_seed, default=0),
     "out": dict(default=None, help="output path (default: stdout)"),
     "format": dict(choices=("csv", "json"), default="csv"),
 }
@@ -366,7 +393,7 @@ def build_parser():
 
     p = subcommand("validate", cmd_validate,
                    "run the internal identity suite")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=_tol, default=1e-6,
                    help="residual limit of the identity checks")
     p.add_argument("--inject-orientation-flip", action="store_true",
                    help=argparse.SUPPRESS)  # forced-failure test hook

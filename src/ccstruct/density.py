@@ -96,12 +96,12 @@ class DensityField:
     """Base class: a plane density with optional potential data.
 
     A family implements ``_density`` (a finite complex array) that
-    ``density`` runs, the array kernel ``_disk_masses`` (flat finite
-    centers, float radius r > 0) that ``disk_mass`` and ``disk_mass_many``
-    run, and ``_disk_mass`` only where one disk differs.  A family whose
-    ``_disk_mass`` is not ``_disk_masses`` at one center may give
-    ``_disk_mass_batch`` (flat centers, flat radii) a kernel of its own;
-    by default it runs ``_disk_mass`` pair by pair."""
+    ``density`` runs, and the array kernel ``_disk_masses`` (flat finite
+    centers, float radius r > 0) that ``disk_mass_many`` runs for the
+    coarse search.  ``disk_mass`` runs ``_disk_mass_batch`` (flat centers,
+    flat radii), a lone disk as a batch of one; by default it runs
+    ``_disk_masses`` on one center at a time, and a family whose exact
+    masses differ from its coarse ones gives it a kernel of its own."""
 
     family = "abstract"
 
@@ -133,7 +133,8 @@ class DensityField:
         its lone call."""
         if np.ndim(center) == 0 and np.ndim(r) == 0:
             _check_disk(r, center)
-            return self._disk_mass(complex(center), float(r))
+            return float(self._disk_mass_batch(np.array([complex(center)]),
+                                               np.array([float(r)]))[0])
         centers = np.asarray(center, dtype=complex)
         radii = np.asarray(r, dtype=float)
         if centers.shape != radii.shape:
@@ -154,11 +155,8 @@ class DensityField:
         return self._disk_masses(centers.ravel(), float(r)).reshape(
             centers.shape)
 
-    def _disk_mass(self, center, r):
-        return float(self._disk_masses(np.array([center]), r)[0])
-
     def _disk_mass_batch(self, centers, radii):
-        return np.array([self._disk_mass(c, r) for c, r in
+        return np.array([self._disk_masses(np.array([c]), r)[0] for c, r in
                          zip(centers.tolist(), radii.tolist())], dtype=float)
 
     def _disk_masses(self, centers, r):
@@ -401,10 +399,6 @@ class RadialProfileDensity(DensityField):
 
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
-    def _disk_mass(self, center, r):
-        return float(self._disk_mass_batch(np.array([center]),
-                                           np.array([r]))[0])
-
     def _disk_mass_batch(self, centers, radii):
         """Each disk's mass: 2 pi m(r) about the origin; elsewhere 2 pi
         m(r - d) for the covered disk |w| < r - d where d < r, plus the
@@ -541,15 +535,13 @@ _MOLLIFIER_MASS = 0.46651239317833004
 _PAIR_BLOCK = 100_000
 #: Gauss-Legendre order of each radial piece of a partial bump overlap
 _BUMP_NODES = 48
-#: A bump-lattice disk mass takes arrays over every bump, not the cell
+#: A bump-lattice disk mass takes rows over every bump, not the cell
 #: list's candidates, where its reach covers this share of the support box.
-#: Both paths run the partial-overlap kernel on the same bumps; besides it,
-#: a scalar query on 5,041 bumps costs about 19 us plus 0.034 us a
-#: candidate through the cells and 33 us through the arrays, which meet
-#: near this share (324 candidates at share 0.055: 31 us against 32 us).
-#: An array query gets its pairs as one array, so the share matters less
-#: there: on the 149 calls of a classify on 5,041 bumps, a share of 1/5 for
-#: them took 0.310 s against 0.325 s at this one.
+#: Both selections run the partial-overlap kernel on the same bumps.  The
+#: share is where a lone query on 5,041 bumps cost the same both ways
+#: (324 candidates at share 0.055); with a call's pairs formed as one
+#: array it matters little: on the 149 calls of a classify on 5,041 bumps,
+#: a share of 1/5 took 0.310 s against 0.325 s at this one.
 _ALL_BUMPS_SHARE = 1.0 / 16.0
 
 
@@ -620,14 +612,15 @@ class BumpLattice(DensityField):
     supported in the disk of radius rho_k around its center (supports may
     overlap).  Used to build the linear-growth test regime.
 
-    A disk whose reach covers much of the lattice (``_takes_every_bump``)
-    takes arrays over every bump.  Other disk masses, and the density, go
-    through a cell list built once: the bump centers binned on a uniform
-    grid over the support box, each cell's bumps one run of ``_order``.
-    The cells that meet the square of half-side ``reach`` about a query
-    form one run of ``_order`` per cell row, so a query's candidates are a
-    few slices, and an array query's pairs come out of one expansion of
-    those slices."""
+    Both disk-mass kernels, ``_disk_masses`` for the coarse search and
+    ``_disk_mass_batch`` for exact pairs, take their (disk, bump) pairs
+    from ``_disk_pairs``.  A disk whose reach covers much of the lattice
+    (``_takes_every_bump``) is paired with every bump.  Other disks, and
+    the density, go through a cell list built once: the bump centers
+    binned on a uniform grid over the support box, each cell's bumps one
+    run of ``_order``.  The cells that meet the square of half-side
+    ``reach`` about a query form one run of ``_order`` per cell row, so
+    the pairs of a call come out of one expansion of those runs."""
 
     family = "bump_lattice"
 
@@ -679,13 +672,6 @@ class BumpLattice(DensityField):
         last = np.floor((coords + reach - origin) / self._side)
         return (np.clip(first, 0, count).astype(np.intp),
                 np.clip(last, -1, count - 1).astype(np.intp))
-
-    def _cell_span_one(self, c, reach, origin, count):
-        """``_cell_span`` of one coordinate, on Python floats."""
-        first = (c - reach - origin) / self._side
-        last = (c + reach - origin) / self._side
-        return (math.floor(min(max(first, 0.0), count)),
-                math.floor(min(max(last, -1.0), count - 1)))
 
     def _reach(self, r):
         # a bump adds to a disk mass where np.abs(center - bump) - rho < r,
@@ -759,43 +745,36 @@ class BumpLattice(DensityField):
                        - np.maximum(y0, centers.imag - reach), 0.0)
         return w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0)
 
-    def _disk_mass(self, center, r):
-        reach = self._reach(r)
-        if self._takes_every_bump(center, reach):
-            centers, masses, radii = self.centers, self.masses, self.radii
-        else:
-            idx = self._candidates(center, reach)
-            centers, masses, radii = (self.centers[idx], self.masses[idx],
-                                      self.radii[idx])
-        d = np.abs(centers - center)
-        inside = d + radii <= r
-        partial = ~inside & (d - radii < r)
-        # full masses first, then the partial ones one at a time, both in
-        # ascending bump index: the polish amplifies last-bit changes.  A
-        # bump beyond the reach is neither, so both paths sum the same bumps.
-        total = float(np.sum(masses[inside]))
-        fracs = _bump_fractions_inside(d[partial], radii[partial], r)
-        for v in masses[partial] * fracs:
-            total += v
-        return float(total)
-
-    def _disk_mass_batch(self, centers, radii):
-        """Each disk's mass with the bits of its ``_disk_mass``: per disk,
-        ``np.sum`` adds the masses of the bumps wholly inside it, then the
-        partial masses are added one at a time, both in ascending bump
-        index.  The disks whose reach covers much of the lattice take rows
-        over every bump, in blocks within ``KERNEL_BUDGET``, the others the
-        cell list's pairs; all the partial overlaps run in one call.  A
-        lone disk takes its own, faster path."""
-        if len(centers) < 2:
-            return super()._disk_mass_batch(centers, radii)
+    def _disk_pairs(self, centers, radii):
+        """Yield (disk, bump, distance) arrays of the pairs of the disks of
+        ``radii`` about ``centers`` with the bumps that may reach them: a
+        row over every bump for each disk that ``_takes_every_bump``, in
+        blocks of rows within ``KERNEL_BUDGET``, then the cell list's pairs
+        of the others.  Each disk's pairs lie in one block, in ascending
+        bump index; a bump beyond the reach holds exactly 0.0 of a disk."""
         reach = self._reach(radii)
         every = self._takes_every_bump(centers, reach)
+        n = len(self.centers)
+        wide = np.flatnonzero(every)
+        step = max(1, KERNEL_BUDGET // n)
+        for lo in range(0, len(wide), step):
+            rows = wide[lo:lo + step]
+            d = np.abs(centers[rows, None] - self.centers)
+            yield (np.repeat(rows, n), np.tile(np.arange(n), len(rows)),
+                   d.ravel())
+        narrow = np.flatnonzero(~every)
+        for qi, bi in self._near_pairs(centers[narrow], reach[narrow]):
+            qi = narrow[qi]
+            yield qi, bi, np.abs(centers[qi] - self.centers[bi])
+
+    def _disk_mass_batch(self, centers, radii):
+        """Each disk's mass: ``np.sum`` adds the masses of the bumps wholly
+        inside it, then its partial masses are added one at a time, both in
+        ascending bump index (the polish amplifies last-bit changes).  All
+        the partial overlaps of the call run in one kernel call."""
         out = np.zeros(len(centers))
         parts = []     # (disk, bump, distance) of each partial overlap
-
-        def add(disk, bump, d):
-            # the pairs of each disk are ascending in bump, disks ascending
+        for disk, bump, d in self._disk_pairs(centers, radii):
             r, rho = radii[disk], self.radii[bump]
             inside = d + rho <= r
             partial = ~inside & (d - rho < r)
@@ -806,18 +785,8 @@ class BumpLattice(DensityField):
                 if hi > lo:
                     out[disk_in[lo]] = np.sum(masses[lo:hi])
             parts.append((disk[partial], bump[partial], d[partial]))
-
-        wide = np.flatnonzero(every)
-        step = max(1, KERNEL_BUDGET // len(self.centers))
-        for lo in range(0, len(wide), step):
-            rows = wide[lo:lo + step]
-            d = np.abs(self.centers - centers[rows, None])
-            qi, bi = np.nonzero(d - self.radii < radii[rows, None])
-            add(rows[qi], bi, d[qi, bi])
-        narrow = np.flatnonzero(~every)
-        for qi, bi in self._near_pairs(centers[narrow], reach[narrow]):
-            qi = narrow[qi]
-            add(qi, bi, np.abs(self.centers[bi] - centers[qi]))
+        if not parts:
+            return out
         disk, bump, d = (np.concatenate(a) for a in zip(*parts))
         order = np.argsort(disk, kind="stable")
         disk, bump, d = disk[order], bump[order], d[order]
@@ -831,42 +800,14 @@ class BumpLattice(DensityField):
             out[i] = total
         return out
 
-    def _candidates(self, center, reach):
-        """``_near_pairs`` for one complex center, on Python scalars: the
-        ascending indices of the bumps in the cells that the square of
-        half-side ``reach`` about it meets."""
-        x0, _, y0, _ = self._box
-        col0, col1 = self._cell_span_one(center.real, reach, x0, self._ncols)
-        row0, row1 = self._cell_span_one(center.imag, reach, y0, self._nrows)
-        if col0 > col1 or row0 > row1:
-            return np.empty(0, np.intp)
-        starts, ncols = self._starts, self._ncols
-        return np.sort(np.concatenate([
-            self._order[starts[row * ncols + col0]:
-                        starts[row * ncols + col1 + 1]]
-            for row in range(row0, row1 + 1)]))
-
     def _disk_masses(self, centers, r):
         """Each center's mass is the sum, in ascending bump index, of its
-        bumps' held masses: one row over every bump where the reach covers
-        much of the lattice, the cell list's pairs otherwise.  A bump beyond
-        the reach adds exactly 0.0, so both give the same bits."""
-        reach = self._reach(r)
+        pairs' held masses."""
         out = np.zeros(centers.shape)
-        every = self._takes_every_bump(centers, reach)
-        wide = np.flatnonzero(every)
-        step = max(1, KERNEL_BUDGET // len(self.centers))
-        for lo in range(0, len(wide), step):
-            rows = wide[lo:lo + step]
-            d = np.abs(centers[rows, None] - self.centers)
-            held = _held_masses(d, r, self.masses, self.radii)
-            # cumsum adds along each row in order, as bincount does below
-            out[rows] = np.cumsum(held, axis=1)[:, -1]
-        narrow = np.flatnonzero(~every)
-        for qi, bi in self._near_pairs(centers[narrow], reach):
-            d = np.abs(centers[narrow[qi]] - self.centers[bi])
-            held = _held_masses(d, r, self.masses[bi], self.radii[bi])
-            out[narrow] += np.bincount(qi, weights=held, minlength=len(narrow))
+        for disk, bump, d in self._disk_pairs(centers,
+                                              np.full(centers.shape, r)):
+            held = _held_masses(d, r, self.masses[bump], self.radii[bump])
+            out += np.bincount(disk, weights=held, minlength=len(centers))
         return out
 
 

@@ -180,6 +180,20 @@ def test_unread_flag_refused(command, flag, constant_spec, capsys):
     assert flag.split("=")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,args", [
+    ("lambda", ["--z", "0,0", "--delta", "1", "--method", "direct"]),
+    ("sweep", ["--window=0,0,1,1,2", "--delta", "1", "--method", "direct"]),
+    ("volume", ["--z", "0,0", "--delta", "1", "--n-paths", "1000"])])
+def test_negative_seed_refused_at_parse_exit_2(command, args, constant_spec,
+                                               capsys):
+    # numpy seeds are non-negative: a negative one is a configuration
+    # error before any work, not a traceback or an error row
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--density", constant_spec, *args, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_direct_sampler_small_delta(tmp_path, constant_spec):
     out = tmp_path / "out.csv"
     code = main(["lambda", "--density", constant_spec, "--z", "0,0",
@@ -276,6 +290,16 @@ def test_validate_zero_tolerance_fails(capsys):
     # degenerate tolerance: the residual report must flag the identities
     assert main(["validate", "--tol", "0"]) == 1
     assert "residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_validate_bad_tolerance_exit_2(tol, capsys):
+    # a residual limit that is negative or not finite is a bad option, not
+    # a failed identity
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
