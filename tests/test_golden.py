@@ -45,6 +45,10 @@ CLI_CASES = {
     "classify_bump_lattice.json": [
         "classify", "--density", "bump_lattice.spec", "--window=0,0,0,0,1",
         "--delta", "0.4:40:5"],
+    # the certified lower bound over a window of the same lattice
+    "sweep_stockyard_bump_lattice.csv": [
+        "sweep", "--density", "bump_lattice.spec", "--window=-1,-1,1,1,2",
+        "--delta", "0.4:4:3", "--method", "stockyard"],
 }
 
 #: stdout of ``validate`` (its residuals come from boundary_line_integral)
