@@ -10,10 +10,9 @@ equals 4 d^2 P / dz dzbar.  All densities are non-negative (P is
 subharmonic); construction rejects data violating this on a sample
 lattice.
 
-Field operations are pure and never change the field.  The one state a
-field carries past construction is the memo that
-``structure.lambda_sup`` stores on it as ``_lambda_cache`` (ROADMAP item
-6 moves it off the field).
+Field operations are pure and never change the field; a field carries no
+state past construction.  The ``lambda_sup`` estimates of a field are
+kept apart from it, in ``structure``'s memo keyed on the field.
 """
 
 from __future__ import annotations
@@ -806,8 +805,12 @@ class BumpLattice(DensityField):
         out = np.zeros(centers.shape)
         for disk, bump, d in self._disk_pairs(centers,
                                               np.full(centers.shape, r)):
-            held = _held_masses(d, r, self.masses[bump], self.radii[bump])
-            out += np.bincount(disk, weights=held, minlength=len(centers))
+            if len(disk):
+                held = _held_masses(d, r, self.masses[bump],
+                                    self.radii[bump])
+                # the block's disks ascend: only their span gets its sums
+                out[disk[0]:disk[-1] + 1] += np.bincount(disk - disk[0],
+                                                         weights=held)
         return out
 
 

@@ -5,13 +5,14 @@ Three routes are provided:
 * ``lambda_sup`` — the computable upper-comparable proxy: the nested
   supremum of (delta/h) * mu(zhat, h) over zhat in B(z, delta) and
   h in [h_min, delta], found by a coarse log-ladder/lattice search plus
-  Nelder-Mead polish.  The polish runs all its starts in lock step, and
-  ``prime_lambda_sup`` runs many searches' starts so: each round
+  Nelder-Mead polish.  ``prime_lambda_sup`` runs the starts of many
+  searches in lock step, and ``lambda_sup`` is a batch of one: each round
   evaluates the points of every live start with one array call of
   ``disk_mass``, whose masses have the bits of scalar calls, and each
-  start takes the steps of its lone run.  A search's value and witness
-  are thus those of a lone search, while the disk-mass calls number the
-  rounds, not the evaluations.
+  start takes the steps of its lone run, so a search's value and witness
+  are those of a lone search.  This module's memo keeps the estimates;
+  ``lambda_sweep``, ``classify``, ``volume`` and ``validate`` prime all
+  their cells first.
 * ``lambda_stockyard`` — a certified lower bound: the best witness disk
   is turned into an explicit validated stockyard (connector circle plus
   repeated copies of the witness disk) whose mass is a true lower bound
@@ -25,8 +26,10 @@ true structure only up to constants.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import types
+import weakref
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -337,60 +340,52 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     return [(float(v), w, c) for v, w, c in out]
 
 
-def _sup_key(z, delta, opts):
-    return ("sup", complex(z), float(delta), opts or SupOptions())
+#: field -> {(z, delta, budget): finite lambda_sup estimate}, unbounded
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _sup_searches(field: DensityField, cells, opts):
+    """Each (z, delta) cell's ``lambda_sup`` estimate at the budget
+    ``opts``, or the error to raise in its place.  The cells that the memo
+    lacks are searched in one call of ``optimize_weighted_disk``."""
+    opts = opts or SupOptions()
+    memo = _MEMO.setdefault(field, {})
+    keys = [(complex(z), float(delta), opts) for z, delta in cells]
+    # the cells to search, then the error of each whose value is not finite
+    todo = {key: None for key in keys if key not in memo
+            and math.isfinite(key[1]) and key[1] > 0}
+    found = optimize_weighted_disk(
+        field, [(z, d, d, d) for z, d, _ in todo], opts) if todo else []
+    for key, (value, witness, counts) in zip(todo, found):
+        if math.isfinite(value):
+            memo[key] = LambdaEstimate(*key[:2], value, "sup",
+                                       "upper_comparable", witness, counts)
+        else:
+            todo[key] = CCStructError(
+                f"lambda_sup at delta={key[1]!r} is {value}")
+    return [memo.get(key) or todo.get(key)
+            or ValueError("delta must be positive and finite")
+            for key in keys]
 
 
 def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
     """Upper-comparable proxy via the nested supremum of
     (delta/h) * mu(zhat, h) at the search budget ``opts`` (default
     ``SupOptions()``); returns the best value and its witness, with the
-    polish's counts in ``meta``.  Raises CCStructError when the value is
-    not finite."""
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive and finite")
-    key = _sup_key(z, delta, opts)
-    _, z, delta, opts = key
-    cache = vars(field).setdefault("_lambda_cache", {})
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    (value, witness, counts), = optimize_weighted_disk(
-        field, [(z, delta, delta, delta)], opts)
-    if not math.isfinite(value):
-        raise CCStructError(f"lambda_sup at delta={delta!r} is {value}")
-    est = LambdaEstimate(z, delta, value, "sup", "upper_comparable", witness,
-                         counts)
-    cache[key] = est
+    polish's counts in ``meta``.  Raises ValueError on a bad delta and
+    CCStructError when the value is not finite."""
+    est, = _sup_searches(field, [(z, delta)], opts)
+    if isinstance(est, Exception):
+        raise est
     return est
 
 
 def prime_lambda_sup(field: DensityField, cells, opts: SupOptions = None):
-    """Run the ``lambda_sup`` searches of the (z, delta) ``cells`` that
-    its memo does not hold yet in one call of ``optimize_weighted_disk``,
-    and store their finite estimates in the memo.  ``lambda_sup`` at each
-    cell then returns its estimate as a lone search would give it, and
-    still raises where the value is not finite or delta is invalid.  When
-    a search fails, the memo is left as it was, so that each cell's lone
-    search raises its own error."""
-    cache = vars(field).setdefault("_lambda_cache", {})
-    keys = {}
-    for z, delta in cells:
-        if math.isfinite(delta) and delta > 0:
-            key = _sup_key(z, delta, opts)
-            if key not in cache:
-                keys[key] = None
-    if not keys:
-        return
-    try:
-        found = optimize_weighted_disk(
-            field, [(z, d, d, d) for _, z, d, _ in keys], opts or SupOptions())
-    except CCStructError:
-        return
-    for key, (value, witness, counts) in zip(keys, found):
-        if math.isfinite(value):
-            cache[key] = LambdaEstimate(key[1], key[2], value, "sup",
-                                        "upper_comparable", witness, counts)
+    """Run the ``lambda_sup`` searches of the (z, delta) ``cells`` in one
+    polish for ``lambda_sup`` to return from the memo.  A failed batch
+    stores nothing, so that each cell's lone search raises its own error."""
+    with contextlib.suppress(CCStructError):
+        _sup_searches(field, cells, opts)
 
 
 def connector_circle(z, witness: WitnessDisk):
@@ -571,6 +566,11 @@ def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
     if not all(math.isfinite(d) and d > 0 for d in deltas):
         raise ValueError("deltas must be positive and finite")
 
+    cells = [(z, d) for z in window.points() for d in deltas]
+    if method in ("sup", "stockyard", "direct"):
+        # each reads lambda_sup at its cell: every search in one polish
+        prime_lambda_sup(field, cells)
+
     def evaluate(z, delta):
         # the estimators are looked up at call time, so a rebinding of the
         # module attributes (as by a tracer) sees these calls
@@ -593,4 +593,4 @@ def lambda_sweep(field: DensityField, window: Window, deltas, method="sup",
             row.witness_center, row.witness_radius = w.center, w.radius
         return row
 
-    return [evaluate(z, d) for z in window.points() for d in deltas]
+    return [evaluate(z, d) for z, d in cells]

@@ -667,6 +667,21 @@ def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
     assert np.array_equal(_bits(f.density(z)), _bits(_listed_density(f, z)))
 
 
+def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
+    # hundreds of whole-lattice rows, two to a block, interleaved with
+    # narrow centers: each block's sums land on its own disks only
+    f = lattice35
+    rng = np.random.default_rng(17)
+    centers = rng.uniform(-45.0, 45.0, 400) + 1j * rng.uniform(-45.0, 45.0,
+                                                               400)
+    every = f._takes_every_bump(centers, f._reach(12.0))
+    assert every.sum() > 100 and not np.all(every)
+    lone = [f.disk_mass_many(centers[i:i + 1], 12.0)[0]
+            for i in range(len(centers))]
+    assert np.array_equal(_bits(f.disk_mass_many(centers, 12.0)),
+                          _bits(np.array(lone)))
+
+
 @pytest.mark.parametrize("r", [12.0, 40.0])
 def test_bump_many_memory_is_bounded(lattice35, r):
     # the pair arrays and whole-lattice rows stay within _PAIR_BLOCK

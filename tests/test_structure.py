@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccstruct.ccpath import sample_lambda_direct
 from ccstruct.classify import CLASSIFY_OPTS
@@ -149,12 +150,45 @@ def test_failed_prime_leaves_the_memo(monkeypatch):
 
     f = RadialAlphaDensity(0.5)
     lambda_sup(f, 0j, 0.5, CLASSIFY_OPTS)
-    memo = dict(f._lambda_cache)
+    memo = dict(structure._MEMO[f])
     monkeypatch.setattr(structure, "optimize_weighted_disk", failing)
     prime_lambda_sup(f, [(0j, 0.5), (1j, 2.0)], CLASSIFY_OPTS)
-    assert f._lambda_cache == memo
+    assert structure._MEMO[f] == memo
     with pytest.raises(QuadratureFailure):
         lambda_sup(f, 1j, 2.0, CLASSIFY_OPTS)
+
+
+#: each cell's lone search on a fresh field, shared by the examples below
+_LONE = {}
+
+
+def _lone_sup(z, delta):
+    if (z, delta) not in _LONE:
+        _LONE[z, delta] = lambda_sup(RadialAlphaDensity(0.5), z, delta,
+                                     CLASSIFY_OPTS)
+    return _LONE[z, delta]
+
+
+@settings(max_examples=8, deadline=None)
+@example([(1j, 0.5), (1j, 0.5), (0j, math.nan), (0j, 3.0)])
+@given(st.lists(st.tuples(st.sampled_from([0j, 1j, 1.5 - 2j]),
+                          st.sampled_from([0.5, 3.0, 0.0, math.nan])),
+                min_size=1, max_size=5))
+def test_primed_estimates_do_not_depend_on_the_batch(cells):
+    # a batch, repeats and invalid deltas included, gives each valid cell
+    # the value, witness and counts of its lone search, bit for bit
+    from ccstruct import structure
+    f = RadialAlphaDensity(0.5)
+    prime_lambda_sup(f, cells, CLASSIFY_OPTS)
+    for z, d in cells:
+        if d > 0:
+            assert (z, d, CLASSIFY_OPTS) in structure._MEMO[f]
+            got, want = lambda_sup(f, z, d, CLASSIFY_OPTS), _lone_sup(z, d)
+            assert _bits(got.value) == _bits(want.value)
+            assert got.witness == want.witness and got.meta == want.meta
+        else:
+            with pytest.raises(ValueError):
+                lambda_sup(f, z, d, CLASSIFY_OPTS)
 
 
 def _nm_objectives():
@@ -412,6 +446,35 @@ def test_sweep_constant_translation_invariance():
         by_delta.setdefault(r.delta, []).append(r.value)
     for d, vals in by_delta.items():
         assert max(vals) <= min(vals) * 1.01
+
+
+def _row_bits(row):
+    return [_bits(v) for v in (row.value, row.witness_center.real,
+                               row.witness_center.imag, row.witness_radius)]
+
+
+def test_sweep_rows_repeat_lone_calls():
+    # a sweep searches its whole window x ladder at once; each row keeps
+    # the bits of a lone estimate on a fresh field
+    from ccstruct.density import decaying_bump_lattice
+    window, deltas = Window(-1, -1, 1, 1, 2), (0.4, 4.0)
+    sup = lambda_sweep(decaying_bump_lattice(8), window, deltas, "sup")
+    yard = lambda_sweep(decaying_bump_lattice(8), window, deltas, "stockyard")
+    assert len(sup) == len(yard) == 8
+    for a, b in zip(sup, yard):
+        g = decaying_bump_lattice(8)
+        lone, lone_yard = (lambda_sup(g, a.z, a.delta),
+                           lambda_stockyard(g, a.z, a.delta))
+        assert a.error is None and b.error is None
+        w, yw = lone.witness, lone_yard.meta["witness"]
+        assert _row_bits(a) == [_bits(v) for v in (
+            lone.value, w.center.real, w.center.imag, w.radius)]
+        assert _row_bits(b) == [_bits(v) for v in (
+            lone_yard.value, yw.center.real, yw.center.imag, yw.radius)]
+    row, = lambda_sweep(ConstantDensity(4.0), Window(0.5, 0.25, 0.5, 0.25, 1),
+                        (2.0,), "direct", seed=3)
+    lone = sample_lambda_direct(ConstantDensity(4.0), 0.5 + 0.25j, 2.0, seed=3)
+    assert row.error is None and _bits(row.value) == _bits(lone.value)
 
 
 def test_sweep_records_errors_per_row():
