@@ -448,9 +448,8 @@ def test_sweep_constant_translation_invariance():
         assert max(vals) <= min(vals) * 1.01
 
 
-def _row_bits(row):
-    return [_bits(v) for v in (row.value, row.witness_center.real,
-                               row.witness_center.imag, row.witness_radius)]
+def _row_bits(value, center, radius):
+    return [_bits(v) for v in (value, center.real, center.imag, radius)]
 
 
 def test_sweep_rows_repeat_lone_calls():
@@ -465,12 +464,12 @@ def test_sweep_rows_repeat_lone_calls():
         g = decaying_bump_lattice(8)
         lone, lone_yard = (lambda_sup(g, a.z, a.delta),
                            lambda_stockyard(g, a.z, a.delta))
-        assert a.error is None and b.error is None
         w, yw = lone.witness, lone_yard.meta["witness"]
-        assert _row_bits(a) == [_bits(v) for v in (
-            lone.value, w.center.real, w.center.imag, w.radius)]
-        assert _row_bits(b) == [_bits(v) for v in (
-            lone_yard.value, yw.center.real, yw.center.imag, yw.radius)]
+        for row, want in ((a, (lone.value, w.center, w.radius)),
+                          (b, (lone_yard.value, yw.center, yw.radius))):
+            assert row.error is None and _row_bits(
+                row.value, row.witness_center,
+                row.witness_radius) == _row_bits(*want)
     row, = lambda_sweep(ConstantDensity(4.0), Window(0.5, 0.25, 0.5, 0.25, 1),
                         (2.0,), "direct", seed=3)
     lone = sample_lambda_direct(ConstantDensity(4.0), 0.5 + 0.25j, 2.0, seed=3)
