@@ -92,8 +92,9 @@ def fit_loglog_slope(deltas, values):
 def track_slope(field, track, deltas):
     """Slope of log lambda_sup(track(delta), delta) vs log delta along a
     moving base point, e.g. track = lambda d: d**1.5."""
-    vals = [lambda_sup(field, track(d), d, CLASSIFY_OPTS).value
-            for d in deltas]
+    cells = [(track(d), d) for d in deltas]
+    prime_lambda_sup(field, cells, CLASSIFY_OPTS)
+    vals = [lambda_sup(field, z, d, CLASSIFY_OPTS).value for z, d in cells]
     return fit_loglog_slope(deltas, vals)
 
 
@@ -312,10 +313,13 @@ def doubling_ratio(field: DensityField, window: Window, deltas):
     """
     deltas = sorted(float(d) for d in deltas)
     zs = window.points()
+    kept = [d for d in deltas
+            if any(abs(d2 - 2.0 * d) <= 1e-9 * d2 for d2 in deltas)]
+    # the cells read below, (z, d) and (z, 2 d), in one polish
+    prime_lambda_sup(field, [(z, e) for d in kept for z in zs
+                             for e in (d, 2.0 * d)], CLASSIFY_OPTS)
     rows = []
-    for d in deltas:
-        if not any(abs(d2 - 2.0 * d) <= 1e-9 * d2 for d2 in deltas):
-            continue
+    for d in kept:
         ratios = []
         skipped = 0
         for z in zs:

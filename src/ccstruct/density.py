@@ -95,12 +95,13 @@ class DensityField:
     """Base class: a plane density with optional potential data.
 
     A family implements ``_density`` (a finite complex array) that
-    ``density`` runs, and the array kernel ``_disk_masses`` (flat finite
-    centers, float radius r > 0) that ``disk_mass_many`` runs for the
-    coarse search.  ``disk_mass`` runs ``_disk_mass_batch`` (flat centers,
-    flat radii), a lone disk as a batch of one; by default it runs
-    ``_disk_masses`` on one center at a time, and a family whose exact
-    masses differ from its coarse ones gives it a kernel of its own."""
+    ``density`` runs, and one disk-mass kernel ``_disk_masses(centers,
+    radii)`` on flat arrays of finite centers and radii r > 0, one radius
+    per center.  ``disk_mass_many`` runs it at a common radius for the
+    coarse search.  ``disk_mass`` runs ``_disk_mass_batch`` on the same
+    flat arrays, a lone disk as a batch of one; it is ``_disk_masses``
+    unless a family's exact masses differ from its coarse ones (radial
+    profiles and bump lattices), which then override it."""
 
     family = "abstract"
 
@@ -151,14 +152,13 @@ class DensityField:
         """
         centers = np.asarray(centers, dtype=complex)
         _check_disk(r, centers)
-        return self._disk_masses(centers.ravel(), float(r)).reshape(
-            centers.shape)
+        return self._disk_masses(centers.ravel(), np.full(
+            centers.size, float(r))).reshape(centers.shape)
 
     def _disk_mass_batch(self, centers, radii):
-        return np.array([self._disk_masses(np.array([c]), r)[0] for c, r in
-                         zip(centers.tolist(), radii.tolist())], dtype=float)
+        return self._disk_masses(centers, radii)
 
-    def _disk_masses(self, centers, r):
+    def _disk_masses(self, centers, radii):
         raise NotImplementedError
 
     def disk_mass_quadrature(self, center, r, rel_tol=DISK_MASS_REL_TOL):
@@ -196,8 +196,10 @@ class ConstantDensity(DensityField):
         z = np.asarray(z, dtype=complex)
         return 0.5 * self.c * z.real, 0.5 * self.c * z.imag
 
-    def _disk_masses(self, centers, r):
-        return np.full(centers.shape, self.c * math.pi * r * r)
+    def _disk_masses(self, centers, radii):
+        # a huge disk's mass is inf, as a float product gives it, unwarned
+        with np.errstate(over="ignore"):
+            return self.c * math.pi * radii * radii
 
 
 class ZeroDensity(DensityField):
@@ -213,7 +215,7 @@ class ZeroDensity(DensityField):
         z = np.asarray(z, dtype=complex)
         return np.zeros(z.shape), np.zeros(z.shape)
 
-    def _disk_masses(self, centers, r):
+    def _disk_masses(self, centers, radii):
         return np.zeros(centers.shape)
 
 
@@ -288,14 +290,13 @@ class PolynomialPotential(DensityField):
         pz = _poly_eval(_poly_dz(self.coeffs), z)
         return 2.0 * pz.real, -2.0 * pz.imag
 
-    def _disk_masses(self, centers, r):
+    def _disk_masses(self, centers, radii):
         total = np.zeros(centers.shape)
         for a, Q in enumerate(self._diag_derivs):
-            try:
-                power = r ** (2 * a + 2)
-            except OverflowError:   # a float's ** raises where numpy gives inf
-                power = math.inf
-            coef = math.pi * power / ((a + 1) * math.factorial(a) ** 2)
+            # float_power is libm pow, as Python's float ** (np.power is not)
+            with np.errstate(over="ignore"):
+                coef = (math.pi * np.float_power(radii, 2 * a + 2)
+                        / ((a + 1) * math.factorial(a) ** 2))
             total = total + coef * _poly_eval(Q, centers).real
         return np.maximum(total, 0.0)
 
@@ -398,23 +399,23 @@ class RadialProfileDensity(DensityField):
 
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
+    def _covered_masses(self, d, radii):
+        """2 pi m(r) for each disk centered within 1e-12 max(1, r) of the
+        origin, else 2 pi m(r - d) of its covered disk (0.0 where d >= r),
+        and the mask of these far disks, whose annulus integrals are due."""
+        far = d >= 1e-12 * np.maximum(1.0, radii)
+        covered = np.maximum(np.where(far, radii - d, radii), 0.0)
+        return 2.0 * math.pi * self._cumulative_array(covered), far
+
     def _disk_mass_batch(self, centers, radii):
-        """Each disk's mass: 2 pi m(r) about the origin; elsewhere 2 pi
-        m(r - d) for the covered disk |w| < r - d where d < r, plus the
-        annulus integral.  The annulus integrals of all the disks run as
-        rows of one ``adaptive_1d`` doubling loop, in blocks of rows within
-        ``KERNEL_BUDGET``; each row stops at its own order."""
+        """Each disk's covered mass plus its annulus integral.  The annulus
+        integrals of all the disks run as rows of one ``adaptive_1d``
+        doubling loop, in blocks of rows within ``KERNEL_BUDGET``; each row
+        stops at its own order."""
         # Python's abs: np.abs rounds a third of these distances differently
         d = np.array([abs(c) for c in centers.tolist()], dtype=float)
-        out = np.zeros(len(d))
-        near = d < 1e-12 * np.maximum(1.0, radii)
-        for i in np.flatnonzero(near):
-            out[i] = 2.0 * math.pi * self.cumulative(radii[i])
-        far = np.flatnonzero(~near)
+        out, far = self._covered_masses(d, radii)
         d, r = d[far], radii[far]
-        total = np.zeros(len(far))
-        for i in np.flatnonzero(d < r):
-            total[i] += 2.0 * math.pi * self.cumulative(r[i] - d[i])
 
         def integrand(x, live):
             step = max(1, KERNEL_BUDGET // len(x))
@@ -424,10 +425,9 @@ class RadialProfileDensity(DensityField):
                 for rows in (live[lo:lo + step]
                              for lo in range(0, len(live), step))])
 
-        total += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
-                                        rel_tol=_ANNULUS_REL_TOL,
-                                        rows=len(far))
-        out[far] = total
+        out[far] += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
+                                           rel_tol=_ANNULUS_REL_TOL,
+                                           rows=len(d))
         return out
 
     def _annulus_integrand(self, d, r):
@@ -454,30 +454,20 @@ class RadialProfileDensity(DensityField):
 
         return factors
 
-    def _disk_masses(self, centers, r):
-        # the mass depends on a center only through d = |center|: one kernel
-        # row per distinct far distance, each row's arithmetic its own
-        d = np.abs(centers)
-        out = np.zeros(d.shape)
-        near = d < 1e-12 * max(1.0, r)
-        if np.any(near):
-            out[near] = 2.0 * math.pi * self.cumulative(r)
-        far = ~near
-        if np.any(far):
-            dd, back = np.unique(d[far], return_inverse=True)
-            x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
-            vals = np.empty(len(dd))
-            step = KERNEL_BUDGET // _ANNULUS_NODES
-            for lo in range(0, len(dd), step):
-                values, jac = self._annulus_integrand(
-                    dd[lo:lo + step, None], r)(x)
-                vals[lo:lo + step] = np.einsum("ij,ij->i", jac * w, values)
-            inner = dd < r
-            if np.any(inner):
-                vals[inner] += 2.0 * math.pi * self._cumulative_array(
-                    r - dd[inner])
-            out[far] = vals[back]
-        return out
+    def _disk_masses(self, centers, radii):
+        # a mass depends only on (|center|, r), packed exactly as d + r i:
+        # one kernel row per distinct far pair, each row's arithmetic its own
+        pairs, back = np.unique(np.abs(centers) + 1j * radii,
+                                return_inverse=True)
+        d, r = pairs.real, pairs.imag
+        vals, far = self._covered_masses(d, r)
+        rows = np.flatnonzero(far)
+        x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
+        step = KERNEL_BUDGET // _ANNULUS_NODES
+        for k in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+            values, jac = self._annulus_integrand(d[k, None], r[k, None])(x)
+            vals[k] += np.einsum("ij,ij->i", jac * w, values)
+        return vals[back]
 
 
 class RadialAlphaDensity(RadialProfileDensity):
@@ -596,13 +586,14 @@ def _bump_fractions_inside(d, rho, r):
 def _held_masses(d, r, masses, radii):
     """Each bump's mass times the fraction of it inside a disk of radius r
     whose center lies at distance ``d``: the mass itself wholly inside,
-    exactly 0.0 wholly outside.  ``masses`` and ``radii`` broadcast
+    exactly 0.0 wholly outside.  ``r``, ``masses`` and ``radii`` broadcast
     against ``d``."""
-    radii = np.broadcast_to(radii, d.shape)
+    r, radii = np.broadcast_to(r, d.shape), np.broadcast_to(radii, d.shape)
     inside = d + radii <= r
     partial = ~inside & (d - radii < r)
     frac = inside.astype(float)
-    frac[partial] = _bump_fractions_inside(d[partial], radii[partial], r)
+    frac[partial] = _bump_fractions_inside(d[partial], radii[partial],
+                                           r[partial])
     return masses * frac
 
 
@@ -724,10 +715,13 @@ class BumpLattice(DensityField):
         flat = z.ravel()
         out = np.zeros(flat.shape)
         for qi, bi in self._near_pairs(flat, self._reach(0.0)):
-            rho = self.radii[bi]
-            vals = (self.masses[bi] / (rho ** 2 * _MOLLIFIER_MASS)
-                    * _mollifier(np.abs(flat[qi] - self.centers[bi]) / rho))
-            out += np.bincount(qi, weights=vals, minlength=len(flat))
+            if len(qi):
+                rho = self.radii[bi]
+                vals = (self.masses[bi] / (rho ** 2 * _MOLLIFIER_MASS)
+                        * _mollifier(np.abs(flat[qi] - self.centers[bi])
+                                     / rho))
+                # the block's points ascend: only their span gets its sums
+                out[qi[0]:qi[-1] + 1] += np.bincount(qi - qi[0], weights=vals)
         return out.reshape(z.shape)
 
     def _takes_every_bump(self, centers, reach):
@@ -799,14 +793,13 @@ class BumpLattice(DensityField):
             out[i] = total
         return out
 
-    def _disk_masses(self, centers, r):
-        """Each center's mass is the sum, in ascending bump index, of its
+    def _disk_masses(self, centers, radii):
+        """Each disk's mass is the sum, in ascending bump index, of its
         pairs' held masses."""
         out = np.zeros(centers.shape)
-        for disk, bump, d in self._disk_pairs(centers,
-                                              np.full(centers.shape, r)):
+        for disk, bump, d in self._disk_pairs(centers, radii):
             if len(disk):
-                held = _held_masses(d, r, self.masses[bump],
+                held = _held_masses(d, radii[disk], self.masses[bump],
                                     self.radii[bump])
                 # the block's disks ascend: only their span gets its sums
                 out[disk[0]:disk[-1] + 1] += np.bincount(disk - disk[0],
@@ -899,52 +892,57 @@ class GridDensity(DensityField):
 
     def _line_count(self, r, n):
         """How many grid lines along an axis of n nodes ``_crossings``
-        tries for a disk of radius r: under zero extension only the n
-        lines of the grid count; under periodic extension every lattice
-        line does."""
-        count = int(2.0 * r / self.cell_size) + 2
-        return min(count, n) if self.extension == "zero" else count
+        tries for disks of the radii r: under zero extension at most the n
+        of the grid; under periodic extension every lattice line, up to
+        more than any array holds (clipped in float before the cast)."""
+        cap = n if self.extension == "zero" else np.iinfo(np.intp).max // 8
+        return np.minimum(2.0 * r / self.cell_size, cap - 2).astype(int) + 2
 
     def _crossings(self, c, r, o, n):
         """(line - c)/r for the grid lines o + cell k within distance r
-        of each coordinate in the array ``c``, one row per coordinate,
-        padded with nan to ``_line_count`` entries."""
+        of each coordinate of the column ``c`` (r a column too), one row
+        each, padded with nan to the largest ``_line_count`` of r."""
         cell = self.cell_size
-        count = self._line_count(r, n)
+        count = int(self._line_count(r, n).max())
         k0 = np.floor((c - r - o) / cell)
         if self.extension == "zero":
             k0 = np.clip(k0, 0, n - count)
-        a = (o + cell * (k0[:, None] + np.arange(count)) - c[:, None]) / r
+        a = (o + cell * (k0 + np.arange(count)) - c) / r
         return np.where(np.abs(a) < 1.0, a, np.nan)
 
-    def _disk_masses(self, centers, r):
-        """Masses of the disks of radius r about a flat array of centers.
+    def _disk_masses(self, centers, radii):
+        """Masses of the disks of ``radii`` about a flat array of centers.
 
         Its largest arrays hold six table values per node (three tables
         at both chord ends), so it sees at most ``KERNEL_BUDGET // 6``
-        nodes at once: a block of centers, or, where one center has more,
-        a run of its pieces.  Each piece is summed on its own and each
-        mass is the sum of its pieces, so the blocking moves no bits."""
+        nodes at once: a block of centers of one piece count, or a run of
+        one center's pieces.  Each piece is summed on its own and each
+        mass is the sum of its lone call's pieces: no bit moves."""
         ny, nx = self.values.shape
-        pieces = 1 + self._line_count(r, nx) + 2 * self._line_count(r, ny)
+        pieces = (1 + self._line_count(radii, nx)
+                  + 2 * self._line_count(radii, ny))
         nodes = KERNEL_BUDGET // 6
-        step = max(1, nodes // (pieces * _GRID_NODES))
         run = max(1, nodes // _GRID_NODES)
         out = np.empty(len(centers))
-        for lo in range(0, len(centers), step):
-            block = centers[lo:lo + step]
-            cuts = self._cuts(block, r)
-            masses = [self._piece_masses(block, r, cuts[:, a:a + run + 1])
-                      for a in range(0, cuts.shape[1] - 1, run)]
-            out[lo:lo + step] = np.concatenate(masses, axis=1).sum(axis=1)
+        # not np.unique, whose first call imports numpy.ma (about 15 ms)
+        for count in set(pieces.tolist()):
+            group = np.flatnonzero(pieces == count)
+            step = max(1, nodes // (count * _GRID_NODES))
+            for rows in (group[lo:lo + step]
+                         for lo in range(0, len(group), step)):
+                block, r = centers[rows, None], radii[rows, None]
+                cuts = self._cuts(block, r)
+                masses = [self._piece_masses(block, r, cuts[:, a:a + run + 1])
+                          for a in range(0, count, run)]
+                out[rows] = np.concatenate(masses, axis=1).sum(axis=1)
         return self.cell_size * out
 
     def _cuts(self, centers, r):
-        """The sorted angles in [0, pi] that split each center's outer
-        integral into smooth pieces, one row per center: x = cx -
-        r cos(theta) on a column, |y - cy| = r sin(theta) on a row.  The
-        nan pads sort last and become pi, giving empty pieces of zero
-        weight."""
+        """The sorted angles in [0, pi] that split the outer integral of
+        each center of a column (r a column too) into smooth pieces, one
+        row each: x = cx - r cos(theta) on a column, |y - cy| = r sin(theta)
+        on a row.  The nan pads sort last and become pi, giving empty
+        pieces of zero weight."""
         ny, nx = self.values.shape
         ax = self._crossings(centers.real, r, self.origin.real, nx)
         ay = np.arcsin(np.abs(
@@ -954,29 +952,29 @@ class GridDensity(DensityField):
             [ends, np.arccos(-ax), ay, math.pi - ay], axis=1), axis=1)
         return np.where(np.isnan(cuts), math.pi, cuts)
 
-    def _piece_masses(self, centers, r, cuts):
+    def _piece_masses(self, c, r, cuts):
         """The outer integral over each piece between consecutive cuts,
-        one row per center, divided by the cell size."""
+        one row per center of a column (r too), divided by the cell size."""
         ny, nx = self.values.shape
         cell, o = self.cell_size, self.origin
         periodic = self.extension == "periodic"
-        cx, cy = centers.real, centers.imag
+        cx, cy, r = c.real[..., None], c.imag[..., None], r[..., None]
         theta, weights = quadrature.gl_nodes(cuts[:, :-1, None],
                                              cuts[:, 1:, None], _GRID_NODES)
         chord = r * np.sin(theta)
 
-        gx = (cx[:, None, None] - o.real - r * np.cos(theta)) / cell
+        gx = (cx - o.real - r * np.cos(theta)) / cell
         if periodic:
             # reduce to the first period (np.mod is many times slower)
             gx = gx - (nx - 1) * np.floor(gx / (nx - 1))
-        # truncation floors every gx that the zero extension keeps
-        ix = np.clip(gx.astype(np.intp), 0, nx - 2)
+        # clipped in float before the cast, which then floors
+        ix = np.clip(gx, 0, nx - 2).astype(np.intp)
         fx = gx - ix
 
         # the chord's two ends in grid rows; under periodic extension each
         # is reduced to the first period, and the whole column periods
         # between them are added back
-        u = (cy[:, None, None] - o.imag + np.stack([-chord, chord])) / cell
+        u = (cy - o.imag + np.stack([-chord, chord])) / cell
         if periodic:
             q = np.floor(u / (ny - 1))
             u = u - (ny - 1) * q

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ccstruct import classify, structure
 from ccstruct.classify import (Window, check_linear_conditions,
                                check_quadratic_conditions, dichotomy_probe,
                                doubling_ratio, fit_loglog_slope, mass_table,
@@ -176,6 +177,37 @@ def test_doubling_zero_density_skipped():
     assert len(rows) == 1
     assert math.isnan(rows[0]["max_ratio"])
     assert rows[0]["skipped"] == len(SMALL_WINDOW.points())
+
+
+def test_doubling_and_track_search_their_cells_at_once(monkeypatch):
+    # each hands all its cells to one search call, (z, d) and (z, 2 d) for
+    # doubling_ratio, and its rows keep the bits of lone searches made on a
+    # fresh field
+    window, deltas = Window(-1, -1, 1, 1, 2), [0.5, 1.0, 2.0, 3.0]
+
+    def track(d):
+        return complex(0.3 * d, 0.1)
+
+    with monkeypatch.context() as m:
+        m.setattr(classify, "prime_lambda_sup", lambda *args: None)
+        lone = decaying_bump_lattice(3)
+        want = (doubling_ratio(lone, window, deltas),
+                track_slope(lone, track, deltas))
+    calls = []
+    search = structure.optimize_weighted_disk
+
+    def counting(field, searches, opts):
+        calls.append(len(searches))
+        return search(field, searches, opts)
+
+    monkeypatch.setattr(structure, "optimize_weighted_disk", counting)
+    rows = doubling_ratio(decaying_bump_lattice(3), window, deltas)
+    # ladder rungs 0.5, 1 and 2 at each of the four points
+    assert calls == [12] and len(rows) == 2
+    assert rows == want[0]
+    calls.clear()
+    assert track_slope(decaying_bump_lattice(3), track, deltas) == want[1]
+    assert calls == [4]
 
 
 def test_doubling_lattice_within_chain_bound():

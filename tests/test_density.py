@@ -50,10 +50,17 @@ def test_zero_density_everything_vanishes():
 
 
 def _one_field_per_family():
+    values = np.random.default_rng(8).uniform(0.0, 2.0, (6, 7))
     return (ConstantDensity(2.0), ZeroDensity(),
             PolynomialPotential({(2, 2): 1.0}), RadialAlphaDensity(0.5),
             decaying_bump_lattice(3),
-            GridDensity(-2 - 2j, 1.0, np.ones((5, 5))))
+            GridDensity(-2 - 2j, 1.0, np.ones((5, 5))),
+            GridDensity(-2 - 1.5j, 0.5, values, extension="periodic"))
+
+
+def _field_id(f):
+    periodic = getattr(f, "extension", None) == "periodic"
+    return "grid_periodic" if periodic else f.family
 
 
 def test_disk_mass_rejects_bad_radius():
@@ -132,13 +139,15 @@ def _pair_cases(f):
     return centers, radii
 
 
-@pytest.mark.parametrize("f", _one_field_per_family(),
-                         ids=lambda f: f.family)
+@pytest.mark.parametrize("f", _one_field_per_family(), ids=_field_id)
 def test_disk_mass_pairs_repeat_lone_calls_bitwise(f):
     # an array call of disk_mass gives each (center, radius) the bits of
     # its lone call, whatever else is in the batch: both orders, and a
     # 2-D batch in its shape
     centers, radii = _pair_cases(f)
+    if isinstance(f, GridDensity):
+        # the grid kernel groups a batch's disks by their line count
+        assert len(np.unique(f._line_count(radii, min(f.values.shape)))) >= 3
     lone = [f.disk_mass(c, r) for c, r in zip(centers, radii)]
     assert np.array_equal(_bits(f.disk_mass(centers, radii)), _bits(lone))
     assert np.array_equal(_bits(f.disk_mass(centers[::-1], radii[::-1])),
@@ -680,6 +689,21 @@ def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
             for i in range(len(centers))]
     assert np.array_equal(_bits(f.disk_mass_many(centers, 12.0)),
                           _bits(np.array(lone)))
+
+
+def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
+    # each block of the cell list's pairs adds its sums to its own points'
+    # span: a call over several blocks, with points that have no candidate
+    # among them, gives each point the bits of its lone call
+    f = lattice35
+    rng = np.random.default_rng(18)
+    z = np.concatenate([rng.uniform(-37.0, 37.0, 300)
+                        + 1j * rng.uniform(-37.0, 37.0, 300),
+                        [80 + 80j, 0j, 0j, f.centers[7]]])
+    monkeypatch.setattr(density, "_PAIR_BLOCK", 100)
+    assert len(list(f._near_pairs(z, f._reach(0.0)))) >= 4
+    lone = [f.density(p) for p in z]
+    assert np.array_equal(_bits(f.density(z)), _bits(lone))
 
 
 @pytest.mark.parametrize("r", [12.0, 40.0])
