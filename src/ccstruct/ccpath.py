@@ -314,8 +314,10 @@ def ball_volume_mc(field: DensityField, z, t, delta, n_paths=10000, seed=0):
     pts = ends[inside]
     idx = np.floor((pts - lo) / span * bins).astype(np.int64)
     idx = np.clip(idx, 0, bins - 1)
-    flat = np.unique(idx[:, 0] * bins * bins + idx[:, 1] * bins + idx[:, 2])
-    occupied = flat.size
+    # the distinct cells, counted on the sorted cell codes (the first call
+    # of np.unique imports numpy.ma, about 15 ms)
+    flat = np.sort(idx[:, 0] * bins * bins + idx[:, 1] * bins + idx[:, 2])
+    occupied = int(np.count_nonzero(flat[1:] != flat[:-1])) + min(flat.size, 1)
     cell_vol = float(np.prod(span)) / bins ** 3
     estimate = occupied * cell_vol
 

@@ -89,6 +89,17 @@ def fit_loglog_slope(deltas, values):
     return float(np.polyfit(np.log(d[keep]), np.log(v[keep]), 1)[0])
 
 
+def _median(values):
+    """``np.median`` of a 1D array, bit for bit (the mean (a + b) / 2 of
+    the middle two of an even count, nan if any value is nan), without
+    the import of numpy.ma that its first call makes (about 15 ms)."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):
+        return math.nan
+    mid = len(s) // 2
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def track_slope(field, track, deltas):
     """Slope of log lambda_sup(track(delta), delta) vs log delta along a
     moving base point, e.g. track = lambda d: d**1.5."""
@@ -151,7 +162,7 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
         per_z = np.asarray([val for val, _, _ in
                             found[k * len(zs):(k + 1) * len(zs)]])
         inf_v = float(per_z.min())
-        med_v = float(np.median(per_z))
+        med_v = _median(per_z)
         ok = med_v > 0 and inf_v >= 1e-3 * med_v
         cand = (ok, inf_v, med_v, dstar, m_reach)
         if best is None or (cand[0], cand[1]) > (best[0], best[1]):

@@ -147,8 +147,14 @@ class DensityField:
     def disk_mass_many(self, centers, r):
         """mu over an array of centers at a common radius, in its shape.
 
-        Accuracy target is the coarse-search regime (~1e-5 relative);
-        final answers should go through :meth:`disk_mass`.
+        The coarse search's masses: their values only rank the lattice
+        cells whose best ones :meth:`disk_mass` evaluates again, so the
+        target is ~1e-5 relative.  Constant, polynomial and grid fields
+        give their exact masses here, a bump lattice's differ in summation
+        order only, and a radial field's fixed 64-node annulus rule stays
+        within 2.5e-11 relative of 192 nodes on smooth profiles
+        (``_ANNULUS_NODES``).  Final answers should go through
+        :meth:`disk_mass`.
         """
         centers = np.asarray(centers, dtype=complex)
         _check_disk(r, centers)
@@ -336,9 +342,15 @@ def nagel_lambda_polynomial(field: PolynomialPotential, z, delta):
 #: relative error bound of the radial quadrature of m(r)
 _RADIAL_REL_TOL = 1e-9
 #: the annulus integral of a radial disk mass: relative tolerance of the
-#: adaptive rule in ``disk_mass``, fixed order in ``disk_mass_many``
+#: adaptive rule in ``disk_mass``, fixed order in ``disk_mass_many``.  The
+#: fixed rule's values only rank the coarse search's cells, whose best ones
+#: are evaluated again by ``disk_mass``.  On 100,000 random (d, r) pairs
+#: (d in 10^[-4, 2.5], r in 10^[-3.5, 2.5], a tenth with d ~ r) 64 nodes
+#: stay within 2.5e-11 relative of 192 nodes for alpha in {0.01, 0.25,
+#: 0.5, 0.66} (48 nodes within 1.6e-9, 32 within 3.8e-8), while the
+#: adaptive rule itself differs from 192 nodes by up to 9.9e-9
 _ANNULUS_REL_TOL = 1e-7
-_ANNULUS_NODES = 192
+_ANNULUS_NODES = 64
 
 
 class RadialProfileDensity(DensityField):
@@ -456,7 +468,9 @@ class RadialProfileDensity(DensityField):
 
     def _disk_masses(self, centers, radii):
         # a mass depends only on (|center|, r), packed exactly as d + r i:
-        # one kernel row per distinct far pair, each row's arithmetic its own
+        # one kernel row per distinct far pair, each row's arithmetic its
+        # own.  With return_inverse, np.unique sorts and never reaches the
+        # numpy.ma check that its plain form makes
         pairs, back = np.unique(np.abs(centers) + 1j * radii,
                                 return_inverse=True)
         d, r = pairs.real, pairs.imag
@@ -583,17 +597,27 @@ def _bump_fractions_inside(d, rho, r):
     return num / _MOLLIFIER_MASS
 
 
-def _held_masses(d, r, masses, radii):
+def _held_masses(d, r, masses, radii, seen=None):
     """Each bump's mass times the fraction of it inside a disk of radius r
     whose center lies at distance ``d``: the mass itself wholly inside,
     exactly 0.0 wholly outside.  ``r``, ``masses`` and ``radii`` broadcast
-    against ``d``."""
+    against ``d``.  ``seen`` maps the (d, rho, r) triples of partial
+    overlaps already computed to their fractions, and gains this call's
+    new ones: one dict passed over many calls runs the overlap kernel once
+    per distinct triple, with the same bits, since a triple's fraction does
+    not depend on the others in its kernel call."""
+    seen = {} if seen is None else seen
     r, radii = np.broadcast_to(r, d.shape), np.broadcast_to(radii, d.shape)
     inside = d + radii <= r
     partial = ~inside & (d - radii < r)
     frac = inside.astype(float)
-    frac[partial] = _bump_fractions_inside(d[partial], radii[partial],
-                                           r[partial])
+    keys = list(zip(d[partial].tolist(), radii[partial].tolist(),
+                    r[partial].tolist()))
+    new = [k for k in dict.fromkeys(keys) if k not in seen]
+    if new:
+        seen.update(zip(new, _bump_fractions_inside(*np.array(new).T)
+                        .tolist()))
+    frac[partial] = [seen[k] for k in keys]
     return masses * frac
 
 
@@ -795,12 +819,16 @@ class BumpLattice(DensityField):
 
     def _disk_masses(self, centers, radii):
         """Each disk's mass is the sum, in ascending bump index, of its
-        pairs' held masses."""
+        pairs' held masses.  The partial overlaps run once per distinct
+        (distance, bump radius, disk radius) triple of the whole call: a
+        coarse lattice about a lattice point repeats each one up to eight
+        times, and its wide disks come a few to a block."""
         out = np.zeros(centers.shape)
+        seen = {}
         for disk, bump, d in self._disk_pairs(centers, radii):
             if len(disk):
                 held = _held_masses(d, radii[disk], self.masses[bump],
-                                    self.radii[bump])
+                                    self.radii[bump], seen)
                 # the block's disks ascend: only their span gets its sums
                 out[disk[0]:disk[-1] + 1] += np.bincount(disk - disk[0],
                                                          weights=held)

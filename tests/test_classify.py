@@ -31,6 +31,16 @@ def test_fit_loglog_slope_power_law():
     assert math.isnan(fit_loglog_slope([1.0], [2.0]))
 
 
+def test_median_is_np_median_bitwise():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 9, 16, 25):
+        v = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n)
+        want = np.median(v)
+        assert classify._median(v).hex() == float(want).hex()
+        v[n // 2] = math.nan
+        assert math.isnan(classify._median(v))
+
+
 # ---------------------------------------------------------------------------
 # linear conditions
 

@@ -356,3 +356,50 @@ def test_startup_loads_no_scipy(tmp_path):
     seen = json.loads(out)
     for step in ("import", "radial", "grid", "polynomial", "bumps"):
         assert seen[step] == [], step
+
+
+_NUMPY_MA_PROBE = """
+import json, sys
+
+from ccstruct.cli import main
+
+seen = {}
+for args in json.loads(sys.argv[1]):
+    if main(args) != 0:
+        sys.exit(f"{args[0]} failed")
+    seen[args[0]] = "numpy.ma" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs 10-17 ms and about 1 MB to import; np.median and a
+    # plain np.unique load it on their first call, so the commands avoid
+    # both
+    import os
+    import subprocess
+    import sys
+
+    import ccstruct
+
+    bumps = tmp_path / "bumps.spec"
+    bumps.write_text("family = bump_lattice\n"
+                     "bumps = 0,0,1,0.25; 1,0,0.5,0.25\n")
+    radial = tmp_path / "radial.spec"
+    radial.write_text(ALPHA_SPEC)
+    commands = [
+        ["classify", "--density", str(bumps), "--window=0,0,0,0,1",
+         "--delta", "0.4:40:3", "--out", str(tmp_path / "classify.json")],
+        ["volume", "--density", str(radial), "--z", "1,1", "--delta",
+         "0.5:2:2", "--n-paths", "1000", "--out", str(tmp_path / "vol.csv")],
+        ["sweep", "--density", str(bumps), "--window=0,0,1,1,2", "--delta",
+         "0.4:4:2", "--out", str(tmp_path / "sweep.csv")],
+    ]
+    src = os.path.dirname(os.path.dirname(ccstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    # the commands print their summaries first
+    seen = json.loads(out.splitlines()[-1])
+    assert seen == {"classify": False, "volume": False, "sweep": False}

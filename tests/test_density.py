@@ -445,6 +445,26 @@ def test_radial_many_runs_one_row_per_distinct_distance(monkeypatch):
             assert np.array_equal(_bits(many), _bits(one))
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.66])
+def test_radial_many_is_the_192_node_rule_to_1e10(alpha):
+    # the coarse annulus rule against three times its order, on distances
+    # d in 10^[-4, 2.5] and radii r in 10^[-3.5, 2.5], a tenth of the
+    # centers near the disk's rim (d ~ r)
+    f = RadialAlphaDensity(alpha)
+    x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, 192)
+    rng = np.random.default_rng(23)
+    for r in 10.0 ** rng.uniform(-3.5, 2.5, 40):
+        d = 10.0 ** rng.uniform(-4.0, 2.5, 50)
+        d[:5] = r * (1.0 + rng.uniform(-1e-6, 1e-6, 5))
+        centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
+        d = np.abs(centers)
+        values, jac = f._annulus_integrand(d[:, None], r)(x)
+        want = (2.0 * math.pi * f._cumulative_array(np.maximum(r - d, 0.0))
+                + (jac * w * values).sum(axis=1))
+        got = f.disk_mass_many(centers, r)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
 def test_radial_alpha_many_inner_disks_bitwise(alpha):
     # disk_mass_many's fully covered sub-disks against the per-radius sum:
@@ -689,6 +709,38 @@ def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
             for i in range(len(centers))]
     assert np.array_equal(_bits(f.disk_mass_many(centers, 12.0)),
                           _bits(np.array(lone)))
+
+
+@pytest.mark.parametrize("r", [0.3, 4.0, 12.0])
+def test_bump_many_runs_each_partial_triple_once(r, monkeypatch):
+    # a coarse lattice about the origin repeats the lattice's D4 symmetry,
+    # so its partial overlaps repeat up to eight times, and its wide rows
+    # come a few disks to a block: the kernel sees each distinct (d, rho, r)
+    # triple once per call, and every center keeps its lone call's bits
+    f = decaying_bump_lattice(12)
+    ax = np.linspace(-2.0, 2.0, 17)
+    grid = (ax[None, :] + 1j * ax[:, None]).ravel()
+    centers = np.concatenate([grid, grid[::5], -grid[::7]])
+    lone = [f.disk_mass_many(centers[i:i + 1], r)[0]
+            for i in range(len(centers))]
+    seen = []
+    kernel = density._bump_fractions_inside
+
+    def recording(d, rho, r):
+        seen.extend(zip(d.tolist(), rho.tolist(),
+                        np.broadcast_to(r, d.shape).tolist()))
+        return kernel(d, rho, r)
+
+    monkeypatch.setattr(density, "_bump_fractions_inside", recording)
+    many = f.disk_mass_many(centers, r)
+    assert np.array_equal(_bits(many), _bits(np.array(lone)))
+    d = np.abs(centers[:, None] - f.centers)
+    rho = np.broadcast_to(f.radii, d.shape)
+    partial = ~(d + rho <= r) & (d - rho < r)
+    distinct = set(zip(d[partial].tolist(), rho[partial].tolist(),
+                       itertools.repeat(r)))
+    assert len(distinct) < partial.sum() / 4
+    assert len(seen) == len(distinct) and set(seen) == distinct
 
 
 def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
