@@ -246,14 +246,13 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     Coarse stage, per search: log-spaced ladder of h crossed with a square
     lattice masked to the disk, one ``disk_mass_many`` call per rung.  Its
     values only rank the cells, so the radial annulus rule runs at 64
-    nodes (within 2.5e-11 relative of 192) and a bump lattice computes
-    each distinct partial overlap of a call once; the chosen cells are
-    evaluated again with ``disk_mass`` in the polish.  Polish: the top
-    cells of all the searches are polished together by one lock-step
-    Nelder-Mead in (x, y, log h) with projection onto each search's
-    feasible set (``_nelder_mead``).  Each round evaluates all its points
-    with one array call of ``disk_mass``, and the first round also
-    evaluates each top cell itself.  Every array mass has the bits of the
+    nodes (within 2.5e-11 relative of 192 on smooth profiles); the chosen
+    cells are evaluated again with ``disk_mass`` in the polish.  Polish:
+    the top cells of all the searches are polished together by one
+    lock-step Nelder-Mead in (x, y, log h) with projection onto each
+    search's feasible set (``_nelder_mead``).  Each round evaluates all
+    its points with one array call of ``disk_mass``, and the first round
+    also evaluates each top cell itself.  Every array mass has the bits of the
     scalar ``disk_mass`` and every start takes the steps of its lone run,
     so a search's value and witness do not depend on the searches
     polished with it.  Each witness is picked as a lone search would: over

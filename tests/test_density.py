@@ -711,38 +711,6 @@ def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
                           _bits(np.array(lone)))
 
 
-@pytest.mark.parametrize("r", [0.3, 4.0, 12.0])
-def test_bump_many_runs_each_partial_triple_once(r, monkeypatch):
-    # a coarse lattice about the origin repeats the lattice's D4 symmetry,
-    # so its partial overlaps repeat up to eight times, and its wide rows
-    # come a few disks to a block: the kernel sees each distinct (d, rho, r)
-    # triple once per call, and every center keeps its lone call's bits
-    f = decaying_bump_lattice(12)
-    ax = np.linspace(-2.0, 2.0, 17)
-    grid = (ax[None, :] + 1j * ax[:, None]).ravel()
-    centers = np.concatenate([grid, grid[::5], -grid[::7]])
-    lone = [f.disk_mass_many(centers[i:i + 1], r)[0]
-            for i in range(len(centers))]
-    seen = []
-    kernel = density._bump_fractions_inside
-
-    def recording(d, rho, r):
-        seen.extend(zip(d.tolist(), rho.tolist(),
-                        np.broadcast_to(r, d.shape).tolist()))
-        return kernel(d, rho, r)
-
-    monkeypatch.setattr(density, "_bump_fractions_inside", recording)
-    many = f.disk_mass_many(centers, r)
-    assert np.array_equal(_bits(many), _bits(np.array(lone)))
-    d = np.abs(centers[:, None] - f.centers)
-    rho = np.broadcast_to(f.radii, d.shape)
-    partial = ~(d + rho <= r) & (d - rho < r)
-    distinct = set(zip(d[partial].tolist(), rho[partial].tolist(),
-                       itertools.repeat(r)))
-    assert len(distinct) < partial.sum() / 4
-    assert len(seen) == len(distinct) and set(seen) == distinct
-
-
 def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
     # each block of the cell list's pairs adds its sums to its own points'
     # span: a call over several blocks, with points that have no candidate
@@ -771,6 +739,25 @@ def test_bump_many_memory_is_bounded(lattice35, r):
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_bump_many_memory_is_bounded_on_random_centers(lattice35):
+    # centers without symmetry share no partial overlaps: a call over
+    # thousands of them, nearly all whole-lattice rows, holds no array or
+    # table that grows with the call (1.0 MB here; a table of the call's
+    # partial overlaps reached 3.9 MB)
+    rng = np.random.default_rng(29)
+    centers = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
+                                                                2000)
+    every = lattice35._takes_every_bump(centers, lattice35._reach(12.0))
+    assert every.mean() > 0.9
+    tracemalloc.start()
+    try:
+        lattice35.disk_mass_many(centers, 12.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 _mass = st.floats(min_value=0.1, max_value=2.0)
