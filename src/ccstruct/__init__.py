@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .density import (BumpLattice, ConstantDensity, DensityField,
                       GridDensity, PolynomialPotential, RadialAlphaDensity,
-                      ZeroDensity, decaying_bump_lattice, disk_mass,
-                      nagel_lambda_polynomial)
+                      ZeroDensity, decaying_bump_lattice, disk_mass)
 from .errors import (CCStructError, DegenerateLoop, DensitySpecError,
                      InvalidStockyard, PotentialUnavailable,
                      QuadratureFailure)
@@ -32,7 +31,7 @@ __all__ = [
     "__version__",
     "BumpLattice", "ConstantDensity", "DensityField", "GridDensity",
     "PolynomialPotential", "RadialAlphaDensity", "ZeroDensity",
-    "decaying_bump_lattice", "disk_mass", "nagel_lambda_polynomial",
+    "decaying_bump_lattice", "disk_mass",
     "CCStructError", "DegenerateLoop", "DensitySpecError",
     "InvalidStockyard", "PotentialUnavailable", "QuadratureFailure",
     "Pen", "PlaneCurve", "Stockyard", "boundary_line_integral",

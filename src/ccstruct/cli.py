@@ -248,7 +248,7 @@ def cmd_volume(args):
 # ---------------------------------------------------------------------------
 # self-validation suite
 
-def _validate_checks(tol, flip_orientation=False):
+def _validate_checks(tol):
     """The internal identity suite.  Yields (name, residual, limit)."""
     rng = np.random.default_rng(12345)
     fields = [
@@ -256,7 +256,6 @@ def _validate_checks(tol, flip_orientation=False):
         density.PolynomialPotential({(1, 1): 1.0, (2, 2): 1.0}),
         density.RadialAlphaDensity(0.5),
     ]
-    sign = -1.0 if flip_orientation else 1.0
 
     # Green identity on random circular pens
     worst = 0.0
@@ -266,7 +265,7 @@ def _validate_checks(tol, flip_orientation=False):
             r = rng.uniform(0.3, 2.0)
             pen = geometry.Pen.circle(c, r)
             mass = geometry.pen_mass(field, pen)
-            line = sign * geometry.boundary_line_integral(field, pen.boundary)
+            line = geometry.boundary_line_integral(field, pen.boundary)
             worst = max(worst, abs(line - mass) / max(abs(mass), 1e-12))
     yield ("green_identity_circles", worst, tol)
 
@@ -328,8 +327,7 @@ def _validate_checks(tol, flip_orientation=False):
 
 def cmd_validate(args):
     failures = []
-    for name, residual, limit in _validate_checks(
-            args.tol, flip_orientation=args.inject_orientation_flip):
+    for name, residual, limit in _validate_checks(args.tol):
         ok = residual <= limit
         print(f"{'PASS' if ok else 'FAIL'} {name}: residual {residual:.3e} "
               f"(limit {limit:.3e})")
@@ -397,8 +395,6 @@ def build_parser():
                    "run the internal identity suite")
     p.add_argument("--tol", type=_tol, default=1e-6,
                    help="residual limit of the identity checks")
-    p.add_argument("--inject-orientation-flip", action="store_true",
-                   help=argparse.SUPPRESS)  # forced-failure test hook
 
     return parser
 

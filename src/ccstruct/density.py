@@ -97,11 +97,10 @@ class DensityField:
     A family implements ``_density`` (a finite complex array) that
     ``density`` runs, and one disk-mass kernel ``_disk_masses(centers,
     radii)`` on flat arrays of finite centers and radii r > 0, one radius
-    per center.  ``disk_mass_many`` runs it at a common radius for the
-    coarse search.  ``disk_mass`` runs ``_disk_mass_batch`` on the same
-    flat arrays, a lone disk as a batch of one; it is ``_disk_masses``
-    unless a family's exact masses differ from its coarse ones (radial
-    profiles and bump lattices), which then override it."""
+    per center, which ``disk_mass`` runs (a lone disk as a batch of one).
+    ``disk_mass_many`` runs ``_coarse_masses`` at a common radius: the
+    same kernel on every family but radial profiles, whose coarse masses
+    use a fixed-order rule."""
 
     family = "abstract"
 
@@ -133,39 +132,36 @@ class DensityField:
         its lone call."""
         if np.ndim(center) == 0 and np.ndim(r) == 0:
             _check_disk(r, center)
-            return float(self._disk_mass_batch(np.array([complex(center)]),
-                                               np.array([float(r)]))[0])
+            return float(self._disk_masses(np.array([complex(center)]),
+                                           np.array([float(r)]))[0])
         centers = np.asarray(center, dtype=complex)
         radii = np.asarray(r, dtype=float)
         if centers.shape != radii.shape:
             raise ValueError(f"centers of shape {centers.shape} and radii of "
                              f"shape {radii.shape} do not pair up")
         _check_disk(radii, centers)
-        return self._disk_mass_batch(centers.ravel(), radii.ravel()).reshape(
+        return self._disk_masses(centers.ravel(), radii.ravel()).reshape(
             centers.shape)
 
     def disk_mass_many(self, centers, r):
         """mu over an array of centers at a common radius, in its shape.
 
-        The coarse search's masses: their values only rank the lattice
-        cells whose best ones :meth:`disk_mass` evaluates again, so the
-        target is ~1e-5 relative.  Constant, polynomial and grid fields
-        give their exact masses here, a bump lattice's differ in summation
-        order only, and a radial field's fixed 64-node annulus rule stays
-        within 2.5e-11 relative of 192 nodes on smooth profiles
-        (``_ANNULUS_NODES``).  Final answers should go through
-        :meth:`disk_mass`.
+        The coarse search's masses, which only rank the lattice cells whose
+        best ones :meth:`disk_mass` evaluates again.  On every family but
+        radial profiles they are ``disk_mass(centers, r)``, bit for bit.  A
+        radial field's fixed 64-node annulus rule stays within 2.5e-11
+        relative of 192 nodes on smooth profiles (``_ANNULUS_NODES``).
         """
         centers = np.asarray(centers, dtype=complex)
         _check_disk(r, centers)
-        return self._disk_masses(centers.ravel(), np.full(
+        return self._coarse_masses(centers.ravel(), np.full(
             centers.size, float(r))).reshape(centers.shape)
-
-    def _disk_mass_batch(self, centers, radii):
-        return self._disk_masses(centers, radii)
 
     def _disk_masses(self, centers, radii):
         raise NotImplementedError
+
+    def _coarse_masses(self, centers, radii):
+        return self._disk_masses(centers, radii)
 
     def disk_mass_quadrature(self, center, r, rel_tol=DISK_MASS_REL_TOL):
         """Force the generic adaptive polar quadrature path.
@@ -257,9 +253,6 @@ class PolynomialPotential(DensityField):
         self.lap_coeffs = 4.0 * _poly_dzbar(_poly_dz(C))
         if _poly_is_zero(self.lap_coeffs):
             raise ValueError("P is harmonic: the density vanishes identically")
-        jmax, kmax = C.shape
-        self.degree = max(j + k for j in range(jmax) for k in range(kmax)
-                          if C[j, k] != 0)
         self._check_nonnegative()
         self._diag_derivs = self._diagonal_derivatives()
 
@@ -305,35 +298,6 @@ class PolynomialPotential(DensityField):
                         / ((a + 1) * math.factorial(a) ** 2))
             total = total + coef * _poly_eval(Q, centers).real
         return np.maximum(total, 0.0)
-
-    def lap_derivative_abs_sum(self, z, k):
-        """sum over a of |d^k lapP / dz^a dzbar^(k-a) (z)|."""
-        z = complex(z)
-        total = 0.0
-        for a in range(k + 1):
-            Q = self.lap_coeffs
-            for _ in range(a):
-                Q = _poly_dz(Q)
-            for _ in range(k - a):
-                Q = _poly_dzbar(Q)
-            total += abs(complex(_poly_eval(Q, z)))
-        return total
-
-
-def nagel_lambda_polynomial(field: PolynomialPotential, z, delta):
-    """The classical polynomial growth formula: the weighted sum over
-    derivative orders of the density's mixed derivatives at z,
-
-        sum_{k=0}^{m-2} ( sum_a |d^k lapP / dz^a dzbar^(k-a)(z)| ) delta^(k+2).
-    """
-    if not isinstance(field, PolynomialPotential):
-        raise TypeError("nagel_lambda_polynomial requires a polynomial field")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive and finite")
-    total = 0.0
-    for k in range(field.degree - 1):  # k = 0 .. m-2
-        total += field.lap_derivative_abs_sum(z, k) * delta ** (k + 2)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +391,7 @@ class RadialProfileDensity(DensityField):
         covered = np.maximum(np.where(far, radii - d, radii), 0.0)
         return 2.0 * math.pi * self._cumulative_array(covered), far
 
-    def _disk_mass_batch(self, centers, radii):
+    def _disk_masses(self, centers, radii):
         """Each disk's covered mass plus its annulus integral.  The annulus
         integrals of all the disks run as rows of one ``adaptive_1d``
         doubling loop, in blocks of rows within ``KERNEL_BUDGET``; each row
@@ -474,7 +438,7 @@ class RadialProfileDensity(DensityField):
 
         return factors
 
-    def _disk_masses(self, centers, radii):
+    def _coarse_masses(self, centers, radii):
         # a mass depends only on (|center|, r), packed exactly as d + r i:
         # one kernel row per distinct far pair, each row's arithmetic its
         # own.  With return_inverse, np.unique sorts and never reaches the
@@ -605,28 +569,14 @@ def _bump_fractions_inside(d, rho, r):
     return num / _MOLLIFIER_MASS
 
 
-def _held_masses(d, r, masses, radii):
-    """Each bump's mass times the fraction of it inside a disk of radius r
-    whose center lies at distance ``d``: the mass itself wholly inside,
-    exactly 0.0 wholly outside.  ``r``, ``masses`` and ``radii`` broadcast
-    against ``d``."""
-    r, radii = np.broadcast_to(r, d.shape), np.broadcast_to(radii, d.shape)
-    inside = d + radii <= r
-    partial = ~inside & (d - radii < r)
-    frac = inside.astype(float)
-    frac[partial] = _bump_fractions_inside(d[partial], radii[partial],
-                                           r[partial])
-    return masses * frac
-
-
 class BumpLattice(DensityField):
     """A finite sum of smooth radial bumps.  Bump k has total mass m_k
     supported in the disk of radius rho_k around its center (supports may
     overlap).  Used to build the linear-growth test regime.
 
-    Both disk-mass kernels, ``_disk_masses`` for the coarse search and
-    ``_disk_mass_batch`` for exact pairs, take their (disk, bump) pairs
-    from ``_disk_pairs``.  A disk whose reach covers much of the lattice
+    Its one disk-mass kernel, ``_disk_masses``, behind both ``disk_mass``
+    and ``disk_mass_many``, takes its (disk, bump) pairs from
+    ``_disk_pairs``.  A disk whose reach covers much of the lattice
     (``_takes_every_bump``) is paired with every bump.  Other disks, and
     the density, go through a cell list built once: the bump centers
     binned on a uniform grid over the support box, each cell's bumps one
@@ -782,13 +732,24 @@ class BumpLattice(DensityField):
             qi = narrow[qi]
             yield qi, bi, np.abs(centers[qi] - self.centers[bi])
 
-    def _disk_mass_batch(self, centers, radii):
+    def _disk_masses(self, centers, radii):
         """Each disk's mass: ``np.sum`` adds the masses of the bumps wholly
         inside it, then its partial masses are added one at a time, both in
-        ascending bump index (the polish amplifies last-bit changes).  All
-        the partial overlaps of the call run in one kernel call."""
+        ascending bump index (the polish amplifies last-bit changes).  The
+        partial overlaps are held until at least ``KERNEL_BUDGET`` of them
+        run in one kernel call; ``np.add.at`` adds them in index order, and
+        each disk's pairs lie in one block of ``_disk_pairs``."""
         out = np.zeros(len(centers))
-        parts = []     # (disk, bump, distance) of each partial overlap
+        # the (disk, bump, distance) arrays of the partial overlaps held,
+        # and their count
+        parts, held = [], 0
+
+        def add_partials():
+            disk, bump, d = (np.concatenate(a) for a in zip(*parts))
+            np.add.at(out, disk, self.masses[bump] * _bump_fractions_inside(
+                d, self.radii[bump], radii[disk]))
+            parts.clear()
+
         for disk, bump, d in self._disk_pairs(centers, radii):
             r, rho = radii[disk], self.radii[bump]
             inside = d + rho <= r
@@ -800,32 +761,12 @@ class BumpLattice(DensityField):
                 if hi > lo:
                     out[disk_in[lo]] = np.sum(masses[lo:hi])
             parts.append((disk[partial], bump[partial], d[partial]))
-        if not parts:
-            return out
-        disk, bump, d = (np.concatenate(a) for a in zip(*parts))
-        order = np.argsort(disk, kind="stable")
-        disk, bump, d = disk[order], bump[order], d[order]
-        held = self.masses[bump] * _bump_fractions_inside(
-            d, self.radii[bump], radii[disk])
-        cuts = np.searchsorted(disk, np.arange(len(centers) + 1))
-        for i in np.flatnonzero(cuts[1:] > cuts[:-1]):
-            total = out[i]
-            for v in held[cuts[i]:cuts[i + 1]]:
-                total += v
-            out[i] = total
-        return out
-
-    def _disk_masses(self, centers, radii):
-        """Each disk's mass is the sum, in ascending bump index, of its
-        pairs' held masses."""
-        out = np.zeros(centers.shape)
-        for disk, bump, d in self._disk_pairs(centers, radii):
-            if len(disk):
-                held = _held_masses(d, radii[disk], self.masses[bump],
-                                    self.radii[bump])
-                # the block's disks ascend: only their span gets its sums
-                out[disk[0]:disk[-1] + 1] += np.bincount(disk - disk[0],
-                                                         weights=held)
+            held += np.count_nonzero(partial)
+            if held >= KERNEL_BUDGET:
+                add_partials()
+                held = 0
+        if held:
+            add_partials()
         return out
 
 

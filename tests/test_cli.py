@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ccstruct import structure
+from ccstruct import geometry, structure
 from ccstruct.cli import main
 from ccstruct.errors import QuadratureFailure
 
@@ -163,7 +163,8 @@ UNREAD_FLAGS = {
     "volume": (["--z", "0,0", "--delta", "1", "--n-paths", "1000"],
                ["--jobs=2", "--tol=9"]),
     "validate": (None, ["--density=nope.spec", "--seed=5", "--jobs=2",
-                        "--out=report.txt", "--format=csv"]),
+                        "--out=report.txt", "--format=csv",
+                        "--inject-orientation-flip"]),
 }
 
 
@@ -281,8 +282,12 @@ def test_validate_default_passes(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_validate_orientation_flip_fails(capsys):
-    assert main(["validate", "--inject-orientation-flip"]) == 1
+def test_validate_orientation_flip_fails(monkeypatch, capsys):
+    # a line integral of the wrong orientation breaks the Green identity
+    line_integral = geometry.boundary_line_integral
+    monkeypatch.setattr(geometry, "boundary_line_integral",
+                        lambda field, curve: -line_integral(field, curve))
+    assert main(["validate"]) == 1
     assert "green_identity" in capsys.readouterr().out
 
 

@@ -13,8 +13,7 @@ from ccstruct import density, quadrature
 from ccstruct.density import (BumpLattice, ConstantDensity, GridDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               RadialProfileDensity, ZeroDensity,
-                              decaying_bump_lattice, disk_mass,
-                              nagel_lambda_polynomial)
+                              decaying_bump_lattice, disk_mass)
 from ccstruct.errors import PotentialUnavailable
 
 
@@ -119,6 +118,42 @@ def test_disk_mass_is_the_array_kernel_on_one_center():
             assert np.array_equal(_bits(scalar), _bits(many))
             assert np.array_equal(_bits(scalar),
                                   _bits(f.disk_mass_many(centers, r)))
+
+
+_GRID_VALUES = np.random.default_rng(11).uniform(0.0, 2.0, (7, 9))
+_COMMON_RADIUS_FIELDS = {
+    "constant": ConstantDensity(2.5),
+    "zero": ZeroDensity(),
+    "polynomial": PolynomialPotential({(1, 1): 2.0, (2, 2): 0.5,
+                                       (2, 1): 0.3 + 0.1j,
+                                       (1, 2): 0.3 - 0.1j}),
+    "bump_lattice_3": decaying_bump_lattice(3),
+    "bump_lattice_12": decaying_bump_lattice(12),
+    "bump_lattice_35": decaying_bump_lattice(35),
+    "grid_zero": GridDensity(-2 - 1.5j, 0.5, _GRID_VALUES),
+    "grid_periodic": GridDensity(-2 - 1.5j, 0.5, _GRID_VALUES,
+                                 extension="periodic"),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMMON_RADIUS_FIELDS))
+def test_disk_mass_many_is_disk_mass_at_a_common_radius(name):
+    # on every family but radial profiles the coarse masses are the exact
+    # ones; a bump lattice's centers take whole-lattice rows at the large
+    # radii and the cell list's pairs at the small ones
+    f = _COMMON_RADIUS_FIELDS[name]
+    rng = np.random.default_rng(31)
+    centers = np.concatenate([
+        rng.uniform(-4.0, 4.0, 60) + 1j * rng.uniform(-4.0, 4.0, 60),
+        [0j, 0j, 1 + 1j, 80 + 80j]])
+    paths = set()
+    for r in (0.05, 0.7, 2.5, 9.0, 30.0):
+        if isinstance(f, BumpLattice):
+            paths.update(f._takes_every_bump(centers, f._reach(r)).tolist())
+        assert np.array_equal(
+            _bits(f.disk_mass_many(centers, r)),
+            _bits(f.disk_mass(centers, np.full(centers.size, r))))
+    assert paths == ({False, True} if isinstance(f, BumpLattice) else set())
 
 
 def _pair_cases(f):
@@ -248,18 +283,6 @@ def test_poly_rejects_harmonic():
 def test_poly_rejects_negative_density():
     with pytest.raises(ValueError):
         PolynomialPotential({(1, 1): -1.0})
-
-
-def test_nagel_formula_z4():
-    # for P = |z|^4: 16 (|z|^2 d^2 + 2 |z| d^3 + d^4)
-    f = PolynomialPotential({(2, 2): 1.0})
-    for z, d in [(0j, 1.0), (2 + 0j, 0.5), (1 + 1j, 2.0)]:
-        expect = 16 * (abs(z) ** 2 * d ** 2 + 2 * abs(z) * d ** 3 + d ** 4)
-        assert nagel_lambda_polynomial(f, z, d) == pytest.approx(expect,
-                                                                 rel=1e-12)
-    for d in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            nagel_lambda_polynomial(f, 0j, d)
 
 
 @given(st.complex_numbers(max_magnitude=3, allow_nan=False,
@@ -547,6 +570,10 @@ def _reference_disk_mass(f, center, r):
     return total
 
 
+def _reference_disk_masses(f, centers, r):
+    return [_reference_disk_mass(f, c, r) for c in centers]
+
+
 def _reference_density(f, z):
     dist = np.abs(np.asarray(z, dtype=complex).ravel()[:, None]
                   - f.centers[None, :])
@@ -622,23 +649,6 @@ def _listed_pairs(f, points, reach):
         yield np.repeat(np.arange(lo, hi), n), bi
 
 
-def _listed_disk_masses(f, centers, r):
-    """The former bump-lattice array kernel over the listed pairs, summed
-    per center by bincount."""
-    out = np.zeros(centers.shape)
-    for qi, bi in _listed_pairs(f, centers, f._reach(r)):
-        d = np.abs(centers[qi] - f.centers[bi])
-        rho = f.radii[bi]
-        inside = d + rho <= r
-        partial = ~inside & (d - rho < r)
-        frac = inside.astype(float)
-        frac[partial] = density._bump_fractions_inside(d[partial],
-                                                       rho[partial], r)
-        out += np.bincount(qi, weights=f.masses[bi] * frac,
-                           minlength=len(centers))
-    return out
-
-
 def _listed_density(f, z):
     out = np.zeros(z.shape)
     for qi, bi in _listed_pairs(f, z, f._reach(0.0)):
@@ -656,10 +666,11 @@ def lattice35():
 
 @pytest.mark.parametrize("r", [1e-3, 0.19, 1.0, 5.0, 12.0, 20.0, 40.0])
 def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
-    """Whole-lattice rows and the tree's pair array sum each center's
-    bumps in ascending index, as the listed pairs did, so every bit is
-    kept: 17-grids about 0 and 10 + 3i, scattered centers, duplicates, a
-    bump center and centers beyond every support."""
+    """Whole-lattice rows and the cell list's pairs give each center the
+    all-pairs reference's bits, on the center sets once checked against
+    the k-d tree's listed pairs: 17-grids about 0 and 10 + 3i, scattered
+    centers, duplicates, a bump center and centers beyond every
+    support."""
     f = lattice35
     rng = np.random.default_rng(15)
     ax = np.linspace(-2.0, 2.0, 17)
@@ -669,7 +680,7 @@ def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
         rng.uniform(-45.0, 45.0, 60) + 1j * rng.uniform(-45.0, 45.0, 60),
         [0j, 0j, 1 + 1j, 1 + 1j, f.centers[7], 80 + 80j, -200j]])
     assert np.array_equal(_bits(f.disk_mass_many(centers, r)),
-                          _bits(_listed_disk_masses(f, centers, r)))
+                          _bits(_reference_disk_masses(f, centers, r)))
 
 
 def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
@@ -684,14 +695,14 @@ def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
     assert len(blocks) > 1 and sum(blocks) > density._PAIR_BLOCK
     assert max(blocks) <= density._PAIR_BLOCK
     assert np.array_equal(_bits(f.disk_mass_many(sparse, 5.0)),
-                          _bits(_listed_disk_masses(f, sparse, 5.0)))
+                          _bits(_reference_disk_masses(f, sparse, 5.0)))
     # the coarse lattice of a sup search at delta = 40: most centers take
     # whole-lattice rows, the corners take the tree's pairs
     lattice = _search_lattice(0j, 40.0)
     every = f._takes_every_bump(lattice, f._reach(12.0))
     assert np.any(every) and not np.all(every)
     assert np.array_equal(_bits(f.disk_mass_many(lattice, 12.0)),
-                          _bits(_listed_disk_masses(f, lattice, 12.0)))
+                          _bits(_reference_disk_masses(f, lattice, 12.0)))
     z = rng.uniform(-37.0, 37.0, 4000) + 1j * rng.uniform(-37.0, 37.0, 4000)
     assert np.array_equal(_bits(f.density(z)), _bits(_listed_density(f, z)))
 
@@ -788,13 +799,6 @@ _queries = st.lists(st.one_of(st.tuples(st.floats(-8.0, 8.0),
                     min_size=1, max_size=8)
 
 
-def _all_bump_disk_masses(f, centers, r):
-    """The array path's sum over every bump: each center's held masses
-    added in ascending bump index."""
-    return np.array([np.cumsum(density._held_masses(
-        np.abs(c - f.centers), r, f.masses, f.radii))[-1] for c in centers])
-
-
 @given(bumps=_awkward_lattices, queries=_queries,
        r=st.floats(min_value=1e-3, max_value=30.0))
 @example(bumps=[(0.0, 0.0, 1.0, 0.25)], queries=[(1e200, 0.0), 0], r=0.5)
@@ -806,7 +810,7 @@ def test_bump_cell_list_on_awkward_lattices(bumps, queries, r):
     """The cell list's candidates hold every bump within the reach, in
     ascending index, on a single bump, collinear and coincident bumps, one
     wide bump among narrow ones, and queries far outside the box; the disk
-    masses keep the all-bump sums' bits."""
+    masses keep the all-pairs reference's bits."""
     xs, ys, masses, radii = map(np.array, zip(*bumps))
     f = BumpLattice(xs + 1j * ys, masses, radii)
     zs = np.array([complex(f.centers[q % len(f.centers)])
@@ -823,11 +827,9 @@ def test_bump_cell_list_on_awkward_lattices(bumps, queries, r):
         got = f.disk_mass(z, r)
         assert type(got) is float
         assert _bits(got) == _bits(_reference_disk_mass(f, z, r))
-    assert np.array_equal(
-        _bits(f.disk_mass(zs, np.full(len(zs), r))),
-        _bits([_reference_disk_mass(f, z, r) for z in zs]))
-    assert np.array_equal(_bits(f.disk_mass_many(zs, r)),
-                          _bits(_all_bump_disk_masses(f, zs, r)))
+    want = _bits(_reference_disk_masses(f, zs, r))
+    assert np.array_equal(_bits(f.disk_mass(zs, np.full(len(zs), r))), want)
+    assert np.array_equal(_bits(f.disk_mass_many(zs, r)), want)
     assert f.density(zs) == pytest.approx(_reference_density(f, zs),
                                           rel=1e-12, abs=0.0)
 
