@@ -23,34 +23,20 @@ import math
 import numpy as np
 
 from . import quadrature
-from .errors import PotentialUnavailable, QuadratureFailure
+from .errors import PotentialUnavailable
+from .quadrature import KERNEL_BUDGET
 
 #: relative accuracy of every ``disk_mass`` that is not exact
 DISK_MASS_REL_TOL = 1e-6
-#: Most float64 values (96 KB) an array kernel's temporaries hold at once.
-#: The kernels that build (points x nodes) arrays (the grid, radial
-#: annulus and bump overlap kernels here, and ``structure.twist_many``) and
-#: the bump lattice's (centers x bumps) rows run in blocks of points within
-#: it (at least one point a block), so each temporary stays near or under
-#: 128 KB, glibc's default threshold for mapping fresh pages per
-#: allocation; above it every temporary is a new mapping whose pages fault
-#: in one by one.  With 20,000 nodes a call a grid classify took 2.2 million
-#: page faults, a fifth of its run time spent as system time, and a 16-rung
-#: coarse stage of 797 radial centers took 28,176 minor faults (none when
-#: blocked).
-KERNEL_BUDGET = 12_000
 
 
 def _check_disk(r, centers=0j):
     """Reject a radius (or an array of radii) that is not positive and
     finite, and a center (or an array of centers) that is not finite."""
-    positive = (np.all(np.isfinite(r) & (r > 0)) if isinstance(r, np.ndarray)
-                else math.isfinite(r) and r > 0)
-    if not positive:
+    r = np.asarray(r, dtype=float)
+    if not (np.isfinite(r) & (r > 0)).all():
         raise ValueError("disk radius must be positive and finite")
-    finite = (np.isfinite(centers).all() if isinstance(centers, np.ndarray)
-              else cmath.isfinite(complex(centers)))
-    if not finite:
+    if not np.isfinite(np.asarray(centers, dtype=complex)).all():
         raise ValueError("disk center must be finite")
 
 
@@ -129,19 +115,16 @@ class DensityField:
 
         ``center`` and ``r`` may also be arrays of one shape: then the mass
         of each (center, radius) pair, in that shape, each with the bits of
-        its lone call."""
-        if np.ndim(center) == 0 and np.ndim(r) == 0:
-            _check_disk(r, center)
-            return float(self._disk_masses(np.array([complex(center)]),
-                                           np.array([float(r)]))[0])
+        its lone call; a float for a lone disk."""
         centers = np.asarray(center, dtype=complex)
         radii = np.asarray(r, dtype=float)
         if centers.shape != radii.shape:
             raise ValueError(f"centers of shape {centers.shape} and radii of "
                              f"shape {radii.shape} do not pair up")
         _check_disk(radii, centers)
-        return self._disk_masses(centers.ravel(), radii.ravel()).reshape(
+        masses = self._disk_masses(centers.ravel(), radii.ravel()).reshape(
             centers.shape)
+        return float(masses) if masses.ndim == 0 else masses
 
     def disk_mass_many(self, centers, r):
         """mu over an array of centers at a common radius, in its shape.
@@ -320,8 +303,15 @@ _ANNULUS_NODES = 64
 class RadialProfileDensity(DensityField):
     """Density f(|z|) depending only on |z|, with the potential
     reconstructed radially: P'(r) = m(r)/r with m(r) = int_0^r s f(s) ds,
-    so that lap P = P'' + P'/r = f.  ``cumulative`` optionally supplies m
-    in closed form (cross-checked against quadrature in the tests).
+    so that lap P = P'' + P'/r = f.
+
+    ``profile`` maps an array of radii s >= 0 to f(s) elementwise.
+    ``cumulative`` optionally supplies m in closed form, likewise an
+    elementwise function of an array of radii r >= 0.  Without it m(r) is
+    integrated on the pieces [0, 1], [1, 2], [2, 4], ... of [0, r] (the
+    last one cut at r), each to relative tolerance ``_RADIAL_REL_TOL``;
+    the profile is assumed smooth inside each piece, and a jump inside one
+    raises QuadratureFailure.
 
     ``disk_mass_many`` integrates each annulus with a fixed 64-node rule
     (``_ANNULUS_NODES``), which assumes a smooth profile.  A profile with
@@ -338,33 +328,36 @@ class RadialProfileDensity(DensityField):
         self._cumulative = cumulative
 
     def cumulative(self, r):
-        """m(r) = int_0^r s f(s) ds."""
-        r = float(r)
-        if r <= 0:
-            return 0.0
+        """m(r) = int_0^r s f(s) ds for radii r >= 0 (a float or an
+        array), in the shape of r."""
+        r = np.asarray(r, dtype=float)
         if self._cumulative is not None:
-            return float(self._cumulative(r))
-        # only a profile without a closed form loads scipy
-        from scipy import integrate as _sciint
-        val, err = _sciint.quad(lambda s: s * self.profile(s), 0.0, r,
-                                epsabs=1e-13, epsrel=1e-12, limit=200)
-        if err > _RADIAL_REL_TOL * max(abs(val), 1e-12):
-            raise QuadratureFailure(
-                f"radial cumulative integral to r={r} reached error {err:.3e}"
-            )
-        return val
+            return np.asarray(self._cumulative(r), dtype=float)
+        # piece j of each radius is [2^(j-1), 2^j] (j >= 1) or [0, 1],
+        # cut at the radius: frexp gives the count of pieces exactly
+        flat = r.ravel()
+        mant, expo = np.frexp(flat)
+        count = np.maximum(expo - (mant == 0.5), 0) + 1
+        owner = np.repeat(np.arange(flat.size), count)
+        j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        lo = np.where(j > 0, np.ldexp(1.0, j - 1), 0.0)
+        width = (np.minimum(np.ldexp(1.0, j), flat[owner]) - lo)[:, None]
+        lo = lo[:, None]
 
-    def _cumulative_array(self, r):
-        """m(r) for a float array of radii r >= 0, bitwise equal to
-        :meth:`cumulative` at each radius; here one radius at a time,
-        subclasses with a closed form override it."""
-        m = np.fromiter(map(self.cumulative, r.flat), float, count=r.size)
-        return m.reshape(r.shape)
+        def integrand(x, live):
+            s = lo[live] + width[live] * x
+            return np.asarray(self.profile(s), dtype=float) * s * width[live]
+
+        pieces = quadrature.adaptive_1d(integrand, 0.0, 1.0,
+                                        rel_tol=_RADIAL_REL_TOL,
+                                        rows=len(owner))
+        return np.bincount(owner, weights=pieces,
+                           minlength=flat.size).reshape(r.shape)
 
     def dP(self, r):
         """P'(r) = m(r)/r for an array of radii r > 0."""
         r = np.asarray(r, dtype=float)
-        return self._cumulative_array(r) / r
+        return self.cumulative(r) / r
 
     def _density(self, z):
         return np.asarray(self.profile(np.abs(z)), dtype=float)
@@ -389,25 +382,20 @@ class RadialProfileDensity(DensityField):
         and the mask of these far disks, whose annulus integrals are due."""
         far = d >= 1e-12 * np.maximum(1.0, radii)
         covered = np.maximum(np.where(far, radii - d, radii), 0.0)
-        return 2.0 * math.pi * self._cumulative_array(covered), far
+        return 2.0 * math.pi * self.cumulative(covered), far
 
     def _disk_masses(self, centers, radii):
         """Each disk's covered mass plus its annulus integral.  The annulus
         integrals of all the disks run as rows of one ``adaptive_1d``
-        doubling loop, in blocks of rows within ``KERNEL_BUDGET``; each row
-        stops at its own order."""
+        doubling loop; each row stops at its own order."""
         # Python's abs: np.abs rounds a third of these distances differently
         d = np.array([abs(c) for c in centers.tolist()], dtype=float)
         out, far = self._covered_masses(d, radii)
         d, r = d[far], radii[far]
 
         def integrand(x, live):
-            step = max(1, KERNEL_BUDGET // len(x))
-            return np.concatenate([
-                np.multiply(*self._annulus_integrand(
-                    d[rows, None], r[rows, None])(x))
-                for rows in (live[lo:lo + step]
-                             for lo in range(0, len(live), step))])
+            return np.multiply(*self._annulus_integrand(
+                d[live, None], r[live, None])(x))
 
         out[far] += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
                                            rel_tol=_ANNULUS_REL_TOL,
@@ -468,23 +456,22 @@ class RadialAlphaDensity(RadialProfileDensity):
         if not 0.0 < alpha < 2.0 / 3.0:
             raise ValueError("alpha must lie in (0, 2/3)")
         self.alpha = alpha
-        p = 1.0 - alpha / 2.0
         super().__init__(
             profile=lambda s: (1.0 + np.asarray(s, dtype=float) ** 2) ** (-alpha / 2.0),
-            cumulative=lambda r: ((1.0 + r * r) ** p - 1.0) / (2.0 - alpha),
         )
 
-    def _cumulative_array(self, r):
-        # the scalar closed form's steps in its order, in place on one flat
-        # buffer (temporaries raise a volume run's peak RSS); float_power's
-        # float64 loop is libm pow, as Python's float ** float for the base
-        # 1 + r^2 >= 1, where np.power's SIMD loops round differently
+    def cumulative(self, r):
+        # the closed form's steps in place on one flat buffer (temporaries
+        # raise a volume run's peak RSS); float_power's float64 loop is
+        # libm pow, as Python's float ** float for the base 1 + r^2 >= 1,
+        # where np.power's SIMD loops round differently
+        r = np.asarray(r, dtype=float)
         x = np.multiply(r, r).ravel()
         x += 1.0
         np.float_power(x, 1.0 - self.alpha / 2.0, out=x)
         x -= 1.0
         x /= 2.0 - self.alpha
-        return x.reshape(np.shape(r))
+        return x.reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -880,16 +867,36 @@ class GridDensity(DensityField):
         at both chord ends), so it sees at most ``KERNEL_BUDGET // 6``
         nodes at once: a block of centers of one piece count, or a run of
         one center's pieces.  Each piece is summed on its own and each
-        mass is the sum of its lone call's pieces: no bit moves."""
+        mass is the sum of its lone call's pieces: no bit moves.
+
+        Under zero extension a disk that holds the four table corners
+        holds the whole table, and gets its mass, the trapezoid sum of the
+        column integrals, without the angular cuts: on a disk huge against
+        a cell the cuts of all columns round to one angle.  The corners'
+        distances, rounded by under 2 ulps, must be 4 ulps inside, and
+        only a disk as wide as the table's diagonal is tried."""
         ny, nx = self.values.shape
-        pieces = (1 + self._line_count(radii, nx)
-                  + 2 * self._line_count(radii, ny))
+        cell = self.cell_size
+        out = np.empty(len(centers))
+        # the disks whose masses run through the cuts
+        rest = np.arange(len(centers))
+        if (self.extension == "zero" and 2.0 * radii.max(initial=0.0)
+                >= cell * math.hypot(nx - 1, ny - 1)):
+            corners = self.origin + cell * np.array(
+                [0.0, nx - 1, (ny - 1) * 1j, nx - 1 + (ny - 1) * 1j])
+            inner = radii * (1.0 - 4.0 * np.finfo(float).eps)
+            whole = np.all(np.abs(centers[:, None] - corners)
+                           <= inner[:, None], axis=1)
+            totals = self._column_tables[0, (ny - 1) * nx:]
+            out[whole] = cell * cell * (0.5 * (totals[:-1] + totals[1:])).sum()
+            rest = rest[~whole]
+        pieces = (1 + self._line_count(radii[rest], nx)
+                  + 2 * self._line_count(radii[rest], ny))
         nodes = KERNEL_BUDGET // 6
         run = max(1, nodes // _GRID_NODES)
-        out = np.empty(len(centers))
         # not np.unique, whose first call imports numpy.ma (about 15 ms)
         for count in set(pieces.tolist()):
-            group = np.flatnonzero(pieces == count)
+            group = rest[pieces == count]
             step = max(1, nodes // (count * _GRID_NODES))
             for rows in (group[lo:lo + step]
                          for lo in range(0, len(group), step)):
@@ -897,8 +904,8 @@ class GridDensity(DensityField):
                 cuts = self._cuts(block, r)
                 masses = [self._piece_masses(block, r, cuts[:, a:a + run + 1])
                           for a in range(0, count, run)]
-                out[rows] = np.concatenate(masses, axis=1).sum(axis=1)
-        return self.cell_size * out
+                out[rows] = cell * np.concatenate(masses, axis=1).sum(axis=1)
+        return out
 
     def _cuts(self, centers, r):
         """The sorted angles in [0, pi] that split the outer integral of

@@ -35,9 +35,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from . import quadrature
-from .density import KERNEL_BUDGET, DensityField
+from .density import DensityField
 from .errors import CCStructError, InvalidStockyard
 from .geometry import Pen, Stockyard, stockyard_mass
+from .quadrature import KERNEL_BUDGET
 
 #: relative tolerance of ``twist``, and the fixed Gauss-Legendre order of
 #: ``twist_many``

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -335,6 +336,25 @@ def test_potential_from_radial_reconstruction():
         assert f.dP(r) * r == pytest.approx(f.cumulative(r), rel=1e-9)
 
 
+def test_radial_cumulative_without_closed_form(monkeypatch):
+    # m(r) of exp(-s^2) on the pieces [0, 1], [1, 2], [2, 4], ... with
+    # numpy alone, also where the profile underflows on most of [0, r]
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "numpy.ma", None)
+    f = RadialProfileDensity(lambda s: np.exp(-s * s))
+    radii = np.array([0.0, 1e-8, 0.3, 2.5, 100.0, 1e4, 1e100])
+    want = -np.expm1(-radii * radii) / 2.0
+    got = f.cumulative(radii)
+    assert got.shape == radii.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.shape(f.cumulative(2.5)) == ()
+    assert np.shape(f.cumulative(np.array(2.5))) == ()
+    assert f.cumulative(2.5) == pytest.approx(want[3], rel=1e-12)
+    square = radii[1:].reshape(2, 3)
+    assert np.array_equal(f.cumulative(square), got[1:].reshape(2, 3))
+    assert f.cumulative(np.empty((0, 2))).shape == (0, 2)
+
+
 def test_radial_gradient_finite_difference():
     f = RadialAlphaDensity(0.5)
     z = 1.2 - 0.7j
@@ -354,6 +374,12 @@ def test_radial_gradient_finite_difference():
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _alpha_m(alpha, r):
+    """m(r) of RadialAlphaDensity(alpha) for a Python float r, in Python's
+    float arithmetic: the reference of its array closed form."""
+    return ((1.0 + r * r) ** (1.0 - alpha / 2.0) - 1.0) / (2.0 - alpha)
 
 
 def _log_uniform_radii(seed, shape):
@@ -387,7 +413,7 @@ def test_radial_alpha_dP_bitwise_per_radius(alpha):
         with np.errstate(over="ignore"):
             got = f.dP(r)
         r_arr = np.asarray(r, dtype=float)
-        want = [f.cumulative(ri) / ri for ri in r_arr.flat]
+        want = [_alpha_m(alpha, ri) / ri for ri in r_arr.ravel().tolist()]
         assert np.shape(got) == r_arr.shape
         assert np.array_equal(_bits(np.ravel(got)), _bits(want))
         assert np.array_equal(_bits(np.ravel(r)), _bits(np.ravel(kept)))
@@ -482,7 +508,7 @@ def test_radial_many_is_the_192_node_rule_to_1e10(alpha):
         centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
         d = np.abs(centers)
         values, jac = f._annulus_integrand(d[:, None], r)(x)
-        want = (2.0 * math.pi * f._cumulative_array(np.maximum(r - d, 0.0))
+        want = (2.0 * math.pi * f.cumulative(np.maximum(r - d, 0.0))
                 + (jac * w * values).sum(axis=1))
         got = f.disk_mass_many(centers, r)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
@@ -491,9 +517,10 @@ def test_radial_many_is_the_192_node_rule_to_1e10(alpha):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
 def test_radial_alpha_many_inner_disks_bitwise(alpha):
     # disk_mass_many's fully covered sub-disks against the per-radius sum:
-    # the same field without its array closed form
+    # the same field with the closed form taken one radius at a time
     f = RadialAlphaDensity(alpha)
-    per_radius = RadialProfileDensity(f.profile, f._cumulative)
+    per_radius = RadialProfileDensity(f.profile, lambda r: np.reshape(
+        [_alpha_m(alpha, x) for x in r.ravel().tolist()], r.shape))
     rng = np.random.default_rng(11)
     for r in (1e-6, 0.7, 40.0):
         d = r * rng.uniform(0.0, 1.5, 300)
@@ -1032,6 +1059,25 @@ def test_grid_sliver_disk_mass():
     expect = quad(chord, c.real - r, c.real + r, points=[-1.0, 0.0],
                   epsabs=1e-15, epsrel=1e-12)[0]
     assert f.disk_mass(c, r) == pytest.approx(expect, rel=1e-12)
+
+
+def test_grid_disk_holding_the_table_gets_its_mass():
+    # the angular cuts of every column round to one angle on a disk huge
+    # against a cell; a disk holding the four corners takes the exact mass
+    f = GridDensity(-1 - 1j, 1.0, np.ones((3, 4)))
+    for r in (1e6, 1e14, 1e16, 1e20, 1e200):
+        assert f.disk_mass(0.3, r) == 6.0
+    # the bilinear table's mass: the mean of each cell's corners, times its
+    # area; disks through or just short of the far corner take the cuts
+    values = np.random.default_rng(5).uniform(0.0, 2.0, (5, 6))
+    f = GridDensity(-1 - 1j, 0.5, values)
+    want = 0.0625 * (values[:-1, :-1] + values[1:, :-1] + values[:-1, 1:]
+                     + values[1:, 1:]).sum()
+    r = abs(0.5 * (5 + 4j))
+    masses = f.disk_mass([f.origin, f.origin, 0j, 0.3 - 2j],
+                         [r * (1.0 - 1e-9), r, 1.01 * r, 1e6])
+    np.testing.assert_allclose(masses, want, rtol=1e-8)
+    np.testing.assert_allclose(masses[1:], want, rtol=1e-13)
 
 
 def test_grid_periodic_translation_invariance():

@@ -197,8 +197,9 @@ def test_triangle_integral_rejects_nonfinite_refinement():
 
 #: unit disk indicator: P' has a kink at r = 1, so Gauss-Legendre
 #: estimates across it never settle to the callers' tolerances
-KINKED = RadialProfileDensity(lambda s: (s < 1).astype(float),
-                              cumulative=lambda r: min(r, 1) ** 2 / 2)
+KINKED = RadialProfileDensity(
+    lambda s: (s < 1).astype(float),
+    cumulative=lambda r: np.minimum(r, 1.0) ** 2 / 2)
 
 
 @pytest.fixture
@@ -217,3 +218,14 @@ def test_twist_unconverged_raises(fast_legendre):
 def test_boundary_line_integral_unconverged_raises(fast_legendre):
     with pytest.raises(QuadratureFailure):
         boundary_line_integral(KINKED, Pen.circle(0.5, 1.0).boundary)
+
+
+def test_radial_cumulative_without_closed_form_on_steps(fast_legendre):
+    # a jump on a piece edge of m(r)'s rule integrates exactly; one inside
+    # a piece never settles and raises
+    edge = RadialProfileDensity(lambda s: (s < 1).astype(float))
+    radii = np.array([0.5, 1.0, 3.0, 1e10])
+    assert np.array_equal(edge.cumulative(radii), [0.125, 0.5, 0.5, 0.5])
+    inside = RadialProfileDensity(lambda s: (s < 1.5).astype(float))
+    with pytest.raises(QuadratureFailure):
+        inside.cumulative(3.0)
