@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .errors import PotentialUnavailable
+from .errors import CCStructError, PotentialUnavailable
 from .quadrature import KERNEL_BUDGET
 
 #: relative accuracy of every ``disk_mass`` that is not exact
@@ -83,10 +83,8 @@ class DensityField:
     A family implements ``_density`` (a finite complex array) that
     ``density`` runs, and one disk-mass kernel ``_disk_masses(centers,
     radii)`` on flat arrays of finite centers and radii r > 0, one radius
-    per center, which ``disk_mass`` runs (a lone disk as a batch of one).
-    ``disk_mass_many`` runs ``_coarse_masses`` at a common radius: the
-    same kernel on every family but radial profiles, whose coarse masses
-    use a fixed-order rule."""
+    per center, which ``disk_mass`` runs (a lone disk as a batch of one,
+    a coarse search's lattice as a batch at a common radius)."""
 
     family = "abstract"
 
@@ -115,36 +113,26 @@ class DensityField:
 
         ``center`` and ``r`` may also be arrays of one shape: then the mass
         of each (center, radius) pair, in that shape, each with the bits of
-        its lone call; a float for a lone disk."""
+        its lone call; a float for a lone disk.  Raises CCStructError where
+        a mass is not finite (a huge disk's mass may overflow)."""
         centers = np.asarray(center, dtype=complex)
         radii = np.asarray(r, dtype=float)
         if centers.shape != radii.shape:
             raise ValueError(f"centers of shape {centers.shape} and radii of "
                              f"shape {radii.shape} do not pair up")
         _check_disk(radii, centers)
-        masses = self._disk_masses(centers.ravel(), radii.ravel()).reshape(
-            centers.shape)
+        masses = self._disk_masses(centers.ravel(), radii.ravel())
+        bad = np.flatnonzero(~np.isfinite(masses))
+        if len(bad):
+            i = bad[0]
+            raise CCStructError(
+                f"disk mass of {self.family} field is {masses[i]} at center "
+                f"{complex(centers.flat[i])!r}, radius {float(radii.flat[i])!r}")
+        masses = masses.reshape(centers.shape)
         return float(masses) if masses.ndim == 0 else masses
-
-    def disk_mass_many(self, centers, r):
-        """mu over an array of centers at a common radius, in its shape.
-
-        The coarse search's masses, which only rank the lattice cells whose
-        best ones :meth:`disk_mass` evaluates again.  On every family but
-        radial profiles they are ``disk_mass(centers, r)``, bit for bit.  A
-        radial field's fixed 64-node annulus rule stays within 2.5e-11
-        relative of 192 nodes on smooth profiles (``_ANNULUS_NODES``).
-        """
-        centers = np.asarray(centers, dtype=complex)
-        _check_disk(r, centers)
-        return self._coarse_masses(centers.ravel(), np.full(
-            centers.size, float(r))).reshape(centers.shape)
 
     def _disk_masses(self, centers, radii):
         raise NotImplementedError
-
-    def _coarse_masses(self, centers, radii):
-        return self._disk_masses(centers, radii)
 
     def disk_mass_quadrature(self, center, r, rel_tol=DISK_MASS_REL_TOL):
         """Force the generic adaptive polar quadrature path.
@@ -182,7 +170,7 @@ class ConstantDensity(DensityField):
         return 0.5 * self.c * z.real, 0.5 * self.c * z.imag
 
     def _disk_masses(self, centers, radii):
-        # a huge disk's mass is inf, as a float product gives it, unwarned
+        # a huge disk's mass overflows to inf unwarned; disk_mass raises
         with np.errstate(over="ignore"):
             return self.c * math.pi * radii * radii
 
@@ -288,16 +276,10 @@ class PolynomialPotential(DensityField):
 
 #: relative error bound of the radial quadrature of m(r)
 _RADIAL_REL_TOL = 1e-9
-#: the annulus integral of a radial disk mass: relative tolerance of the
-#: adaptive rule in ``disk_mass``, fixed order in ``disk_mass_many``.  The
-#: fixed rule's values only rank the coarse search's cells, whose best ones
-#: are evaluated again by ``disk_mass``.  On 100,000 random (d, r) pairs
-#: (d in 10^[-4, 2.5], r in 10^[-3.5, 2.5], a tenth with d ~ r) 64 nodes
-#: stay within 2.5e-11 relative of 192 nodes for alpha in {0.01, 0.25,
-#: 0.5, 0.66} (48 nodes within 1.6e-9, 32 within 3.8e-8), while the
-#: adaptive rule itself differs from 192 nodes by up to 9.9e-9
+#: relative tolerance of the adaptive annulus integral of a radial disk
+#: mass.  On 20,000 random disks its masses stay within 7.0e-9 relative
+#: of a 256-node rule (radial_alpha 0.5; 9.5e-11 at alpha = 0.01)
 _ANNULUS_REL_TOL = 1e-7
-_ANNULUS_NODES = 64
 
 
 class RadialProfileDensity(DensityField):
@@ -313,13 +295,10 @@ class RadialProfileDensity(DensityField):
     the profile is assumed smooth inside each piece, and a jump inside one
     raises QuadratureFailure.
 
-    ``disk_mass_many`` integrates each annulus with a fixed 64-node rule
-    (``_ANNULUS_NODES``), which assumes a smooth profile.  A profile with
-    a jump gets no error control there: with the step profile 1 on
-    |w| < 1, on 687 random disks whose rim crosses the step, the coarse
-    masses are off the exact lens areas by up to 0.38 relative (median
-    2.9e-2; 0.10 and 9.0e-3 at 192 nodes), so the coarse search may rank
-    such a field's cells wrongly."""
+    A disk mass is its covered disk's mass plus an annulus integral,
+    adaptive to relative tolerance ``_ANNULUS_REL_TOL``.  The profile is
+    assumed smooth on the annulus: a jump there (a step profile's rim
+    inside the disk's) raises QuadratureFailure."""
 
     family = "radial_profile"
 
@@ -377,21 +356,28 @@ class RadialProfileDensity(DensityField):
     # -- disk masses: reduce to 1D radial integrals ------------------------
 
     def _covered_masses(self, d, radii):
-        """2 pi m(r) for each disk centered within 1e-12 max(1, r) of the
+        """2 pi m(r) for each disk centered within 1e-8 max(1, r) of the
         origin, else 2 pi m(r - d) of its covered disk (0.0 where d >= r),
-        and the mask of these far disks, whose annulus integrals are due."""
-        far = d >= 1e-12 * np.maximum(1.0, radii)
+        and the mask of these far disks, whose annulus integrals are due.
+        mu is even in d, so a near disk's mass is the centered one to
+        O((d/r)^2); a smaller cutoff leaves annulus integrals so thin that
+        round-off keeps them from converging (d = 3e-11 at r = 20)."""
+        far = d >= 1e-8 * np.maximum(1.0, radii)
         covered = np.maximum(np.where(far, radii - d, radii), 0.0)
         return 2.0 * math.pi * self.cumulative(covered), far
 
     def _disk_masses(self, centers, radii):
-        """Each disk's covered mass plus its annulus integral.  The annulus
-        integrals of all the disks run as rows of one ``adaptive_1d``
-        doubling loop; each row stops at its own order."""
-        # Python's abs: np.abs rounds a third of these distances differently
-        d = np.array([abs(c) for c in centers.tolist()], dtype=float)
-        out, far = self._covered_masses(d, radii)
-        d, r = d[far], radii[far]
+        """Each disk's covered mass plus its annulus integral.  A mass
+        depends only on (|center|, r), packed exactly as d + r i: one row
+        per distinct far pair, and the rows run in one ``adaptive_1d``
+        doubling loop, each stopping at its own order.  With
+        return_inverse, np.unique sorts and never reaches the numpy.ma
+        check that its plain form makes."""
+        pairs, back = np.unique(np.abs(centers) + 1j * radii,
+                                return_inverse=True)
+        d, r = pairs.real, pairs.imag
+        out, far = self._covered_masses(d, r)
+        d, r = d[far], r[far]
 
         def integrand(x, live):
             return np.multiply(*self._annulus_integrand(
@@ -400,7 +386,7 @@ class RadialProfileDensity(DensityField):
         out[far] += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
                                            rel_tol=_ANNULUS_REL_TOL,
                                            rows=len(d))
-        return out
+        return out[back]
 
     def _annulus_integrand(self, d, r):
         """The annulus integrand for centers at distance d (a float or a
@@ -425,23 +411,6 @@ class RadialProfileDensity(DensityField):
                     span * np.sin(2.0 * x))
 
         return factors
-
-    def _coarse_masses(self, centers, radii):
-        # a mass depends only on (|center|, r), packed exactly as d + r i:
-        # one kernel row per distinct far pair, each row's arithmetic its
-        # own.  With return_inverse, np.unique sorts and never reaches the
-        # numpy.ma check that its plain form makes
-        pairs, back = np.unique(np.abs(centers) + 1j * radii,
-                                return_inverse=True)
-        d, r = pairs.real, pairs.imag
-        vals, far = self._covered_masses(d, r)
-        rows = np.flatnonzero(far)
-        x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, _ANNULUS_NODES)
-        step = KERNEL_BUDGET // _ANNULUS_NODES
-        for k in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
-            values, jac = self._annulus_integrand(d[k, None], r[k, None])(x)
-            vals[k] += np.einsum("ij,ij->i", jac * w, values)
-        return vals[back]
 
 
 class RadialAlphaDensity(RadialProfileDensity):
@@ -561,10 +530,10 @@ class BumpLattice(DensityField):
     supported in the disk of radius rho_k around its center (supports may
     overlap).  Used to build the linear-growth test regime.
 
-    Its one disk-mass kernel, ``_disk_masses``, behind both ``disk_mass``
-    and ``disk_mass_many``, takes its (disk, bump) pairs from
-    ``_disk_pairs``.  A disk whose reach covers much of the lattice
-    (``_takes_every_bump``) is paired with every bump.  Other disks, and
+    Its one disk-mass kernel, ``_disk_masses``, behind ``disk_mass``,
+    takes its (disk, bump) pairs from ``_disk_pairs``.  A disk whose reach
+    covers much of the lattice (``_takes_every_bump``) is paired with
+    every bump.  Other disks, and
     the density, go through a cell list built once: the bump centers
     binned on a uniform grid over the support box, each cell's bumps one
     run of ``_order``.  The cells that meet the square of half-side

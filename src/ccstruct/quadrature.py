@@ -55,7 +55,7 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
     Doubles the Gauss-Legendre order from 16 until two successive
     estimates agree to ``rel_tol`` (relative, with an absolute floor for
     near-zero integrals).  The 16- and 32-node rules share one call of
-    ``f`` on both rules' nodes, and each estimate is the dot product of
+    ``f`` on both rules' nodes, and each estimate is a weighted sum over
     its own slice, so an elementwise ``f`` gives the same value as one
     call per rule.  Raises QuadratureFailure if the budget is exhausted.
 
@@ -63,21 +63,18 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
     ``f(x, live)`` maps the nodes to a (len(live), len(x)) array, the
     integrands of the rows ``live`` (ascending indices below k), and an
     array of k integrals is returned.  ``f`` sees blocks of rows within
-    ``KERNEL_BUDGET`` values, whose results are concatenated.  Each row
-    stops at its own order and each estimate is the dot product of its own
-    row, so a row's integral has the bits of a lone call of that row.
+    ``KERNEL_BUDGET`` values, each block reduced to its rows' estimates at
+    once, so only the estimates grow with k.  Each row stops at its own
+    order, and one einsum forms a block's estimates with its own sum over
+    each row, so a row's integral has the bits of a lone call of that row.
     """
     lone = rows is None
     if lone:
-        # a lone integrand is a batch of one row (not copied: a dot
-        # product's rounding may depend on its buffer's alignment)
+        # a lone integrand is a batch of one row
         def fun(x, live):
             return np.asarray(f(x), dtype=float)[None]
     else:
-        def fun(x, live):
-            step = max(1, KERNEL_BUDGET // len(x))
-            return np.concatenate([f(x, live[lo:lo + step])
-                                   for lo in range(0, len(live), step)])
+        fun = f
     out = np.zeros(1 if lone else rows)
     if b == a or not len(out):
         return 0.0 if lone else out
@@ -92,18 +89,23 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
     prev = None
     for group in groups:
         rules = [gl_nodes(a, b, m) for m in group]
-        vals = np.asarray(fun(np.concatenate([x for x, _ in rules]), live),
-                          dtype=float)
-        lo = 0
-        for x, w in rules:
-            est = np.array([float(np.dot(w, v[lo:lo + len(x)]))
-                            for v in vals])
-            lo += len(x)
+        x = np.concatenate([x for x, _ in rules])
+        step = max(1, KERNEL_BUDGET // len(x))
+        ests = np.empty((len(rules), len(live)))
+        for lo in range(0, len(live), step):
+            vals = np.asarray(fun(x, live[lo:lo + step]), dtype=float)
+            at = 0
+            for est, (xk, w) in zip(ests, rules):
+                est[lo:lo + step] = np.einsum("ij,j->i",
+                                              vals[:, at:at + len(xk)], w)
+                at += len(xk)
+        for k in range(len(rules)):
+            est = ests[k]
             if prev is not None:
                 done = np.abs(est - prev) <= rel_tol * np.maximum(
                     np.abs(est), abs_floor)
                 out[live[done]] = est[done]
-                live, prev, vals = live[~done], est[~done], vals[~done]
+                live, prev, ests = live[~done], est[~done], ests[:, ~done]
                 if not len(live):
                     return float(out[0]) if lone else out
             else:

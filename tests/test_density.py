@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -15,7 +16,8 @@ from ccstruct.density import (BumpLattice, ConstantDensity, GridDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               RadialProfileDensity, ZeroDensity,
                               decaying_bump_lattice, disk_mass)
-from ccstruct.errors import PotentialUnavailable
+from ccstruct.errors import CCStructError, PotentialUnavailable
+from ccstruct.geometry import Pen, pen_mass
 
 
 def test_public_names_resolve():
@@ -69,21 +71,30 @@ def test_disk_mass_rejects_bad_radius():
             with pytest.raises(ValueError):
                 f.disk_mass(0.5j, r)
             with pytest.raises(ValueError):
-                f.disk_mass_many(np.array([0j, 0.5j]), r)
+                _masses_at(f, np.array([0j, 0.5j]), r)
             with pytest.raises(ValueError):
                 f.disk_mass_quadrature(0.5j, r)
         for c in (complex(math.nan, 0.0), complex(0.0, math.inf)):
             with pytest.raises(ValueError):
                 f.disk_mass(c, 1.0)
             with pytest.raises(ValueError):
-                f.disk_mass_many(np.array([c, 0.5j]), 1.0)
+                _masses_at(f, np.array([c, 0.5j]), 1.0)
+
+
+def _masses_at(f, centers, r):
+    """The disk masses of ``centers`` at the common radius ``r``, as the
+    coarse search and classify's mass table ask for them."""
+    return f.disk_mass(centers, np.full(np.shape(centers), r))
 
 
 def test_disk_mass_many_keeps_the_shape_of_its_centers():
+    # many centers at a common radius: the masses in the centers' shape,
+    # and a float for a 0-d center
     centers = np.array([[0j, 0.5, 1 - 1j], [-2j, 0.25 + 0.5j, 3.0]])
     for f in _one_field_per_family():
-        for cs in (np.asarray(0.5j), np.array([], dtype=complex), centers):
-            many = f.disk_mass_many(cs, 1.5)
+        assert type(_masses_at(f, np.asarray(0.5j), 1.5)) is float
+        for cs in (np.array([], dtype=complex), centers):
+            many = _masses_at(f, cs, 1.5)
             assert many.shape == cs.shape and many.dtype == float
 
 
@@ -100,8 +111,8 @@ def test_density_rejects_non_finite_points():
 
 
 def test_disk_mass_is_the_array_kernel_on_one_center():
-    # the families whose exact masses are their coarse ones: disk_mass
-    # runs disk_mass_many's kernel, so the two agree to the last bit
+    # a lone disk is a batch of one of the array kernel, so lone calls and
+    # a call at a common radius agree to the last bit
     rng = np.random.default_rng(11)
     centers = rng.uniform(-4.0, 4.0, 60) + 1j * rng.uniform(-4.0, 4.0, 60)
     values = rng.uniform(0.0, 2.0, (7, 9))
@@ -115,10 +126,10 @@ def test_disk_mass_is_the_array_kernel_on_one_center():
         # periodic center's pieces run over several blocks
         for r in (0.05, 0.7, 2.5, 9.0):
             scalar = [f.disk_mass(c, r) for c in centers]
-            many = [f.disk_mass_many([c], r)[0] for c in centers]
-            assert np.array_equal(_bits(scalar), _bits(many))
+            one = [f.disk_mass([c], [r])[0] for c in centers]
+            assert np.array_equal(_bits(scalar), _bits(one))
             assert np.array_equal(_bits(scalar),
-                                  _bits(f.disk_mass_many(centers, r)))
+                                  _bits(_masses_at(f, centers, r)))
 
 
 _GRID_VALUES = np.random.default_rng(11).uniform(0.0, 2.0, (7, 9))
@@ -139,9 +150,10 @@ _COMMON_RADIUS_FIELDS = {
 
 @pytest.mark.parametrize("name", list(_COMMON_RADIUS_FIELDS))
 def test_disk_mass_many_is_disk_mass_at_a_common_radius(name):
-    # on every family but radial profiles the coarse masses are the exact
-    # ones; a bump lattice's centers take whole-lattice rows at the large
-    # radii and the cell list's pairs at the small ones
+    # the coarse search's masses, many centers at a common radius, are the
+    # lone masses bit for bit, duplicates included; a bump lattice's
+    # centers take whole-lattice rows at the large radii and the cell
+    # list's pairs at the small ones
     f = _COMMON_RADIUS_FIELDS[name]
     rng = np.random.default_rng(31)
     centers = np.concatenate([
@@ -152,8 +164,8 @@ def test_disk_mass_many_is_disk_mass_at_a_common_radius(name):
         if isinstance(f, BumpLattice):
             paths.update(f._takes_every_bump(centers, f._reach(r)).tolist())
         assert np.array_equal(
-            _bits(f.disk_mass_many(centers, r)),
-            _bits(f.disk_mass(centers, np.full(centers.size, r))))
+            _bits(_masses_at(f, centers, r)),
+            _bits([f.disk_mass(c, r) for c in centers]))
     assert paths == ({False, True} if isinstance(f, BumpLattice) else set())
 
 
@@ -201,8 +213,8 @@ def test_radial_disk_mass_pairs_keep_the_lone_adaptive_rule():
     centers, radii = _pair_cases(f)
     got = f.disk_mass(centers, radii)
     for c, r, g in zip(centers, radii, got):
-        d = abs(complex(c))
-        if d < 1e-12 * max(1.0, r):
+        d = float(np.abs(c))
+        if d < 1e-8 * max(1.0, r):
             want = 2.0 * math.pi * f.cumulative(r)
         else:
             want = 0.0
@@ -213,6 +225,22 @@ def test_radial_disk_mass_pairs_keep_the_lone_adaptive_rule():
                 lambda x: np.multiply(*factors(x)), 0.0, 0.5 * math.pi,
                 rel_tol=density._ANNULUS_REL_TOL)
         assert _bits(g) == _bits(want), (c, r)
+
+
+def test_disk_mass_that_overflows_raises():
+    # a huge disk's mass overflows to inf: a lone or batch disk mass, and a
+    # circle pen's mass, raise CCStructError instead of returning it
+    for f, r in ((ConstantDensity(2.0), 1e200),
+                 (PolynomialPotential({(2, 2): 1.0}), 1e100)):
+        with pytest.raises(CCStructError, match=r"disk mass of \w+ field "
+                                                r"is inf at center 0j"):
+            f.disk_mass(0, r)
+        with pytest.raises(CCStructError, match=re.escape(
+                f"is inf at center 1j, radius {r!r}")):
+            f.disk_mass(np.array([0j, 1j]), np.array([1.0, r]))
+        with pytest.raises(CCStructError, match="is inf"):
+            pen_mass(f, Pen.circle(0, r))
+        assert math.isfinite(f.disk_mass(0, 1e10))
 
 
 def test_disk_mass_pairs_reject_bad_input():
@@ -292,7 +320,7 @@ def test_poly_rejects_negative_density():
 @settings(max_examples=25, deadline=None)
 def test_poly_many_matches_scalar(c, r):
     f = PolynomialPotential({(1, 1): 1.0, (2, 2): 1.0})
-    assert f.disk_mass_many(np.array([c]), r)[0] == f.disk_mass(c, r)
+    assert _masses_at(f, np.array([c]), r)[0] == f.disk_mass(c, r)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +349,22 @@ def test_radial_disk_mass_vs_quadrature():
         assert quad == pytest.approx(exact, rel=1e-6)
 
 
+def test_radial_disk_mass_just_off_the_origin_is_the_centered_one():
+    # a center within 1e-8 max(1, r) of the origin takes the centered mass,
+    # which its own differs from by O((d/r)^2); beyond a 1e-12 cutoff the
+    # annulus of this disk was too thin to converge, and it raised
+    f = RadialAlphaDensity(0.5)
+    assert f.disk_mass(3e-11, 20.0) == 371.17025762671403
+    assert f.disk_mass(3e-11, 20.0) == f.disk_mass(0, 20.0)
+    assert f.disk_mass(1e-10, 20.0) == f.disk_mass(0, 20.0)
+
+
 def test_radial_many_matches_scalar():
     f = RadialAlphaDensity(0.5)
     centers = np.array([0j, 0.5, 1 + 1j, 10 - 2j, 300 + 0j])
-    many = f.disk_mass_many(centers, 1.3)
+    many = _masses_at(f, centers, 1.3)
     for c, v in zip(centers, many):
-        assert v == pytest.approx(f.disk_mass(c, 1.3), rel=1e-9)
+        assert _bits(v) == _bits(f.disk_mass(c, 1.3))
 
 
 def test_potential_from_radial_reconstruction():
@@ -437,21 +475,22 @@ def test_radial_many_is_per_center_across_blocks():
                         r * rng.uniform(0.0, 3.0, 960)])
     centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
     rng.shuffle(centers)
-    one = [f.disk_mass_many([c], r)[0] for c in centers]
-    assert np.array_equal(_bits(f.disk_mass_many(centers, r)), _bits(one))
-    assert np.array_equal(_bits(f.disk_mass_many(centers[::-1], r)[::-1]),
+    one = [f.disk_mass(c, r) for c in centers]
+    assert np.array_equal(_bits(_masses_at(f, centers, r)), _bits(one))
+    assert np.array_equal(_bits(_masses_at(f, centers[::-1], r)[::-1]),
                           _bits(one))
 
 
 def test_radial_many_temporaries_stay_small():
-    # blocked, the kernel's peak allocation is a few blocks plus its 1-D
-    # arrays; unblocked, 5,000 centers x 192 nodes peaked at 46 MB
+    # blocked, the kernel's peak allocation is a few blocks of annulus
+    # rows plus its 1-D arrays; unblocked, 5,000 centers x 192 nodes
+    # peaked at 46 MB
     f = RadialAlphaDensity(0.5)
     rng = np.random.default_rng(2)
     centers = rng.uniform(-5.0, 5.0, 5000) + 1j * rng.uniform(-5.0, 5.0, 5000)
     tracemalloc.start()
     try:
-        f.disk_mass_many(centers, 2.0)
+        _masses_at(f, centers, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,17 +506,17 @@ def _search_lattice(center, radius=1.5, n=33):
 
 def test_radial_many_runs_one_row_per_distinct_distance(monkeypatch):
     # a radial disk mass depends on its center only through |center|: the
-    # annulus kernel sees each distinct far distance once, and every center
-    # still gets its one-center value
+    # annulus integrals run one row per distinct far distance, and every
+    # center still gets its one-center value
     f = RadialAlphaDensity(0.5)
     rows = []
-    kernel = RadialProfileDensity._annulus_integrand
+    kernel = quadrature.adaptive_1d
 
-    def counting(self, d, r):
-        rows.append(np.size(d))
-        return kernel(self, d, r)
+    def counting(*args, **kwargs):
+        rows.append(kwargs["rows"])
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(RadialProfileDensity, "_annulus_integrand", counting)
+    monkeypatch.setattr(quadrature, "adaptive_1d", counting)
     rng = np.random.default_rng(3)
     scattered = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
     mixed = np.concatenate([scattered, np.conj(scattered[:50]),
@@ -487,20 +526,20 @@ def test_radial_many_runs_one_row_per_distinct_distance(monkeypatch):
              (mixed, 200)]
     for centers, distinct in cases:
         for r in (0.7, 1.5):
-            one = [f.disk_mass_many([c], r)[0] for c in centers]
+            one = [f.disk_mass(c, r) for c in centers]
             rows.clear()
-            many = f.disk_mass_many(centers, r)
-            assert sum(rows) == distinct
+            many = _masses_at(f, centers, r)
+            assert rows == [distinct]
             assert np.array_equal(_bits(many), _bits(one))
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.66])
-def test_radial_many_is_the_192_node_rule_to_1e10(alpha):
-    # the coarse annulus rule against three times its order, on distances
-    # d in 10^[-4, 2.5] and radii r in 10^[-3.5, 2.5], a tenth of the
-    # centers near the disk's rim (d ~ r)
+def test_radial_disk_mass_is_the_256_node_rule_to_1e7(alpha):
+    # the adaptive annulus rule against a fixed 256-node reference, on
+    # distances d in 10^[-4, 2.5] and radii r in 10^[-3.5, 2.5], a tenth
+    # of the centers near the disk's rim (d ~ r)
     f = RadialAlphaDensity(alpha)
-    x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, 192)
+    x, w = quadrature.gl_nodes(0.0, 0.5 * math.pi, 256)
     rng = np.random.default_rng(23)
     for r in 10.0 ** rng.uniform(-3.5, 2.5, 40):
         d = 10.0 ** rng.uniform(-4.0, 2.5, 50)
@@ -510,13 +549,13 @@ def test_radial_many_is_the_192_node_rule_to_1e10(alpha):
         values, jac = f._annulus_integrand(d[:, None], r)(x)
         want = (2.0 * math.pi * f.cumulative(np.maximum(r - d, 0.0))
                 + (jac * w * values).sum(axis=1))
-        got = f.disk_mass_many(centers, r)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        got = _masses_at(f, centers, r)
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.65])
 def test_radial_alpha_many_inner_disks_bitwise(alpha):
-    # disk_mass_many's fully covered sub-disks against the per-radius sum:
+    # the fully covered sub-disks against the per-radius sum:
     # the same field with the closed form taken one radius at a time
     f = RadialAlphaDensity(alpha)
     per_radius = RadialProfileDensity(f.profile, lambda r: np.reshape(
@@ -525,8 +564,8 @@ def test_radial_alpha_many_inner_disks_bitwise(alpha):
     for r in (1e-6, 0.7, 40.0):
         d = r * rng.uniform(0.0, 1.5, 300)
         centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
-        assert np.array_equal(_bits(f.disk_mass_many(centers, r)),
-                              _bits(per_radius.disk_mass_many(centers, r)))
+        assert np.array_equal(_bits(_masses_at(f, centers, r)),
+                              _bits(_masses_at(per_radius, centers, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +588,7 @@ def test_bump_partial_overlap_vs_quadrature():
 def test_bump_many_matches_scalar():
     f = decaying_bump_lattice(6)
     centers = np.array([0j, 1 + 1j, 2.5 - 0.5j, 4 + 3j])
-    many = f.disk_mass_many(centers, 1.7)
+    many = _masses_at(f, centers, 1.7)
     for c, v in zip(centers, many):
         assert v == pytest.approx(f.disk_mass(c, 1.7), rel=1e-8, abs=1e-12)
 
@@ -636,7 +675,7 @@ def test_bump_indexed_matches_all_pairs(bumps, query, r):
     # disk_mass keeps the reference's summation order, so it is exact
     assert f.disk_mass(c, r) == _reference_disk_mass(f, c, r)
     zs = np.array([c, c + 0.5, f.centers[0], 7.0 + 7.0j])
-    many = f.disk_mass_many(zs, r)
+    many = _masses_at(f, zs, r)
     for z, v in zip(zs, many):
         assert v == pytest.approx(_reference_disk_mass(f, z, r),
                                   rel=1e-12, abs=0.0)
@@ -706,7 +745,7 @@ def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
         grid, grid + (10 + 3j),
         rng.uniform(-45.0, 45.0, 60) + 1j * rng.uniform(-45.0, 45.0, 60),
         [0j, 0j, 1 + 1j, 1 + 1j, f.centers[7], 80 + 80j, -200j]])
-    assert np.array_equal(_bits(f.disk_mass_many(centers, r)),
+    assert np.array_equal(_bits(_masses_at(f, centers, r)),
                           _bits(_reference_disk_masses(f, centers, r)))
 
 
@@ -721,14 +760,14 @@ def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
     blocks = [len(bi) for _, bi in f._near_pairs(sparse, reach)]
     assert len(blocks) > 1 and sum(blocks) > density._PAIR_BLOCK
     assert max(blocks) <= density._PAIR_BLOCK
-    assert np.array_equal(_bits(f.disk_mass_many(sparse, 5.0)),
+    assert np.array_equal(_bits(_masses_at(f, sparse, 5.0)),
                           _bits(_reference_disk_masses(f, sparse, 5.0)))
     # the coarse lattice of a sup search at delta = 40: most centers take
     # whole-lattice rows, the corners take the tree's pairs
     lattice = _search_lattice(0j, 40.0)
     every = f._takes_every_bump(lattice, f._reach(12.0))
     assert np.any(every) and not np.all(every)
-    assert np.array_equal(_bits(f.disk_mass_many(lattice, 12.0)),
+    assert np.array_equal(_bits(_masses_at(f, lattice, 12.0)),
                           _bits(_reference_disk_masses(f, lattice, 12.0)))
     z = rng.uniform(-37.0, 37.0, 4000) + 1j * rng.uniform(-37.0, 37.0, 4000)
     assert np.array_equal(_bits(f.density(z)), _bits(_listed_density(f, z)))
@@ -743,9 +782,9 @@ def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
                                                                400)
     every = f._takes_every_bump(centers, f._reach(12.0))
     assert every.sum() > 100 and not np.all(every)
-    lone = [f.disk_mass_many(centers[i:i + 1], 12.0)[0]
+    lone = [_masses_at(f, centers[i:i + 1], 12.0)[0]
             for i in range(len(centers))]
-    assert np.array_equal(_bits(f.disk_mass_many(centers, 12.0)),
+    assert np.array_equal(_bits(_masses_at(f, centers, 12.0)),
                           _bits(np.array(lone)))
 
 
@@ -772,7 +811,7 @@ def test_bump_many_memory_is_bounded(lattice35, r):
     assert len(lattice) == 797
     tracemalloc.start()
     try:
-        lattice35.disk_mass_many(lattice, r)
+        _masses_at(lattice35, lattice, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,7 +830,7 @@ def test_bump_many_memory_is_bounded_on_random_centers(lattice35):
     assert every.mean() > 0.9
     tracemalloc.start()
     try:
-        lattice35.disk_mass_many(centers, 12.0)
+        _masses_at(lattice35, centers, 12.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -854,9 +893,8 @@ def test_bump_cell_list_on_awkward_lattices(bumps, queries, r):
         got = f.disk_mass(z, r)
         assert type(got) is float
         assert _bits(got) == _bits(_reference_disk_mass(f, z, r))
-    want = _bits(_reference_disk_masses(f, zs, r))
-    assert np.array_equal(_bits(f.disk_mass(zs, np.full(len(zs), r))), want)
-    assert np.array_equal(_bits(f.disk_mass_many(zs, r)), want)
+    assert np.array_equal(_bits(_masses_at(f, zs, r)),
+                          _bits(_reference_disk_masses(f, zs, r)))
     assert f.density(zs) == pytest.approx(_reference_density(f, zs),
                                           rel=1e-12, abs=0.0)
 
@@ -1099,7 +1137,7 @@ def test_grid_disk_mass_many_and_monotone(extension):
     centers = (rng.uniform(-3.0, 3.0, 40)
                + 1j * rng.uniform(-3.0, 3.0, 40)).reshape(8, 5)
     for r in (0.3, 1.7, 6.0):
-        many = f.disk_mass_many(centers, r)
+        many = _masses_at(f, centers, r)
         assert many.shape == centers.shape
         assert many.tolist() == [[f.disk_mass(c, r) for c in row]
                                  for row in centers]

@@ -32,9 +32,10 @@ def test_adaptive_1d_zero_interval():
 
 def _per_order_adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14,
                            max_order=2048, rows=None):
-    """The order-doubling rule with one call of f per order: the fused
-    start of ``adaptive_1d`` must give its values bit for bit.  With
-    ``rows``, each row of the batch runs the rule on its own."""
+    """The order-doubling rule with one call of f per order, each estimate
+    summed by the einsum of ``adaptive_1d``: the fused start must give its
+    values bit for bit.  With ``rows``, each row of the batch runs the rule
+    on its own."""
     if rows is not None:
         return np.array([_per_order_adaptive_1d(
             lambda x, i=i: f(x, np.array([i]))[0], a, b, rel_tol, abs_floor,
@@ -45,7 +46,8 @@ def _per_order_adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14,
     n = 16
     while n <= max_order:
         x, w = gl_nodes(a, b, n)
-        val = float(np.dot(w, np.asarray(f(x), dtype=float)))
+        val = float(np.einsum("ij,j->i", np.asarray(f(x), dtype=float)[None],
+                              w)[0])
         if prev is not None:
             if abs(val - prev) <= rel_tol * max(abs(val), abs_floor):
                 return val
@@ -218,6 +220,25 @@ def test_twist_unconverged_raises(fast_legendre):
 def test_boundary_line_integral_unconverged_raises(fast_legendre):
     with pytest.raises(QuadratureFailure):
         boundary_line_integral(KINKED, Pen.circle(0.5, 1.0).boundary)
+
+
+def test_radial_disk_mass_across_a_jump_raises(fast_legendre):
+    # disks whose rim crosses the step at |w| = 1 put the jump inside
+    # their annulus integrals, which never settle: each raises, alone or
+    # in a batch at a common radius, and none returns a value.  Disks
+    # whose annulus misses the step keep their masses
+    rng = np.random.default_rng(52)
+    r = 0.6
+    d = rng.uniform(0.45, 1.55, 20)
+    centers = d * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, d.size))
+    with pytest.raises(QuadratureFailure):
+        KINKED.disk_mass(centers, np.full(d.size, r))
+    for c in centers:
+        with pytest.raises(QuadratureFailure):
+            KINKED.disk_mass(c, r)
+    assert KINKED.disk_mass(0.2, 0.5) == pytest.approx(0.25 * math.pi,
+                                                       rel=1e-7)
+    assert KINKED.disk_mass(0.2j, 3.0) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_radial_cumulative_without_closed_form_on_steps(fast_legendre):
