@@ -112,8 +112,7 @@ def track_slope(field, track, deltas):
 def mass_table(field: DensityField, window: Window, deltas):
     """mu(z, delta) at the window's points, one row per delta."""
     zs = np.asarray(window.points(), dtype=complex)
-    return np.array([field.disk_mass(zs, np.full(zs.shape, float(d)))
-                     for d in deltas])
+    return np.array([field.disk_mass_many(zs, float(d)) for d in deltas])
 
 
 def _check_table(table, window, deltas):

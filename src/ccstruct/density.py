@@ -83,8 +83,8 @@ class DensityField:
     A family implements ``_density`` (a finite complex array) that
     ``density`` runs, and one disk-mass kernel ``_disk_masses(centers,
     radii)`` on flat arrays of finite centers and radii r > 0, one radius
-    per center, which ``disk_mass`` runs (a lone disk as a batch of one,
-    a coarse search's lattice as a batch at a common radius)."""
+    per center, which ``disk_mass`` runs (a lone disk as a batch of one)
+    and ``disk_mass_many`` runs at a common radius."""
 
     family = "abstract"
 
@@ -120,6 +120,18 @@ class DensityField:
         if centers.shape != radii.shape:
             raise ValueError(f"centers of shape {centers.shape} and radii of "
                              f"shape {radii.shape} do not pair up")
+        masses = self._checked_masses(centers, radii)
+        return float(masses) if masses.ndim == 0 else masses
+
+    def disk_mass_many(self, centers, r):
+        """``disk_mass`` of an array of centers at the common radius r, as
+        an array in the centers' shape: the coarse search's lattices and
+        classify's mass table.  The same kernel and bits as ``disk_mass``;
+        a name of its own so that a profile counts these calls apart."""
+        centers = np.asarray(centers, dtype=complex)
+        return self._checked_masses(centers, np.full(centers.shape, float(r)))
+
+    def _checked_masses(self, centers, radii):
         _check_disk(radii, centers)
         masses = self._disk_masses(centers.ravel(), radii.ravel())
         bad = np.flatnonzero(~np.isfinite(masses))
@@ -128,8 +140,7 @@ class DensityField:
             raise CCStructError(
                 f"disk mass of {self.family} field is {masses[i]} at center "
                 f"{complex(centers.flat[i])!r}, radius {float(radii.flat[i])!r}")
-        masses = masses.reshape(centers.shape)
-        return float(masses) if masses.ndim == 0 else masses
+        return masses.reshape(centers.shape)
 
     def _disk_masses(self, centers, radii):
         raise NotImplementedError

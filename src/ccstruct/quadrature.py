@@ -70,7 +70,8 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
     """
     lone = rows is None
     if lone:
-        # a lone integrand is a batch of one row
+        # a lone integrand is a batch of one row (not copied: the einsum's
+        # rounding may depend on its buffer's alignment)
         def fun(x, live):
             return np.asarray(f(x), dtype=float)[None]
     else:

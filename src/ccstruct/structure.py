@@ -245,15 +245,16 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     (value, witness, counts) per search.
 
     Coarse stage, per search: log-spaced ladder of h crossed with a square
-    lattice masked to the disk, one ``disk_mass`` call per rung at a
-    common radius; its values rank the cells that the polish starts from.
-    Polish: the top cells of all the searches are polished together by
-    one lock-step Nelder-Mead in (x, y, log h) with projection onto each
-    search's feasible set (``_nelder_mead``).  Each round evaluates all
-    its points with one array call of ``disk_mass``, and the first round
-    also evaluates each top cell itself.  Every array mass has the bits of
-    the scalar ``disk_mass`` and every start takes the steps of its lone run,
-    so a search's value and witness do not depend on the searches
+    lattice masked to the disk, one ``disk_mass_many`` call per rung (the
+    ``disk_mass`` kernel at a common radius); its values rank the cells
+    that the polish starts from.  Polish: the top cells of all the
+    searches are polished together by one lock-step Nelder-Mead in
+    (x, y, log h) with projection onto each search's feasible set
+    (``_nelder_mead``).  Each round evaluates all its points with one
+    array call of ``disk_mass``, and the first round also evaluates each
+    top cell itself.  Every array mass has the bits of the scalar
+    ``disk_mass`` and every start takes the steps of its lone run, so a
+    search's value and witness do not depend on the searches
     polished with it.  Each witness is picked as a lone search would: over
     its top cells in order, the cell itself and then its polished point.
     ``counts`` holds the search's polish evaluations (``polish_nfev``, over
@@ -281,8 +282,7 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
 
         candidates = []   # (coarse value, zhat, h)
         for h in rungs:
-            vals = (scale / float(h)) * field.disk_mass(
-                zz, np.full(zz.shape, float(h)))
+            vals = (scale / float(h)) * field.disk_mass_many(zz, float(h))
             top = np.argsort(vals)[::-1][: opts.n_polish]
             for i in top:
                 candidates.append((float(vals[i]), complex(zz[i]), float(h)))
@@ -357,12 +357,8 @@ def _sup_searches(field: DensityField, cells, opts):
     # the cells to search, then the error of each whose value is not finite
     todo = {key: None for key in keys if key not in memo
             and math.isfinite(key[1]) and key[1] > 0}
-    try:
-        found = optimize_weighted_disk(
-            field, [(z, d, d, d) for z, d, _ in todo], opts) if todo else []
-    except CCStructError as exc:   # e.g. a disk mass that is not finite
-        deltas = ", ".join(repr(d) for _, d, _ in todo)
-        raise type(exc)(f"lambda_sup at delta={deltas}: {exc}") from exc
+    found = optimize_weighted_disk(
+        field, [(z, d, d, d) for z, d, _ in todo], opts) if todo else []
     for key, (value, witness, counts) in zip(todo, found):
         if math.isfinite(value):
             memo[key] = LambdaEstimate(*key[:2], value, "sup",

@@ -110,7 +110,8 @@ def test_nonfinite_value_exit_3(tmp_path, constant_spec):
     assert code == 3
     (row,) = read_rows(out)
     assert row["value_sup"] == "nan"
-    assert row["error"].startswith("CCStructError: lambda_sup at delta=")
+    assert row["error"].startswith(
+        "CCStructError: disk mass of constant field is inf")
     assert main(["volume", "--density", constant_spec, "--z", "0,0",
                  "--delta", "1e200", "--n-paths", "1000"]) == 3
 
@@ -127,7 +128,8 @@ def test_polynomial_overflow_exit_3(tmp_path):
     assert code == 3
     (row,) = read_rows(out)
     assert row["value_sup"] == "nan"
-    assert row["error"].startswith("CCStructError: lambda_sup at delta=")
+    assert row["error"].startswith(
+        "CCStructError: disk mass of polynomial field is inf")
     assert main(["volume", "--density", str(spec), "--z", "0,0",
                  "--delta", "1e100", "--n-paths", "1000"]) == 3
 

@@ -73,12 +73,16 @@ def test_disk_mass_rejects_bad_radius():
             with pytest.raises(ValueError):
                 _masses_at(f, np.array([0j, 0.5j]), r)
             with pytest.raises(ValueError):
+                f.disk_mass_many(np.array([0j, 0.5j]), r)
+            with pytest.raises(ValueError):
                 f.disk_mass_quadrature(0.5j, r)
         for c in (complex(math.nan, 0.0), complex(0.0, math.inf)):
             with pytest.raises(ValueError):
                 f.disk_mass(c, 1.0)
             with pytest.raises(ValueError):
                 _masses_at(f, np.array([c, 0.5j]), 1.0)
+            with pytest.raises(ValueError):
+                f.disk_mass_many(np.array([c, 0.5j]), 1.0)
 
 
 def _masses_at(f, centers, r):
@@ -88,14 +92,18 @@ def _masses_at(f, centers, r):
 
 
 def test_disk_mass_many_keeps_the_shape_of_its_centers():
-    # many centers at a common radius: the masses in the centers' shape,
-    # and a float for a 0-d center
+    # many centers at a common radius: the masses in the centers' shape;
+    # disk_mass gives a float for a 0-d center, disk_mass_many an array
     centers = np.array([[0j, 0.5, 1 - 1j], [-2j, 0.25 + 0.5j, 3.0]])
     for f in _one_field_per_family():
         assert type(_masses_at(f, np.asarray(0.5j), 1.5)) is float
         for cs in (np.array([], dtype=complex), centers):
             many = _masses_at(f, cs, 1.5)
             assert many.shape == cs.shape and many.dtype == float
+        for cs in (np.asarray(0.5j), np.array([], dtype=complex), centers):
+            many = f.disk_mass_many(cs, 1.5)
+            assert many.shape == cs.shape and many.dtype == float
+            assert np.array_equal(_bits(many), _bits(_masses_at(f, cs, 1.5)))
 
 
 def test_density_rejects_non_finite_points():
@@ -163,9 +171,9 @@ def test_disk_mass_many_is_disk_mass_at_a_common_radius(name):
     for r in (0.05, 0.7, 2.5, 9.0, 30.0):
         if isinstance(f, BumpLattice):
             paths.update(f._takes_every_bump(centers, f._reach(r)).tolist())
-        assert np.array_equal(
-            _bits(_masses_at(f, centers, r)),
-            _bits([f.disk_mass(c, r) for c in centers]))
+        lone = _bits([f.disk_mass(c, r) for c in centers])
+        assert np.array_equal(_bits(_masses_at(f, centers, r)), lone)
+        assert np.array_equal(_bits(f.disk_mass_many(centers, r)), lone)
     assert paths == ({False, True} if isinstance(f, BumpLattice) else set())
 
 
@@ -362,9 +370,9 @@ def test_radial_disk_mass_just_off_the_origin_is_the_centered_one():
 def test_radial_many_matches_scalar():
     f = RadialAlphaDensity(0.5)
     centers = np.array([0j, 0.5, 1 + 1j, 10 - 2j, 300 + 0j])
-    many = _masses_at(f, centers, 1.3)
-    for c, v in zip(centers, many):
-        assert _bits(v) == _bits(f.disk_mass(c, 1.3))
+    for many in (_masses_at(f, centers, 1.3), f.disk_mass_many(centers, 1.3)):
+        for c, v in zip(centers, many):
+            assert _bits(v) == _bits(f.disk_mass(c, 1.3))
 
 
 def test_potential_from_radial_reconstruction():

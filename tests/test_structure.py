@@ -77,11 +77,13 @@ def test_smallest_sup_options_still_search():
 
 
 def test_lambda_sup_rejects_nonfinite_value():
-    # c pi delta^2 overflows at delta = 1e200: an error naming delta, not
-    # inf, and no stockyard of ~1e201 witness copies
+    # c pi delta^2 overflows at delta = 1e200: an error naming the
+    # overflowing disk mass, not inf, and no stockyard of ~1e201 witness
+    # copies
     f = ConstantDensity(4.0)
     for estimator in (lambda_sup, lambda_stockyard, volume_estimate):
-        with pytest.raises(CCStructError, match="delta"):
+        with pytest.raises(CCStructError,
+                           match="disk mass of constant field is inf"):
             estimator(f, 0j, 1e200)
 
 
