@@ -24,7 +24,7 @@ from .geometry import (Pen, PlaneCurve, Stockyard, boundary_line_integral,
                        validate_stockyard)
 from .specfile import load_density_spec
 from .structure import (LambdaEstimate, SupOptions, Window, WitnessDisk,
-                        lambda_stockyard, lambda_sup, lambda_sweep, twist,
+                        lambda_stockyard, lambda_sup, lambda_sweep,
                         twist_many, volume_estimate)
 
 __all__ = [
@@ -39,6 +39,6 @@ __all__ = [
     "split_loop_into_seven", "stockyard_mass", "validate_stockyard",
     "load_density_spec",
     "LambdaEstimate", "SupOptions", "Window", "WitnessDisk",
-    "lambda_stockyard", "lambda_sup", "lambda_sweep", "twist",
-    "twist_many", "volume_estimate",
+    "lambda_stockyard", "lambda_sup", "lambda_sweep", "twist_many",
+    "volume_estimate",
 ]

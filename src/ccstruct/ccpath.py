@@ -190,7 +190,8 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0):
     * witness-guided: a small connector circle from z to the boundary of
       a disk near the sup-formula witness, plus as many windings of that
       disk as the remaining length affords;
-    * random convex polygons through z.
+    * random convex polygons through z; ``meta["dropped"]`` counts those
+      whose mass raised (degenerate or unmeasurable), which are skipped.
 
     Displacements are evaluated through the enclosed-mass identity, so
     the sampler works for every density field (no potential needed).
@@ -247,6 +248,7 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0):
 
     # random convex polygons through z
     n_poly = max(16, budget // 4)
+    dropped = 0
     for _ in range(n_poly):
         k = int(rng.integers(3, 8))
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
@@ -261,10 +263,11 @@ def sample_lambda_direct(field: DensityField, z, delta, budget=2000, seed=0):
         try:
             consider(pen_mass(field, Pen.polygon(vs)), ("polygon", tuple(vs)))
         except (ValueError, CCStructError):  # degenerate or unmeasurable
-            continue
+            dropped += 1
 
     return LambdaEstimate(z, delta, best_val, "direct", "lower", best_loop,
-                          {"seed": seed, "budget": budget})
+                          {"seed": seed, "budget": budget,
+                           "dropped": dropped})
 
 
 # ---------------------------------------------------------------------------

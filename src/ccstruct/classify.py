@@ -30,6 +30,7 @@ from dataclasses import asdict, astuple, dataclass, field as dc_field
 import numpy as np
 
 from .density import DensityField
+from .errors import CCStructError
 from .structure import (SupOptions, Window, lambda_sup,
                         optimize_weighted_disk, prime_lambda_sup)
 
@@ -132,7 +133,8 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     (b) passes when, for some crossover delta* on the ladder (with reach
     M = delta*/2), the per-z double supremum of mu(zhat, h)/h is bounded
     away from zero: its infimum is at least 1e-3 times its median, with
-    positive median.
+    positive median.  Raises CCStructError where a supremum of (b) is not
+    finite.
     """
     deltas = tuple(float(d) for d in deltas)
     _check_table(table, window, deltas)
@@ -152,9 +154,14 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
 
     # every delta* x z search in one polish
     zs = window.points()
+    cells = [(z, dstar) for dstar in DELTA_STAR_LADDER for z in zs]
     found = optimize_weighted_disk(
-        field, [(z, dstar, dstar / 2.0, 1.0)
-                for dstar in DELTA_STAR_LADDER for z in zs], CLASSIFY_OPTS)
+        field, [(z, dstar, dstar / 2.0, 1.0) for z, dstar in cells],
+        CLASSIFY_OPTS)
+    for (z, dstar), (val, _, _) in zip(cells, found):
+        if not math.isfinite(val):
+            raise CCStructError(f"small-scale sup at z={z!r}, "
+                                f"delta*={dstar!r} is {val}")
     best = None
     for k, dstar in enumerate(DELTA_STAR_LADDER):
         m_reach = dstar / 2.0

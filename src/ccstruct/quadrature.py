@@ -1,9 +1,9 @@
 """Low-level quadrature helpers: Gauss-Legendre rules, adaptive 1D
-integration, adaptive polar integration over disks and sectors, and an
-adaptive triangle rule.
+integration, adaptive polar integration over sectors, and an adaptive
+triangle rule.
 
 The polar integrator subdivides patches where the integrand varies or
-where the two-level error indicator is large, so disk boundaries are
+where the two-level error indicator is large, so sector boundaries are
 resolved exactly (they are coordinate lines in polar coordinates) and
 refinement concentrates where the density actually changes.
 """
@@ -116,6 +116,8 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
     )
 
 
+# polar_sector and its helper stay for perfbench alone, which binds
+# polar_sector by name; the benchmark rework of ROADMAP item 1 drops that
 def _patch_estimates(fn, center, r0, r1, t0, t1, n=6):
     """Coarse integral estimate and value spread over one polar patch."""
     rx, rw = gl_nodes(r0, r1, n)
@@ -203,15 +205,6 @@ def polar_sector(fn, center, r0, r1, t0, t1, rel_tol=1e-6, max_patches=40000):
             push(k)
         n_patches += 4
     return total
-
-
-def disk_integral(fn, center, r, rel_tol=1e-6, max_patches=40000):
-    """Integrate a plane density over the disk B(center, r) by adaptive
-    polar quadrature centered at the disk center."""
-    if r <= 0:
-        return 0.0
-    return polar_sector(fn, center, 0.0, r, 0.0, 2.0 * np.pi,
-                        rel_tol=rel_tol, max_patches=max_patches)
 
 
 #: ``triangle_integral`` stops refining where the 4-child refinement agrees

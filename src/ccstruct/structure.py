@@ -40,9 +40,7 @@ from .errors import CCStructError, InvalidStockyard
 from .geometry import Pen, Stockyard, stockyard_mass
 from .quadrature import KERNEL_BUDGET
 
-#: relative tolerance of ``twist``, and the fixed Gauss-Legendre order of
-#: ``twist_many``
-_TWIST_REL_TOL = 1e-9
+#: fixed Gauss-Legendre order of ``twist_many``
 _TWIST_NODES = 96
 
 #: Suprema over the inner disk radius use this lower cutoff: for bounded
@@ -238,11 +236,15 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
 _sciopt = types.SimpleNamespace(minimize=_nelder_mead)
 
 
+# (scale / h) * mu may overflow to inf where mu is finite, and the polish
+# then subtracts infinite values: each caller turns a value that is not
+# finite into a CCStructError
+@np.errstate(over="ignore", invalid="ignore")
 def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     """Maximize (scale / h) * mu(zhat, h) over zhat in B(center, R) and
     h in [dh_min, dh_max], with dh_min = min(DELTA_HAT_MIN, dh_max), for
     each (center, R, dh_max, scale) of ``searches``.  Returns one
-    (value, witness, counts) per search.
+    (value, witness, counts) per search; a value may be inf.
 
     Coarse stage, per search: log-spaced ladder of h crossed with a square
     lattice masked to the disk, one ``disk_mass_many`` call per rung (the
@@ -450,29 +452,12 @@ def lambda_stockyard(field: DensityField, z, delta):
 
 # ---------------------------------------------------------------------------
 
-def twist(field: DensityField, z, w):
-    """The twist of the metric ball: the t-offset of the comparable box
-    center,  -2 Im( integral_0^1 (w - z) P_z(z + r (w - z)) dr ).
-    Raises QuadratureFailure when the integral does not converge by 4096
-    nodes."""
-    z, w = complex(z), complex(w)
-    if z == w:
-        return 0.0
-
-    def integrand(r):
-        pts = z + r * (w - z)
-        px, py = field.potential_gradient(pts)
-        pz = 0.5 * (px - 1j * py)
-        return ((w - z) * pz).imag
-
-    return -2.0 * quadrature.adaptive_1d(integrand, 0.0, 1.0,
-                                         rel_tol=_TWIST_REL_TOL,
-                                         abs_floor=1.0, max_order=4096)
-
-
 def twist_many(field: DensityField, z, ws):
-    """Vectorized twist over an array of endpoints (fixed-order rule), in
-    blocks whose complex (endpoints x nodes) arrays fit ``KERNEL_BUDGET``."""
+    """The twist of the metric ball from z to each endpoint w of ``ws``:
+    the t-offset of the comparable box center,
+    -2 Im( integral_0^1 (w - z) P_z(z + r (w - z)) dr ), by a fixed
+    Gauss-Legendre rule, in blocks whose complex (endpoints x nodes)
+    arrays fit ``KERNEL_BUDGET``."""
     z = complex(z)
     ws = np.asarray(ws, dtype=complex).ravel()
     x, wts = quadrature.gl_nodes(0.0, 1.0, _TWIST_NODES)

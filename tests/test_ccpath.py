@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from ccstruct import ccpath
 from ccstruct.ccpath import (ControlSignal, _random_controls, ball_volume_mc,
                              control_from_polygon, integrate_endpoints,
                              integrate_path, loop_displacement,
                              sample_lambda_direct)
 from ccstruct.density import (ConstantDensity, PolynomialPotential,
                               RadialAlphaDensity, ZeroDensity)
+from ccstruct.errors import QuadratureFailure
 from ccstruct.geometry import circle_curve, polygon_curve
 from ccstruct.structure import lambda_sup
 
@@ -211,6 +213,29 @@ def test_direct_sampler_reproducible():
     a = sample_lambda_direct(f, 1 + 0j, 2.0, seed=42)
     b = sample_lambda_direct(f, 1 + 0j, 2.0, seed=42)
     assert a.value == b.value
+
+
+def test_direct_sampler_counts_dropped_polygons(monkeypatch):
+    # a polygon whose mass raises is skipped, and meta counts it
+    real, calls = ccpath.pen_mass, []
+
+    def flaky(field, pen):
+        calls.append(pen)
+        if len(calls) % 3 == 0:
+            raise QuadratureFailure("injected")
+        return real(field, pen)
+
+    monkeypatch.setattr(ccpath, "pen_mass", flaky)
+    est = sample_lambda_direct(ConstantDensity(4.0), 0.5j, 1.0, budget=100,
+                               seed=3)
+    assert len(calls) == 25
+    assert est.meta["dropped"] == 8
+
+
+def test_direct_sampler_drops_nothing_on_a_constant_field():
+    est = sample_lambda_direct(ConstantDensity(2.0), 0.3 + 0.2j, 1.0,
+                               budget=400, seed=1)
+    assert est.meta["dropped"] == 0
 
 
 def test_direct_below_sup_across_fields():

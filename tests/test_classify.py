@@ -1,6 +1,7 @@
 """UGS classification: condition checks, slope fits, verdict logic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from ccstruct.classify import (Window, check_linear_conditions,
                                check_quadratic_conditions, dichotomy_probe,
                                doubling_ratio, fit_loglog_slope, mass_table,
                                track_slope)
-from ccstruct.density import (ConstantDensity, PolynomialPotential,
-                              RadialAlphaDensity, ZeroDensity,
-                              decaying_bump_lattice)
+from ccstruct.density import (ConstantDensity, DensityField,
+                              PolynomialPotential, RadialAlphaDensity,
+                              ZeroDensity, decaying_bump_lattice)
+from ccstruct.errors import CCStructError
 
 SMALL_WINDOW = Window(-2, -2, 2, 2, 3)
 
@@ -69,6 +71,26 @@ def test_linear_passes_for_decaying_lattice():
     assert a.verdict == "pass"
     assert b.verdict == "pass"
     assert b.statistic > 0
+
+
+class _HugeMasses(DensityField):
+    """Every disk holds mass 1e308: finite, but mu/h overflows at h < 1."""
+
+    family = "huge"
+
+    def _disk_masses(self, centers, radii):
+        return np.full(centers.shape, 1e308)
+
+
+def test_linear_b_rejects_a_sup_that_is_not_finite():
+    # the small-scale sup of mu/h is inf: an error, not a statistic of inf,
+    # and no overflow warning
+    f, deltas = _HugeMasses(), np.geomspace(1, 100, 7)
+    table = mass_table(f, SMALL_WINDOW, deltas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CCStructError, match="small-scale sup at z="):
+            check_linear_conditions(f, SMALL_WINDOW, deltas, table)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -103,35 +104,56 @@ def test_nonfinite_z_and_window_exit_2(constant_spec):
 
 def test_nonfinite_value_exit_3(tmp_path, constant_spec):
     # c pi delta^2 overflows at delta = 1e200: the row carries the error
-    # and the command exits 3, in seconds
+    # and the command exits 3, in seconds, with no overflow warning
     out = tmp_path / "out.csv"
-    code = main(["lambda", "--density", constant_spec, "--z", "0,0",
-                 "--delta", "1e200", "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lambda", "--density", constant_spec, "--z", "0,0",
+                     "--delta", "1e200", "--out", str(out)])
+        assert main(["volume", "--density", constant_spec, "--z", "0,0",
+                     "--delta", "1e200", "--n-paths", "1000"]) == 3
     assert code == 3
     (row,) = read_rows(out)
     assert row["value_sup"] == "nan"
     assert row["error"].startswith(
         "CCStructError: disk mass of constant field is inf")
-    assert main(["volume", "--density", constant_spec, "--z", "0,0",
-                 "--delta", "1e200", "--n-paths", "1000"]) == 3
 
 
 def test_polynomial_overflow_exit_3(tmp_path):
     # r^4 of the |z|^4 field's disk mass overflows at delta = 1e100: the
-    # mass is inf, not a traceback, and lambda_sup turns it into a row
+    # mass is inf, not a traceback or a warning, and it becomes a row
     # error and exit 3, as for the constant field
     spec = tmp_path / "z4.spec"
     spec.write_text("family = polynomial\ncoeffs = 2,2,1,0\n")
     out = tmp_path / "out.csv"
-    code = main(["lambda", "--density", str(spec), "--z", "0,0",
-                 "--delta", "1e100", "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lambda", "--density", str(spec), "--z", "0,0",
+                     "--delta", "1e100", "--out", str(out)])
+        assert main(["volume", "--density", str(spec), "--z", "0,0",
+                     "--delta", "1e100", "--n-paths", "1000"]) == 3
     assert code == 3
     (row,) = read_rows(out)
     assert row["value_sup"] == "nan"
     assert row["error"].startswith(
         "CCStructError: disk mass of polynomial field is inf")
-    assert main(["volume", "--density", str(spec), "--z", "0,0",
-                 "--delta", "1e100", "--n-paths", "1000"]) == 3
+
+
+def test_periodic_grid_huge_delta_exit_3(tmp_path, capsys):
+    # the rungs whose disks meet too many lattice lines raise: a row error
+    # and exit 3, not a MemoryError's traceback
+    (tmp_path / "grid.csv").write_text("1,2,1\n0.5,1,0.5\n1,2,1\n")
+    spec = tmp_path / "grid.spec"
+    spec.write_text("family = grid\ngrid_file = grid.csv\norigin = -1,-1\n"
+                    "cell_size = 2\nextension = periodic\n")
+    out = tmp_path / "out.csv"
+    code = main(["lambda", "--density", str(spec), "--z", "0,0",
+                 "--delta", "1e12", "--out", str(out)])
+    assert code == 3
+    (row,) = read_rows(out)
+    assert row["value_sup"] == "nan"
+    assert row["error"].startswith("QuadratureFailure: periodic grid disk")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_zero_density_huge_delta_all_methods(tmp_path):

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,11 @@ from ccstruct.density import (BumpLattice, ConstantDensity, GridDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               RadialProfileDensity, ZeroDensity,
                               decaying_bump_lattice, disk_mass)
-from ccstruct.errors import CCStructError, PotentialUnavailable
+from ccstruct.errors import (CCStructError, PotentialUnavailable,
+                             QuadratureFailure)
 from ccstruct.geometry import Pen, pen_mass
+
+import reference
 
 
 def test_public_names_resolve():
@@ -36,8 +40,8 @@ def test_constant_disk_mass_exact():
 def test_constant_quadrature_agrees():
     f = ConstantDensity(2.5)
     exact = f.disk_mass(0.5 - 1j, 1.7)
-    quad = f.disk_mass_quadrature(0.5 - 1j, 1.7)
-    assert quad == pytest.approx(exact, rel=1e-6)
+    quad = reference.disk_mass(f, 0.5 - 1j, 1.7)
+    assert quad == pytest.approx(exact, rel=1e-12)
 
 
 def test_constant_rejects_nonpositive():
@@ -74,8 +78,6 @@ def test_disk_mass_rejects_bad_radius():
                 _masses_at(f, np.array([0j, 0.5j]), r)
             with pytest.raises(ValueError):
                 f.disk_mass_many(np.array([0j, 0.5j]), r)
-            with pytest.raises(ValueError):
-                f.disk_mass_quadrature(0.5j, r)
         for c in (complex(math.nan, 0.0), complex(0.0, math.inf)):
             with pytest.raises(ValueError):
                 f.disk_mass(c, 1.0)
@@ -288,8 +290,8 @@ def test_poly_disk_mass_vs_quadrature():
                              (1, 2): 0.3 - 0.1j})
     for c, r in [(0.3 + 0.2j, 0.8), (1 - 1j, 1.5)]:
         exact = f.disk_mass(c, r)
-        quad = f.disk_mass_quadrature(c, r, rel_tol=1e-8)
-        assert quad == pytest.approx(exact, rel=1e-6)
+        quad = reference.disk_mass(f, c, r)
+        assert quad == pytest.approx(exact, rel=1e-12)
 
 
 def test_poly_gradient_finite_difference():
@@ -353,8 +355,8 @@ def test_radial_disk_mass_vs_quadrature():
     f = RadialAlphaDensity(0.4)
     for c, r in [(0j, 1.0), (2 + 0j, 0.7), (1 + 3j, 4.0), (50 + 0j, 2.0)]:
         exact = f.disk_mass(c, r)
-        quad = f.disk_mass_quadrature(c, r, rel_tol=1e-8)
-        assert quad == pytest.approx(exact, rel=1e-6)
+        quad = reference.disk_mass(f, c, r)
+        assert quad == pytest.approx(exact, rel=1e-7)
 
 
 def test_radial_disk_mass_just_off_the_origin_is_the_centered_one():
@@ -586,10 +588,12 @@ def test_single_bump_fully_inside():
 
 
 def test_bump_partial_overlap_vs_quadrature():
+    # the 48-node overlap rule is 2.1e-6 off on the first disk
+    # (DISK_MASS_REL_TOL's comment)
     f = BumpLattice([0j, 1.5 + 0j], [2.0, 1.0], [0.6, 0.4])
     for c, r in [(0.5 + 0j, 0.4), (1 + 0.2j, 0.8), (0j, 1.6)]:
         exact = f.disk_mass(c, r)
-        quad = f.disk_mass_quadrature(c, r, rel_tol=1e-6)
+        quad = reference.bump_disk_mass(f, c, r)
         assert quad == pytest.approx(exact, rel=1e-5, abs=1e-10)
 
 
@@ -1070,12 +1074,9 @@ _grid_values = st.integers(3, 5).flatmap(
 @settings(max_examples=5, deadline=None, derandomize=True)
 def test_grid_disk_mass_matches_quadrature(values, cell, extension, u, v,
                                            radius):
-    # the adaptive reference can miss its own rel_tol (by 1.2x at 1e-6 on
-    # the explicit example), and misses it by far where the density jumps
-    # or the disk holds a thin sliver of mass (test_grid_sliver_disk_mass).
-    # So it runs at 1e-7, and the density on the disk is continuous and
-    # bounded away from zero: the disk lies inside the table, and under
-    # periodic extension the last row and column repeat the first.
+    # the disk lies inside the table, and under periodic extension the
+    # last row and column repeat the first; an adaptive polar quadrature
+    # misses 1e-6 on the explicit example
     if extension == "periodic":
         values = np.vstack([values, values[:1]])
         values = np.hstack([values, values[:, :1]])
@@ -1084,26 +1085,16 @@ def test_grid_disk_mass_matches_quadrature(values, cell, extension, u, v,
     r = radius * min(0.7, 0.5 * cell * (min(nx, ny) - 1))
     center = f.origin + complex(r + u * (cell * (nx - 1) - 2 * r),
                                 r + v * (cell * (ny - 1) - 2 * r))
-    quad = f.disk_mass_quadrature(center, r, rel_tol=1e-7)
-    assert f.disk_mass(center, r) == pytest.approx(quad, rel=1e-6)
+    quad = reference.grid_disk_mass(f, center, r)
+    assert f.disk_mass(center, r) == pytest.approx(quad, rel=1e-12)
 
 
 def test_grid_sliver_disk_mass():
-    # a disk at the table's corner holding a thin sliver of one hat; the
-    # adaptive polar quadrature is off by 3.5e-4 here even at
-    # rel_tol=1e-9, so the reference is nested scipy quad
-    from scipy.integrate import quad
+    # a disk at the table's corner holding a thin sliver of one hat, where
+    # an adaptive polar quadrature was off by 3.5e-4 even at rel_tol=1e-9
     f = GridDensity(-1 + 0.5j, 1.0, np.pad([[1.0, 0.0], [0.0, 0.0]], 1))
     c, r = f.origin + 0.0078125j, 0.5
-
-    def chord(x):
-        h = math.sqrt(max(r * r - (x - c.real) ** 2, 0.0))
-        return quad(lambda y: float(f.density(complex(x, y))), c.imag - h,
-                    c.imag + h, points=[0.5, 1.5], epsabs=1e-15,
-                    epsrel=1e-12)[0]
-
-    expect = quad(chord, c.real - r, c.real + r, points=[-1.0, 0.0],
-                  epsabs=1e-15, epsrel=1e-12)[0]
+    expect = reference.grid_disk_mass(f, c, r)
     assert f.disk_mass(c, r) == pytest.approx(expect, rel=1e-12)
 
 
@@ -1124,6 +1115,31 @@ def test_grid_disk_holding_the_table_gets_its_mass():
                          [r * (1.0 - 1e-9), r, 1.01 * r, 1e6])
     np.testing.assert_allclose(masses, want, rtol=1e-8)
     np.testing.assert_allclose(masses[1:], want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("r", [1e12, 1e200])
+def test_periodic_grid_huge_disk_raises_at_once(r):
+    # a periodic disk is cut at every lattice line within 2r: past
+    # _MAX_GRID_LINES it raises at once, before building rows of that
+    # many cuts (terabytes at r = 1e12)
+    f = GridDensity(0j, 1.0, np.ones((3, 3)), "periodic")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(QuadratureFailure, match="grid lines"):
+            f.disk_mass(0.3, r)
+        with pytest.raises(QuadratureFailure, match="grid lines"):
+            f.disk_mass([0.3, 0.5j], [1.0, r])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 10e6
+    # the largest radius within the bound keeps its mass
+    assert f.disk_mass(0.3, 499.0) == pytest.approx(math.pi * 499.0 ** 2,
+                                                    rel=1e-12)
+    with pytest.raises(QuadratureFailure):
+        f.disk_mass(0.3, 499.5)
 
 
 def test_grid_periodic_translation_invariance():
@@ -1162,5 +1178,5 @@ def test_grid_disk_mass_many_and_monotone(extension):
 def test_disk_mass_matches_forced_quadrature():
     f = ConstantDensity(3.0)
     a = disk_mass(f, 0.5j, 1.1)
-    b = f.disk_mass_quadrature(0.5j, 1.1)
-    assert b == pytest.approx(a, rel=1e-6)
+    b = reference.disk_mass(f, 0.5j, 1.1)
+    assert b == pytest.approx(a, rel=1e-12)

@@ -4,8 +4,9 @@ byte-identical across refactors.
 Each CLI case reruns one command from ``tests/golden`` (so the spec path,
 and with it the ``# config`` hash, is the same on every checkout) and
 compares the artifact byte for byte, headers included.  The value cases
-compare ``twist`` and ``boundary_line_integral`` bit for bit, since no CLI
-artifact runs them.
+compare ``twist_many`` (one endpoint a call) and ``boundary_line_integral``
+bit for bit, since no CLI artifact runs them; the recorded twists also
+lie within 3e-15 relative of the quad reference of ``reference.py``.
 
 To re-record after a deliberate change of output:
 
@@ -23,7 +24,9 @@ from ccstruct.density import (ConstantDensity, PolynomialPotential,
                               RadialAlphaDensity)
 from ccstruct.geometry import (Pen, boundary_line_integral, circle_curve,
                                polygon_curve, split_loop_into_seven)
-from ccstruct.structure import twist
+from ccstruct.structure import twist_many
+
+import reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,23 +65,27 @@ def _run_cli(args, out):
     return Path(out).read_bytes()
 
 
+#: the fields of the value cases, and the (z, w) segments of their twists
+FIELDS = {"constant": ConstantDensity(4.0),
+          "z4": PolynomialPotential({(2, 2): 1.0}),
+          "radial_alpha": RadialAlphaDensity(0.5)}
+TWIST_PAIRS = [(0j, 1 + 1j), (1 + 0j, 1j), (0.5 - 0.25j, -2 + 3j),
+               (3 + 1j, 3.5 + 1.5j)]
+
+
 def _line_integral_values():
-    """(label, value) pairs of twist and boundary_line_integral on the
-    constant, |z|^4 and radial_alpha fields."""
-    fields = {"constant": ConstantDensity(4.0),
-              "z4": PolynomialPotential({(2, 2): 1.0}),
-              "radial_alpha": RadialAlphaDensity(0.5)}
-    pairs = [(0j, 1 + 1j), (1 + 0j, 1j), (0.5 - 0.25j, -2 + 3j),
-             (3 + 1j, 3.5 + 1.5j)]
+    """(label, value) pairs of twist_many and boundary_line_integral on
+    the constant, |z|^4 and radial_alpha fields."""
     loop = circle_curve(0.3 - 0.2j, 1.1)
     curves = {"circle": Pen.circle(1 - 1j, 0.7).boundary,
               "circle_far": Pen.circle(4 + 2j, 2.5).boundary,
               "triangle": polygon_curve([0.25 + 0.1j, 2 + 0.5j, 0.5 + 1.5j]),
               "split_piece": split_loop_into_seven(loop)[3]}
     out = []
-    for fname, field in fields.items():
-        for z, w in pairs:
-            out.append((f"twist/{fname}/{z}/{w}", twist(field, z, w)))
+    for fname, field in FIELDS.items():
+        for z, w in TWIST_PAIRS:
+            out.append((f"twist_many/{fname}/{z}/{w}",
+                        float(twist_many(field, z, [w])[0])))
         for cname, curve in curves.items():
             out.append((f"line/{fname}/{cname}",
                         boundary_line_integral(field, curve)))
@@ -106,6 +113,15 @@ def test_line_integral_values_bitwise():
     assert [label for label, _ in got] == [label for label, _ in want]
     for (label, value), (_, ref) in zip(got, want):
         assert value.hex() == ref.hex(), label
+
+
+def test_twist_values_match_the_reference():
+    want = dict(json.loads((GOLDEN / VALUES_FILE).read_text()))
+    for fname, field in FIELDS.items():
+        for z, w in TWIST_PAIRS:
+            got = want[f"twist_many/{fname}/{z}/{w}"]
+            assert got == pytest.approx(reference.twist(field, z, w),
+                                        rel=3e-15, abs=0.0), (fname, z, w)
 
 
 def _record():

@@ -1,4 +1,7 @@
-"""Quadrature kernels against closed-form integrals."""
+"""Quadrature kernels against closed-form integrals, and the callers of
+the order-doubling rule raising where it does not converge.  The polar
+sector rule is tested over whole disks too; the twist has a fixed rule
+only, ``structure.twist_many`` (``test_structure.py``)."""
 
 import math
 
@@ -7,13 +10,11 @@ import pytest
 from scipy.special import roots_legendre
 
 from ccstruct import quadrature
-from ccstruct.density import (PolynomialPotential, RadialAlphaDensity,
-                              RadialProfileDensity)
+from ccstruct.density import RadialAlphaDensity, RadialProfileDensity
 from ccstruct.errors import QuadratureFailure
 from ccstruct.geometry import Pen, boundary_line_integral
-from ccstruct.quadrature import (adaptive_1d, disk_integral, gl_nodes,
-                                 polar_sector, triangle_integral)
-from ccstruct.structure import twist
+from ccstruct.quadrature import (adaptive_1d, gl_nodes, polar_sector,
+                                 triangle_integral)
 
 
 def test_gl_nodes_polynomial_exactness():
@@ -90,13 +91,12 @@ def test_adaptive_1d_fused_start_is_bitwise():
 
 
 def test_adaptive_1d_fused_start_is_bitwise_on_its_callers(monkeypatch):
-    """The radial annulus integrand of a scalar disk mass, ``twist`` and
+    """The radial annulus integrand of a scalar disk mass and
     ``boundary_line_integral`` are elementwise, so their values do not
     move with the fused start."""
     rng = np.random.default_rng(11)
     radial = RadialAlphaDensity(0.5)
     profile = RadialProfileDensity(lambda s: np.exp(-np.asarray(s) ** 2))
-    poly = PolynomialPotential({(2, 2): 1.0})
     disks = [(complex(*rng.uniform(-15, 15, 2)) * rng.choice([1e-3, 1.0]),
               float(rng.uniform(0.01, 12.0))) for _ in range(60)]
     ends = [(complex(*rng.uniform(-3, 3, 2)), complex(*rng.uniform(-3, 3, 2)))
@@ -105,8 +105,6 @@ def test_adaptive_1d_fused_start_is_bitwise_on_its_callers(monkeypatch):
     def values():
         out = [field.disk_mass(c, r) for c, r in disks
                for field in (radial, profile)]
-        out += [twist(field, z, w) for z, w in ends
-                for field in (radial, poly)]
         out += [boundary_line_integral(radial, Pen.circle(z, 1.5).boundary)
                 for z, _ in ends]
         return out
@@ -136,14 +134,17 @@ def test_adaptive_1d_small_max_order_raises():
 
 
 def test_disk_integral_constant():
-    val = disk_integral(lambda z: np.ones(np.shape(z)), 1 + 1j, 2.0)
+    # a whole disk is the polar sector of all angles about its center
+    val = polar_sector(lambda z: np.ones(np.shape(z)), 1 + 1j, 0.0, 2.0,
+                       0.0, 2.0 * np.pi)
     assert val == pytest.approx(4 * math.pi, rel=1e-8)
 
 
 def test_disk_integral_offset_quadratic():
     # integral of |z|^2 over B(c, r) = pi r^2 (|c|^2 + r^2/2)
     c, r = 1 - 2j, 1.5
-    val = disk_integral(lambda z: np.abs(z) ** 2, c, r, rel_tol=1e-9)
+    val = polar_sector(lambda z: np.abs(z) ** 2, c, 0.0, r, 0.0, 2.0 * np.pi,
+                       rel_tol=1e-9)
     expect = math.pi * r ** 2 * (abs(c) ** 2 + r ** 2 / 2)
     assert val == pytest.approx(expect, rel=1e-8)
 
@@ -156,8 +157,8 @@ def test_polar_sector_quarter_annulus():
 
 def test_polar_sector_resolves_indicator():
     # characteristic function of B(0, 1) integrated over B(0, 2)
-    val = disk_integral(lambda z: (np.abs(z) <= 1.0).astype(float), 0j, 2.0,
-                        rel_tol=1e-4)
+    val = polar_sector(lambda z: (np.abs(z) <= 1.0).astype(float), 0j, 0.0,
+                       2.0, 0.0, 2.0 * np.pi, rel_tol=1e-4)
     assert val == pytest.approx(math.pi, rel=1e-3)
 
 
@@ -210,11 +211,6 @@ def fast_legendre(monkeypatch):
     8192 nodes) for scipy's faster one: these tests check that running
     out of orders raises, not the last bits of the nodes."""
     monkeypatch.setattr(quadrature, "gauss_legendre", roots_legendre)
-
-
-def test_twist_unconverged_raises(fast_legendre):
-    with pytest.raises(QuadratureFailure):
-        twist(KINKED, 0.5, 0.5 + 2j)
 
 
 def test_boundary_line_integral_unconverged_raises(fast_legendre):

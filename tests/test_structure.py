@@ -1,9 +1,10 @@
-"""Structure estimators: sup proxy, stockyard lower bound, twist,
-volume sandwich, sweeps."""
+"""Structure estimators: sup proxy, stockyard lower bound, twist (against
+the quad reference of ``tests/reference.py``), volume sandwich, sweeps."""
 
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from ccstruct import geometry
 from ccstruct.geometry import pen_mass, validate_stockyard
 from ccstruct.structure import (SupOptions, Window, _nelder_mead,
                                 lambda_stockyard, lambda_sup, lambda_sweep,
-                                prime_lambda_sup, twist, twist_many,
+                                prime_lambda_sup, twist_many,
                                 volume_estimate)
 from test_density import _bits
+
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +81,15 @@ def test_smallest_sup_options_still_search():
 
 def test_lambda_sup_rejects_nonfinite_value():
     # c pi delta^2 overflows at delta = 1e200: an error naming the
-    # overflowing disk mass, not inf, and no stockyard of ~1e201 witness
-    # copies
+    # overflowing disk mass, not inf or an overflow warning, and no
+    # stockyard of ~1e201 witness copies
     f = ConstantDensity(4.0)
     for estimator in (lambda_sup, lambda_stockyard, volume_estimate):
-        with pytest.raises(CCStructError,
-                           match="disk mass of constant field is inf"):
-            estimator(f, 0j, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CCStructError,
+                               match="disk mass of constant field is inf"):
+                estimator(f, 0j, 1e200)
 
 
 def test_lambda_sup_finds_offcenter_bump():
@@ -338,27 +343,29 @@ def test_stockyard_rejects_too_many_copies():
 # twist
 
 def test_twist_same_point():
-    assert twist(ConstantDensity(4.0), 1 + 1j, 1 + 1j) == 0.0
+    assert twist_many(ConstantDensity(4.0), 1 + 1j, [1 + 1j])[0] == 0.0
 
 
 def test_twist_z2_example():
     # P = |z|^2, z = 1, w = i: T = -2 Im(integral (i-1)(r(i-1)+1) dr) = -2
     f = PolynomialPotential({(1, 1): 1.0})
-    assert twist(f, 1, 1j) == pytest.approx(-2.0, abs=1e-9)
+    assert twist_many(f, 1, [1j])[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_twist_from_origin_vanishes():
     f = PolynomialPotential({(1, 1): 1.0})
-    for w in (1 + 1j, -2j, 0.3 - 0.7j):
-        assert twist(f, 0, w) == pytest.approx(0.0, abs=1e-12)
+    for v in twist_many(f, 0, [1 + 1j, -2j, 0.3 - 0.7j]):
+        assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_twist_many_matches_scalar():
+    # each endpoint against the scalar quad reference
     f = PolynomialPotential({(1, 1): 1.0, (2, 2): 0.25})
     ws = np.array([1j, 2 + 1j, -0.5 + 0.25j])
     many = twist_many(f, 1 + 0j, ws)
     for w, v in zip(ws, many):
-        assert v == pytest.approx(twist(f, 1 + 0j, w), abs=1e-9)
+        assert v == pytest.approx(reference.twist(f, 1 + 0j, w), rel=1e-13,
+                                  abs=1e-15)
 
 
 def test_twist_many_is_per_endpoint_across_blocks():
