@@ -114,25 +114,25 @@ def integrate_endpoints(field: DensityField, start, controls_alpha,
         return delta * (alpha * py + beta * px)
 
     # the gradient depends on the position only, and a step's end point is
-    # the next step's start (also across intervals): each end point's
-    # gradient is evaluated once and reused as the next step's k1
-    grad0 = field.potential_gradient(x + 1j * y)
+    # the next step's start: inside an interval each step's k4 is the next
+    # step's k1, and across intervals the end point's gradient is reused
+    grad = field.potential_gradient(x + 1j * y)
     for j, (s0, s1) in enumerate(zip(bps, bps[1:])):
         h = (s1 - s0) / steps
-        vx = delta * a[:, j]
-        vy = -delta * b[:, j]
+        aj, bj = a[:, j], b[:, j]
+        vx = delta * aj
+        vy = -delta * bj
+        k1 = tdot(grad, aj, bj)
         for _ in range(steps):
             # x, y advance linearly; RK4 quadrature for t along the segment
-            grad_mid = field.potential_gradient(
-                (x + 0.5 * h * vx) + 1j * (y + 0.5 * h * vy))
+            k2 = tdot(field.potential_gradient(
+                (x + 0.5 * h * vx) + 1j * (y + 0.5 * h * vy)), aj, bj)
             x = x + h * vx
             y = y + h * vy
-            grad1 = field.potential_gradient(x + 1j * y)
-            k1 = tdot(grad0, a[:, j], b[:, j])
-            k2 = tdot(grad_mid, a[:, j], b[:, j])
-            k4 = tdot(grad1, a[:, j], b[:, j])
+            grad = field.potential_gradient(x + 1j * y)
+            k4 = tdot(grad, aj, bj)
             t = t + (h / 6.0) * (k1 + 4.0 * k2 + k4)
-            grad0 = grad1
+            k1 = k4
     return np.stack([x, y, t], axis=1)
 
 

@@ -352,14 +352,14 @@ class RadialProfileDensity(DensityField):
     def potential_gradient(self, z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
-        px = np.zeros(r.shape)
-        py = np.zeros(r.shape)
-        mask = r > 0
-        rm, zm = r[mask], z[mask]
-        dp = self.dP(rm)
-        px[mask] = dp * zm.real / rm
-        py[mask] = dp * zm.imag / rm
-        return px, py
+        # on whole arrays: the gradient is 0 at z = 0, where the radius 1
+        # stands in so that neither m(0)/0 nor a profile singular at 0 is
+        # evaluated
+        off_origin = r > 0
+        r = np.where(off_origin, r, 1.0)
+        dp = self.dP(r)
+        return (np.where(off_origin, dp * z.real / r, 0.0),
+                np.where(off_origin, dp * z.imag / r, 0.0))
 
     # -- disk masses: reduce to 1D radial integrals ------------------------
 

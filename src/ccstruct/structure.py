@@ -6,11 +6,12 @@ Three routes are provided:
   supremum of (delta/h) * mu(zhat, h) over zhat in B(z, delta) and
   h in [h_min, delta], found by a coarse log-ladder/lattice search plus
   Nelder-Mead polish.  ``prime_lambda_sup`` runs the starts of many
-  searches in lock step, and ``lambda_sup`` is a batch of one: each round
-  evaluates the points of every live start with one array call of
-  ``disk_mass``, whose masses have the bits of scalar calls, and each
-  start takes the steps of its lone run, so a search's value and witness
-  are those of a lone search.  This module's memo keeps the estimates;
+  searches in lock step, and ``lambda_sup`` is a batch of one.  The polish
+  is one array state machine over all the starts (``_nelder_mead``): each
+  round projects the points of every live start as arrays and evaluates
+  them with one array call of ``disk_mass``, whose masses have the bits
+  of scalar calls, and each start takes the steps of its lone run, so a
+  search's value and witness are those of a lone search.  This module's memo keeps the estimates;
   ``lambda_sweep``, ``classify``, ``volume`` and ``validate`` prime all
   their cells first.
 * ``lambda_stockyard`` — a certified lower bound: the best witness disk
@@ -97,98 +98,8 @@ class LambdaEstimate:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _nm_start(x0, maxiter, xatol, fatol):
-    """One start of ``_nelder_mead`` as a generator: it yields each (p, N)
-    array of points it needs and is sent their p values, and returns its
-    (x, fun, nfev).  The steps are scipy 1.17.1's adaptive Nelder-Mead
-    (Gao and Han 2012) with no bounds and no evaluation limit: the same
-    start simplex, coefficients, stopping test, array expressions and
-    argsort ordering, ties included.  The N points of a shrink are asked
-    for at once; scipy evaluates them one by one, but none depends on
-    another's value."""
-    N = len(x0)
-    dim = float(N)
-    rho = 1
-    chi = 1 + 2/dim
-    psi = 0.75 - 1/(2*dim)
-    sigma = 1 - 1/dim
-    nonzdelt = 0.05
-    zdelt = 0.00025
-
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt)*y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-
-    fsim = np.array((yield sim), dtype=float)
-    nfev = N + 1
-    # scipy sorts the start simplex twice; numpy does not promise that the
-    # second sort keeps tied values in place, so it is repeated here
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = (yield xr[None])[0]
-        nfev += 1
-        doshrink = 0
-
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = (yield xe[None])[0]
-            nfev += 1
-            if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
-            else:
-                sim[-1] = xr
-                fsim[-1] = fxr
-        elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
-        else:
-            if fxr < fsim[-1]:
-                # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = (yield xc[None])[0]
-                nfev += 1
-                if fxc <= fxr:
-                    sim[-1] = xc
-                    fsim[-1] = fxc
-                else:
-                    doshrink = 1
-            else:
-                # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = (yield xcc[None])[0]
-                nfev += 1
-                if fxcc < fsim[-1]:
-                    sim[-1] = xcc
-                    fsim[-1] = fxcc
-                else:
-                    doshrink = 1
-            if doshrink:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-                fsim[1:] = yield sim[1:]
-                nfev += N
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], fsim[0], nfev
+# the phase of a ``_nelder_mead`` start: the step whose points it asked for
+_REFLECT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK, _DONE = range(6)
 
 
 def _nelder_mead(fun, x0, maxiter, xatol, fatol):
@@ -198,42 +109,153 @@ def _nelder_mead(fun, x0, maxiter, xatol, fatol):
     need next, ``owners`` naming the start of each row, for their m
     values.  Each start takes the steps of its lone run, step for step as
     scipy 1.17.1's ``minimize(fun, x0, method="Nelder-Mead",
-    options={"adaptive": True, ...})``, so its ``x`` and evaluation count
-    keep every bit whatever the other starts do.
+    options={"adaptive": True, ...})`` (Gao and Han 2012, with no bounds
+    and no evaluation limit): the same start simplex, coefficients,
+    stopping test, roundings and argsort ordering, ties included, so its
+    ``x`` and evaluation count keep every bit whatever the other starts
+    do.  The N points of a shrink are asked for at once; scipy evaluates
+    them one by one, but none depends on another's value.
+
+    The starts are one array state machine: the simplices ``sim`` (k, N+1,
+    N) with their values ``fsim``, and per start its phase, its reflected
+    point ``xr`` with value ``fxr``, and its asked points.  Each round
+    moves every live start on by masked array steps and sorts the
+    simplices of the starts that finished an iteration.  A step's point
+    a * xbar + b * sim[-1] is scipy's ``a * xbar - c * sim[-1]`` with
+    b = -c, which rounds alike.
 
     Returns ``x`` (k, N) and ``fun`` (k,), the value at each ``x`` (scipy's
     ``fun``, unless some value was nan); ``nfev``, the evaluations of all
     starts; and per start ``start_nfev`` and ``start_rounds``, the rounds
     in which it was evaluated."""
     x0 = np.array(x0, dtype=float)
-    runs = [_nm_start(x, maxiter, xatol, fatol) for x in x0]
-    asks = [next(run) for run in runs]
-    done = [None] * len(runs)
-    rounds = [0] * len(runs)
-    live = list(range(len(runs)))
-    while live:
-        sizes = [len(asks[i]) for i in live]
-        vals = np.asarray(fun(np.concatenate([asks[i] for i in live]),
-                              np.repeat(live, sizes)), dtype=float)
-        lo = 0
-        for i, p in zip(live, sizes):
-            rounds[i] += 1
-            try:
-                asks[i] = runs[i].send(vals[lo:lo + p])
-            except StopIteration as stop:
-                done[i] = stop.value
-            lo += p
-        live = [i for i in live if done[i] is None]
-    nfev = [n for _, _, n in done]
+    k, N = x0.shape
+    dim = float(N)
+    rho = 1
+    chi = 1 + 2/dim
+    psi = 0.75 - 1/(2*dim)
+    sigma = 1 - 1/dim
+    nonzdelt = 0.05
+    zdelt = 0.00025
+    # per phase: (a, b) of its point and the count of its points
+    a = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi, 0, 0])
+    b = np.array([-rho, -(rho * chi), -(psi * rho), psi, 0, 0])
+    asks = np.array([1, 1, 1, 1, N, 0])
+
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    diag = np.arange(N)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + nonzdelt)*x0, zdelt)
+    fsim = np.array(fun(sim.reshape(-1, N), np.repeat(np.arange(k), N + 1)),
+                    dtype=float).reshape(k, N + 1)
+    nfev = np.full(k, N + 1)
+    rounds = np.ones(k, dtype=int)
+    iterations = np.ones(k, dtype=int)
+    xr = np.empty((k, N))
+    fxr = np.empty(k)
+    ask = np.empty((k, N + 1, N))
+    slots = np.arange(N + 1)
+
+    def order(rows):
+        # scipy's argsort of each simplex's values, row by row
+        ind = np.argsort(fsim[rows], axis=1)
+        fsim[rows] = fsim[rows[:, None], ind]
+        sim[rows] = sim[rows[:, None], ind]
+
+    # scipy sorts the start simplex twice; numpy does not promise that the
+    # second sort keeps tied values in place, so it is repeated here
+    order(np.arange(k))
+    order(np.arange(k))
+    finished = np.ones(k, dtype=bool)
+    phase = np.full(k, _REFLECT)
+    while True:
+        # each start that finished an iteration stops or reflects; the
+        # test is scipy's, as a max is at most a bound where all are
+        near = ((np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).all(axis=(1, 2))
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol).all(axis=1))
+        stop = finished & ((iterations >= maxiter) | near)
+        phase[finished] = _REFLECT
+        phase[stop] = _DONE
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        ask[:, 0] = a[phase, None] * xbar + b[phase, None] * sim[:, -1]
+        shrunk = phase == _SHRINK
+        ask[shrunk, :N] = sim[shrunk, 1:]
+        reflect = phase == _REFLECT
+        xr[reflect] = ask[reflect, 0]
+
+        asked = slots < asks[phase, None]
+        owners = np.nonzero(asked)[0]
+        if not owners.size:
+            break
+        f = np.zeros((k, N + 1))
+        f[asked] = np.asarray(fun(ask[asked], owners), dtype=float)
+        nfev += asks[phase]
+        rounds += phase != _DONE
+
+        fv = f[:, 0]
+        fxr[reflect] = fv[reflect]
+        lower = fv < fsim[:, -1]
+        # a reflection's next phase, or _REFLECT where it keeps xr
+        step = np.where(fv < fsim[:, 0], _EXPAND,
+                        np.where(fv < fsim[:, -2], _REFLECT,
+                                 np.where(lower, _OUTSIDE, _INSIDE)))
+        keep = reflect & (step == _REFLECT)
+        expanded = phase == _EXPAND
+        contracted = (phase == _OUTSIDE) | (phase == _INSIDE)
+        took = np.where(phase == _INSIDE, lower,
+                        np.where(expanded, fv < fxr, fv <= fxr))
+        took &= expanded | contracted
+        moved = took | keep | expanded
+        sim[moved, -1] = np.where(took[:, None], ask[:, 0], xr)[moved]
+        fsim[moved, -1] = np.where(took, fv, fxr)[moved]
+        fsim[shrunk, 1:] = f[shrunk, :N]
+        finished = moved | shrunk
+        iterations += finished
+        order(np.flatnonzero(finished))
+        phase[reflect] = step[reflect]
+        shrink = contracted & ~took
+        if shrink.any():
+            best = sim[shrink, :1]
+            sim[shrink, 1:] = best + sigma * (sim[shrink, 1:] - best)
+            phase[shrink] = _SHRINK
+
     return types.SimpleNamespace(
-        x=np.array([x for x, _, _ in done]),
-        fun=np.array([f for _, f, _ in done]), nfev=sum(nfev),
-        start_nfev=nfev, start_rounds=rounds)
+        x=sim[:, 0], fun=fsim[:, 0], nfev=int(nfev.sum()),
+        start_nfev=nfev.tolist(), start_rounds=rounds.tolist())
 
 
 # perfbench/layers.py times the polish by rebinding ``_sciopt.minimize``;
 # the benchmark rework of ROADMAP item 1 drops this binding
 _sciopt = types.SimpleNamespace(minimize=_nelder_mead)
+
+
+def _project(x, box):
+    """Project each polish point (x, y, log h), a row of ``x``, onto its
+    search's feasible set: zhat = x + iy into the disk B(c, R) and
+    h = exp(log h) into [lo, hi].  ``box`` holds one column per row, of
+    (c.real, c.imag, R, log lo, log hi, lo, hi).  Returns the arrays of
+    zhat and h, with the bits of Python's scalar steps:
+    ``c + (zhat - c) * (R / abs(zhat - c))`` outside the disk, whose float
+    factor Python multiplies as the complex R / r + 0j, and ``math.exp``
+    of the log h that ``min(max(log h, log lo), log hi)`` gives."""
+    cx, cy, radius, log_lo, log_hi, lo, hi = box
+    zre, zim = x[:, 0], x[:, 1]
+    offr, offi = zre - cx, zim - cy
+    r = np.hypot(offr, offi)   # abs(complex) is hypot, not np.abs
+    out = r > radius
+    t = radius[out] / r[out]
+    offr, offi = offr[out], offi[out]
+    zre, zim = zre.copy(), zim.copy()
+    zre[out] = cx[out] + (offr * t - offi * 0.0)
+    zim[out] = cy[out] + (offr * 0.0 + offi * t)
+    zhat = np.empty(len(x), dtype=complex)
+    zhat.real, zhat.imag = zre, zim   # x + 1j*y would turn -0.0 into 0.0
+    # Python's max(a, b) is a unless b > a, and min(a, b) is a unless b < a
+    lh = x[:, 2]
+    lh = np.where(log_lo > lh, log_lo, lh)
+    lh = np.where(log_hi < lh, log_hi, lh)
+    h = np.array([math.exp(v) for v in lh.tolist()])
+    h = np.where(lo > h, lo, h)
+    return zhat, np.where(hi < h, hi, h)
 
 
 # (scale / h) * mu may overflow to inf where mu is finite, and the polish
@@ -251,8 +273,10 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     ``disk_mass`` kernel at a common radius); its values rank the cells
     that the polish starts from.  Polish: the top cells of all the
     searches are polished together by one lock-step Nelder-Mead in
-    (x, y, log h) with projection onto each search's feasible set
-    (``_nelder_mead``).  Each round evaluates all its points with one
+    (x, y, log h) (``_nelder_mead``, one array state machine over all the
+    starts) with projection onto each search's feasible set
+    (``_project``, on the arrays of a round, each point's bounds gathered
+    by its owner's search).  Each round evaluates all its points with one
     array call of ``disk_mass``, and the first round also evaluates each
     top cell itself.  Every array mass has the bits of the scalar
     ``disk_mass`` and every start takes the steps of its lone run, so a
@@ -263,8 +287,7 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     its starts) and lock-step rounds (``polish_rounds``, the most of any of
     its starts).
     """
-    bounds = []       # (center, R, log dh_min, log dh_max, dh_min, dh_max)
-    scales = []
+    bounds = []       # (center, R, dh_min, dh_max, scale) per search
     starts = []       # (search, coarse zhat, coarse h) per polish start
     for center, search_radius, dh_max, scale in searches:
         center = complex(center)
@@ -291,33 +314,26 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         candidates.sort(key=lambda t: -t[0])
         starts += [(len(bounds), zhat, h)
                    for _, zhat, h in candidates[: opts.n_polish]]
-        bounds.append((center, search_radius, math.log(dh_min),
-                       math.log(dh_max), dh_min, dh_max))
-        scales.append(scale)
+        bounds.append((center, search_radius, dh_min, dh_max, scale))
 
-    def project(x, search):
-        center, search_radius, log_lo, log_hi, lo, hi = bounds[search]
-        zhat = complex(x[0], x[1])
-        off = zhat - center
-        r = abs(off)
-        if r > search_radius:
-            zhat = center + off * (search_radius / r)
-        h = math.exp(min(max(x[2], log_lo), log_hi))
-        return zhat, min(max(h, lo), hi)
-
+    # per search the rows of ``_project``'s box, and its scale
+    box = np.array([(c.real, c.imag, r, math.log(lo), math.log(hi), lo, hi)
+                    for c, r, lo, hi, _ in bounds]).T
+    scales = np.array([b[4] for b in bounds], dtype=float)
+    owner = np.array([s for s, _, _ in starts], dtype=int)
+    start_z = np.array([zhat for _, zhat, _ in starts], dtype=complex)
+    start_h = np.array([h for _, _, h in starts], dtype=float)
     start_values = []
 
     def neg(points, owners):
-        search = [starts[i][0] for i in owners]
-        disks = [project(x, s) for x, s in zip(points, search)]
+        search = owner[owners]
+        zhat, h = _project(points, box[:, search])
         if not start_values:
             # the first round also evaluates every start's coarse cell
-            disks += [(zhat, h) for _, zhat, h in starts]
-            search += [s for s, _, _ in starts]
-        h = np.array([h for _, h in disks], dtype=float)
-        scale = np.array([scales[s] for s in search], dtype=float)
-        vals = (scale / h) * field.disk_mass(
-            np.array([zhat for zhat, _ in disks], dtype=complex), h)
+            zhat = np.concatenate([zhat, start_z])
+            h = np.concatenate([h, start_h])
+            search = np.concatenate([search, owner])
+        vals = (scales[search] / h) * field.disk_mass(zhat, h)
         if not start_values:
             start_values.extend(vals[len(points):])
         return -vals[:len(points)]
@@ -326,8 +342,9 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         neg, np.array([[zhat.real, zhat.imag, math.log(h)]
                        for _, zhat, h in starts]),
         maxiter=opts.polish_maxiter, xatol=1e-8, fatol=1e-12)
+    polished = _project(res.x, box[:, owner])
 
-    out = [[0.0, WitnessDisk(b[0], b[5]), {"polish_nfev": 0,
+    out = [[0.0, WitnessDisk(b[0], b[3]), {"polish_nfev": 0,
                                            "polish_rounds": 0}]
            for b in bounds]
     for i, (search, zhat0, h0) in enumerate(starts):
@@ -337,7 +354,8 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         # the polish has evaluated its best point: no second disk mass
         val = -float(res.fun[i])
         if val > best[0]:
-            best[0], best[1] = val, WitnessDisk(*project(res.x[i], search))
+            best[0], best[1] = val, WitnessDisk(complex(polished[0][i]),
+                                                float(polished[1][i]))
         counts = best[2]
         counts["polish_nfev"] += res.start_nfev[i]
         counts["polish_rounds"] = max(counts["polish_rounds"],

@@ -6,6 +6,7 @@ import re
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +474,34 @@ def test_radial_gradient_at_origin_only():
     px, py = f.potential_gradient(z)
     assert px.shape == py.shape == z.shape
     assert not np.any(px) and not np.any(py)
+
+
+@pytest.mark.parametrize("field", [
+    RadialAlphaDensity(0.5),
+    RadialProfileDensity(lambda s: np.exp(-s * s)),
+    # singular at 0, where the quadrature of m(r) never looks
+    RadialProfileDensity(lambda s: 1.0 / s),
+], ids=["alpha", "quadrature", "singular"])
+def test_radial_gradient_is_the_per_point_gradient(field):
+    # an array's gradient has each point's lone bits; it is 0 at z = 0 of
+    # either sign, and no RuntimeWarning is raised
+    rng = np.random.default_rng(11)
+    z = (rng.standard_normal(200) + 1j * rng.standard_normal(200)) * 3.0
+    z[::37] = 0.0
+    z[1] = complex(-0.0, -0.0)
+    z[2] = complex(0.0, -2.5)
+    z[3] = complex(-1.5, -0.0)
+    z[4] = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        px, py = field.potential_gradient(z)
+        lone = [field.potential_gradient(w) for w in z.tolist()]
+    assert px.shape == py.shape == z.shape
+    assert _bits(px).tolist() == _bits([p for p, _ in lone]).tolist()
+    assert _bits(py).tolist() == _bits([q for _, q in lone]).tolist()
+    zero = z == 0
+    assert zero.sum() == 7
+    assert _bits(px[zero]).tolist() == _bits(py[zero]).tolist() == [0] * 7
 
 
 def test_radial_many_is_per_center_across_blocks():

@@ -18,7 +18,7 @@ from ccstruct.density import (BumpLattice, ConstantDensity,
 from ccstruct.errors import CCStructError
 from ccstruct import geometry
 from ccstruct.geometry import pen_mass, validate_stockyard
-from ccstruct.structure import (SupOptions, Window, _nelder_mead,
+from ccstruct.structure import (SupOptions, Window, _nelder_mead, _project,
                                 lambda_stockyard, lambda_sup, lambda_sweep,
                                 prime_lambda_sup, twist_many,
                                 volume_estimate)
@@ -276,6 +276,143 @@ def test_nelder_mead_lock_step_starts_repeat_lone_runs(name, maxiter):
     assert len(calls) == max(got.start_rounds)
     assert all(owners == sorted(owners) for owners in calls)
     assert calls[0] == sorted(list(range(len(starts))) * 4)
+
+
+def _nm_hostile():
+    # objectives that are nan or inf in part of the space, and a plateau
+    # whose values tie
+    c = np.array([0.3, -1.2, 0.7])
+
+    def bowl(x):
+        return float(np.sum((x - c) ** 2))
+
+    return {
+        "nan": lambda x: math.nan if x[0] > 0.5 else bowl(x),
+        "inf": lambda x: math.inf if x[1] + x[2] < -1.0 else bowl(x),
+        "plateau": lambda x: float(np.floor(2.0 * np.sum(np.abs(x - c)))),
+    }
+
+
+def _recording(fun, calls):
+    def batch(points, owners):
+        calls.append(np.asarray(owners).tolist())
+        return [fun(x) for x in points]
+    return batch
+
+
+@pytest.mark.parametrize("name", sorted(_nm_hostile()))
+@pytest.mark.parametrize("maxiter", [5, 160])
+def test_nelder_mead_random_starts_repeat_scipy_and_lone_runs(name, maxiter):
+    # 40 random 3-D starts in lock step: each takes scipy's steps (x, fun
+    # and evaluation count to the bit) and the rounds of its lone run, also
+    # where the values are nan, inf or tied; the stopping test subtracts
+    # infinite values, in scipy as in the polish
+    from scipy.optimize import minimize
+    fun = _nm_hostile()[name]
+    starts = np.random.default_rng(21).uniform(-2.0, 2.0, (40, 3))
+    calls = []
+    opts = {"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-12}
+    with np.errstate(invalid="ignore"):
+        got = _nelder_mead(_recording(fun, calls), starts, **opts)
+        for i, x0 in enumerate(starts):
+            ref = minimize(fun, x0, method="Nelder-Mead",
+                           options={**opts, "adaptive": True})
+            lone = _nelder_mead(_batch(fun), x0[None], **opts)
+            assert _bits(got.x[i]).tolist() == _bits(ref.x).tolist()
+            assert _bits(got.fun[i]) == _bits(ref.fun)
+            assert got.start_nfev[i] == ref.nfev
+            assert got.start_rounds[i] == lone.start_rounds[0]
+    assert got.nfev == sum(got.start_nfev)
+    assert len(calls) == max(got.start_rounds)
+    assert all(owners == sorted(owners) for owners in calls)
+
+
+def test_nelder_mead_shrinks_ask_for_n_points_at_once():
+    # a flat objective contracts inside and shrinks at every iteration: a
+    # start asks for 1, 1 and then N points, and stops on the x test
+    starts = np.array([(1.0, 2.0, -0.5), (0.0, 0.0, 0.0), (-2.5, 0.0, 4.0)])
+    calls = []
+    got = _nelder_mead(_recording(lambda x: 0.0, calls), starts,
+                       maxiter=160, xatol=1e-8, fatol=1e-12)
+    per_start = np.array([np.bincount(owners, minlength=3)
+                          for owners in calls[1:]]).T
+    for i, asked in enumerate(per_start):
+        asked = asked[asked > 0].tolist()
+        assert asked == [1, 1, 3] * (len(asked) // 3)
+        assert got.start_nfev[i] == 4 + sum(asked) < 4 + 5 * 159
+
+
+def test_nelder_mead_maxiter_0_evaluates_the_start_simplex_only():
+    from scipy.optimize import minimize
+    fun = _nm_objectives()["quadratic"]
+    starts = np.array([(1.0, 2.0, -0.5), (0.0, -3.0, 1e-3), (-0.0, 0.0, 2.0)])
+    calls = []
+    got = _nelder_mead(_recording(fun, calls), starts, maxiter=0,
+                       xatol=1e-8, fatol=1e-12)
+    assert calls == [[0] * 4 + [1] * 4 + [2] * 4]
+    assert got.start_nfev == [4, 4, 4] and got.start_rounds == [1, 1, 1]
+    for i, x0 in enumerate(starts):
+        ref = minimize(fun, x0, method="Nelder-Mead",
+                       options={"maxiter": 0, "adaptive": True})
+        assert _bits(got.x[i]).tolist() == _bits(ref.x).tolist()
+        assert _bits(got.fun[i]) == _bits(ref.fun)
+
+
+def _project_scalar(x, center, radius, log_lo, log_hi, lo, hi):
+    """The polish's projection in Python's scalar arithmetic: the reference
+    of ``_project``."""
+    zhat = complex(x[0], x[1])
+    off = zhat - center
+    r = abs(off)
+    if r > radius:
+        zhat = center + off * (radius / r)
+    h = math.exp(min(max(x[2], log_lo), log_hi))
+    return zhat, min(max(h, lo), hi)
+
+
+def test_projection_repeats_the_scalar_steps_bitwise():
+    # points in and outside the search disks, coordinates of -0.0 (also
+    # on the line through a center, where x - c is -0.0) and log h beyond
+    # both clips: zhat and h have the bits of the scalar steps
+    searches = [(0j, 1.0, 1e-3, 1.0), (complex(-0.0, 0.0), 2.5, 1e-3, 7.0),
+                (1.5 - 2.25j, 0.3, 0.2, 0.2), (complex(0.0, -0.0), 1e-3,
+                                              1e-3, 4.0)]
+    bounds = [(c, r, math.log(lo), math.log(hi), lo, hi)
+              for c, r, lo, hi in searches]
+    box = np.array([(c.real, c.imag, *rest) for c, *rest in bounds]).T
+    rng = np.random.default_rng(12)
+    m = 4000
+    owner = rng.integers(0, len(searches), m)
+    x = rng.standard_normal((m, 3)) * rng.choice([0.01, 1.0, 10.0], (m, 1))
+    x[:, 2] += rng.choice([-30.0, 0.0, 30.0], m)
+    x[rng.random((m, 3)) < 0.1] = -0.0
+    x[rng.random((m, 3)) < 0.05] = 0.0
+    on_line = rng.random(m) < 0.05
+    x[on_line, 0] = box[0, owner[on_line]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zhat, h = _project(x, box[:, owner])
+    # an infinite coordinate scales the offset by 0: Python's complex
+    # product gives nan in both parts, from inf * 0
+    rim = np.array([(math.inf, 0.5, 0.0), (0.5, -math.inf, 0.0),
+                    (-math.inf, math.inf, 0.0)])
+    with np.errstate(invalid="ignore"):
+        rim_z, rim_h = _project(rim, box[:, :3])
+    x = np.concatenate([x, rim])
+    owner = np.concatenate([owner, [0, 1, 2]])
+    zhat = np.concatenate([zhat, rim_z])
+    h = np.concatenate([h, rim_h])
+    want = [_project_scalar(xi, *bounds[s]) for xi, s in zip(x, owner)]
+    assert _bits(zhat.real).tolist() == _bits([z.real for z, _ in want]).tolist()
+    assert _bits(zhat.imag).tolist() == _bits([z.imag for z, _ in want]).tolist()
+    assert _bits(h).tolist() == _bits([hi for _, hi in want]).tolist()
+    # the cases are met: points moved onto a rim, zeros of either sign,
+    # and h at each clip
+    off = np.hypot(x[:, 0] - box[0, owner], x[:, 1] - box[1, owner])
+    assert np.sum(off > box[2, owner]) > m // 4
+    assert np.any(np.signbit(zhat.real) & (zhat.real == 0.0))
+    assert np.any(~np.signbit(zhat.real) & (zhat.real == 0.0))
+    assert np.any(h == box[5, owner]) and np.any(h == box[6, owner])
 
 
 # ---------------------------------------------------------------------------
