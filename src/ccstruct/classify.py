@@ -133,8 +133,8 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     (b) passes when, for some crossover delta* on the ladder (with reach
     M = delta*/2), the per-z double supremum of mu(zhat, h)/h is bounded
     away from zero: its infimum is at least 1e-3 times its median, with
-    positive median.  Raises CCStructError where a supremum of (b) is not
-    finite.
+    positive median.  Raises the first error of (b)'s searches, else a
+    CCStructError where a supremum of (b) is not finite.
     """
     deltas = tuple(float(d) for d in deltas)
     _check_table(table, window, deltas)
@@ -158,6 +158,9 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     found = optimize_weighted_disk(
         field, [(z, dstar, dstar / 2.0, 1.0) for z, dstar in cells],
         CLASSIFY_OPTS)
+    for got in found:
+        if isinstance(got, CCStructError):
+            raise got
     for (z, dstar), (val, _, _) in zip(cells, found):
         if not math.isfinite(val):
             raise CCStructError(f"small-scale sup at z={z!r}, "

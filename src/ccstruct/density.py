@@ -295,13 +295,12 @@ class RadialProfileDensity(DensityField):
     reconstructed radially: P'(r) = m(r)/r with m(r) = int_0^r s f(s) ds,
     so that lap P = P'' + P'/r = f.
 
-    ``profile`` maps an array of radii s >= 0 to f(s) elementwise.
-    ``cumulative`` optionally supplies m in closed form, likewise an
-    elementwise function of an array of radii r >= 0.  Without it m(r) is
-    integrated on the pieces [0, 1], [1, 2], [2, 4], ... of [0, r] (the
+    ``profile`` maps an array of radii s >= 0 to f(s) elementwise.  m(r)
+    is integrated on the pieces [0, 1], [1, 2], [2, 4], ... of [0, r] (the
     last one cut at r), each to relative tolerance ``_RADIAL_REL_TOL``;
     the profile is assumed smooth inside each piece, and a jump inside one
-    raises QuadratureFailure.
+    raises QuadratureFailure.  A subclass with m in closed form overrides
+    ``cumulative``.
 
     A disk mass is its covered disk's mass plus an annulus integral,
     adaptive to relative tolerance ``_ANNULUS_REL_TOL``.  The profile is
@@ -310,16 +309,13 @@ class RadialProfileDensity(DensityField):
 
     family = "radial_profile"
 
-    def __init__(self, profile, cumulative=None):
+    def __init__(self, profile):
         self.profile = profile
-        self._cumulative = cumulative
 
     def cumulative(self, r):
         """m(r) = int_0^r s f(s) ds for radii r >= 0 (a float or an
         array), in the shape of r."""
         r = np.asarray(r, dtype=float)
-        if self._cumulative is not None:
-            return np.asarray(self._cumulative(r), dtype=float)
         # piece j of each radius is [2^(j-1), 2^j] (j >= 1) or [0, 1],
         # cut at the radius: frexp gives the count of pieces exactly
         flat = r.ravel()

@@ -1,11 +1,9 @@
 """Low-level quadrature helpers: Gauss-Legendre rules, adaptive 1D
-integration, adaptive polar integration over sectors, and an adaptive
-triangle rule.
+integration and an adaptive triangle rule.
 
-The polar integrator subdivides patches where the integrand varies or
-where the two-level error indicator is large, so sector boundaries are
-resolved exactly (they are coordinate lines in polar coordinates) and
-refinement concentrates where the density actually changes.
+``polar_sector``, an adaptive integrator over polar sectors, has no caller
+in the package: it stays only for the benchmark's tracer, which binds it
+by name.
 """
 
 from __future__ import annotations

@@ -86,6 +86,15 @@ def _tuples(value, lineno, key, width):
     return out
 
 
+def _build(family, lineno, *args):
+    """``family(*args)``, its ValueError raised as a DensitySpecError at
+    ``lineno``."""
+    try:
+        return family(*args)
+    except ValueError as exc:
+        raise DensitySpecError(str(exc), line=lineno) from None
+
+
 def load_density_spec(path):
     """Build a density field from a spec file."""
     path = Path(path)
@@ -107,10 +116,7 @@ def load_density_spec(path):
     if family == "radial_alpha":
         value, lineno = _need(entries, "alpha")
         alpha = _float(value, lineno, "alpha")
-        try:
-            return RadialAlphaDensity(alpha)
-        except ValueError as exc:
-            raise DensitySpecError(str(exc), line=lineno) from None
+        return _build(RadialAlphaDensity, lineno, alpha)
 
     if family == "polynomial":
         value, lineno = _need(entries, "coeffs")
@@ -121,10 +127,7 @@ def load_density_spec(path):
                     "coeffs: j and k must be non-negative integers",
                     line=lineno)
             coeffs[(int(j), int(k))] = complex(re, im)
-        try:
-            return PolynomialPotential(coeffs)
-        except ValueError as exc:
-            raise DensitySpecError(str(exc), line=lineno) from None
+        return _build(PolynomialPotential, lineno, coeffs)
 
     if family == "bump_lattice":
         value, lineno = _need(entries, "bumps")
@@ -132,10 +135,7 @@ def load_density_spec(path):
         centers = [complex(x, y) for x, y, _, _ in rows]
         masses = [m for _, _, m, _ in rows]
         radii = [r for _, _, _, r in rows]
-        try:
-            return BumpLattice(centers, masses, radii)
-        except ValueError as exc:
-            raise DensitySpecError(str(exc), line=lineno) from None
+        return _build(BumpLattice, lineno, centers, masses, radii)
 
     if family == "grid":
         value, lineno = _need(entries, "grid_file")
@@ -167,9 +167,7 @@ def load_density_spec(path):
             if extension not in ("zero", "periodic"):
                 raise DensitySpecError(
                     "extension must be 'zero' or 'periodic'", line=el)
-        try:
-            return GridDensity(origin, cell, np.asarray(values), extension)
-        except ValueError as exc:
-            raise DensitySpecError(str(exc)) from None
+        return _build(GridDensity, None, origin, cell, np.asarray(values),
+                      extension)
 
     raise DensitySpecError(f"unknown family {family!r}", line=fam_line)

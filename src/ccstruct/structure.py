@@ -11,9 +11,9 @@ Three routes are provided:
   round projects the points of every live start as arrays and evaluates
   them with one array call of ``disk_mass``, whose masses have the bits
   of scalar calls, and each start takes the steps of its lone run, so a
-  search's value and witness are those of a lone search.  This module's memo keeps the estimates;
-  ``lambda_sweep``, ``classify``, ``volume`` and ``validate`` prime all
-  their cells first.
+  search's value and witness are those of a lone search.  This module's
+  memo keeps each search's estimate or error; ``lambda_sweep``,
+  ``classify``, ``volume`` and ``validate`` prime all their cells first.
 * ``lambda_stockyard`` — a certified lower bound: the best witness disk
   is turned into an explicit validated stockyard (connector circle plus
   repeated copies of the witness disk) whose mass is a true lower bound
@@ -28,6 +28,7 @@ true structure only up to constants.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import types
 import weakref
@@ -265,8 +266,9 @@ def _project(x, box):
 def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     """Maximize (scale / h) * mu(zhat, h) over zhat in B(center, R) and
     h in [dh_min, dh_max], with dh_min = min(DELTA_HAT_MIN, dh_max), for
-    each (center, R, dh_max, scale) of ``searches``.  Returns one
-    (value, witness, counts) per search; a value may be inf.
+    each (center, R, dh_max, scale) of ``searches``.  Returns per search
+    its [value, witness, counts], a value may be inf, or in their place
+    the CCStructError that the search's coarse stage raised.
 
     Coarse stage, per search: log-spaced ladder of h crossed with a square
     lattice masked to the disk, one ``disk_mass_many`` call per rung (the
@@ -277,18 +279,18 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     starts) with projection onto each search's feasible set
     (``_project``, on the arrays of a round, each point's bounds gathered
     by its owner's search).  Each round evaluates all its points with one
-    array call of ``disk_mass``, and the first round also evaluates each
-    top cell itself.  Every array mass has the bits of the scalar
-    ``disk_mass`` and every start takes the steps of its lone run, so a
-    search's value and witness do not depend on the searches
-    polished with it.  Each witness is picked as a lone search would: over
-    its top cells in order, the cell itself and then its polished point.
-    ``counts`` holds the search's polish evaluations (``polish_nfev``, over
-    its starts) and lock-step rounds (``polish_rounds``, the most of any of
-    its starts).
+    array call of ``disk_mass``.  Every array mass has the bits of the
+    scalar ``disk_mass`` and every start takes the steps of its lone run,
+    so a search's value and witness do not depend on the searches polished
+    with it.  Each witness is picked as a lone search would: over its top
+    cells in order, the cell with its coarse value and then its polished
+    point.  ``counts`` holds the search's polish evaluations
+    (``polish_nfev``, over its starts) and lock-step rounds
+    (``polish_rounds``, the most of any of its starts).
     """
     bounds = []       # (center, R, dh_min, dh_max, scale) per search
-    starts = []       # (search, coarse zhat, coarse h) per polish start
+    starts = []       # (search, coarse value, zhat, h) per polish start
+    out = []          # per search: [value, witness, counts] or its error
     for center, search_radius, dh_max, scale in searches:
         center = complex(center)
         search_radius = float(search_radius)
@@ -304,53 +306,47 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         mask = np.abs(zz - center) <= search_radius + 1e-12 * max(
             1.0, search_radius)
         zz = zz[mask]
+        bounds.append((center, search_radius, dh_min, dh_max, scale))
 
         candidates = []   # (coarse value, zhat, h)
-        for h in rungs:
-            vals = (scale / float(h)) * field.disk_mass_many(zz, float(h))
-            top = np.argsort(vals)[::-1][: opts.n_polish]
-            for i in top:
-                candidates.append((float(vals[i]), complex(zz[i]), float(h)))
+        try:
+            for h in rungs:
+                vals = (scale / float(h)) * field.disk_mass_many(zz, float(h))
+                top = np.argsort(vals)[::-1][: opts.n_polish]
+                for i in top:
+                    candidates.append((float(vals[i]), complex(zz[i]),
+                                       float(h)))
+        except CCStructError as exc:
+            out.append(exc)
+            continue
         candidates.sort(key=lambda t: -t[0])
-        starts += [(len(bounds), zhat, h)
-                   for _, zhat, h in candidates[: opts.n_polish]]
-        bounds.append((center, search_radius, dh_min, dh_max, scale))
+        starts += [(len(out), *c) for c in candidates[: opts.n_polish]]
+        out.append([0.0, WitnessDisk(center, dh_max), {"polish_nfev": 0,
+                                                       "polish_rounds": 0}])
+    if not starts:
+        return out
 
     # per search the rows of ``_project``'s box, and its scale
     box = np.array([(c.real, c.imag, r, math.log(lo), math.log(hi), lo, hi)
                     for c, r, lo, hi, _ in bounds]).T
     scales = np.array([b[4] for b in bounds], dtype=float)
-    owner = np.array([s for s, _, _ in starts], dtype=int)
-    start_z = np.array([zhat for _, zhat, _ in starts], dtype=complex)
-    start_h = np.array([h for _, _, h in starts], dtype=float)
-    start_values = []
+    owner = np.array([s for s, *_ in starts], dtype=int)
 
     def neg(points, owners):
         search = owner[owners]
         zhat, h = _project(points, box[:, search])
-        if not start_values:
-            # the first round also evaluates every start's coarse cell
-            zhat = np.concatenate([zhat, start_z])
-            h = np.concatenate([h, start_h])
-            search = np.concatenate([search, owner])
-        vals = (scales[search] / h) * field.disk_mass(zhat, h)
-        if not start_values:
-            start_values.extend(vals[len(points):])
-        return -vals[:len(points)]
+        return -((scales[search] / h) * field.disk_mass(zhat, h))
 
     res = _sciopt.minimize(
         neg, np.array([[zhat.real, zhat.imag, math.log(h)]
-                       for _, zhat, h in starts]),
+                       for _, _, zhat, h in starts]),
         maxiter=opts.polish_maxiter, xatol=1e-8, fatol=1e-12)
     polished = _project(res.x, box[:, owner])
 
-    out = [[0.0, WitnessDisk(b[0], b[3]), {"polish_nfev": 0,
-                                           "polish_rounds": 0}]
-           for b in bounds]
-    for i, (search, zhat0, h0) in enumerate(starts):
+    for i, (search, value, zhat0, h0) in enumerate(starts):
         best = out[search]
-        if start_values[i] > best[0]:
-            best[0], best[1] = start_values[i], WitnessDisk(zhat0, h0)
+        if value > best[0]:
+            best[0], best[1] = value, WitnessDisk(zhat0, h0)
         # the polish has evaluated its best point: no second disk mass
         val = -float(res.fun[i])
         if val > best[0]:
@@ -360,34 +356,39 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         counts["polish_nfev"] += res.start_nfev[i]
         counts["polish_rounds"] = max(counts["polish_rounds"],
                                       res.start_rounds[i])
-    return [(float(v), w, c) for v, w, c in out]
+    return out
 
 
-#: field -> {(z, delta, budget): finite lambda_sup estimate}, unbounded
+#: field -> {(z, delta, budget): lambda_sup estimate, or the error of its
+#: search}, unbounded
 _MEMO = weakref.WeakKeyDictionary()
 
 
 def _sup_searches(field: DensityField, cells, opts):
     """Each (z, delta) cell's ``lambda_sup`` estimate at the budget
     ``opts``, or the error to raise in its place.  The cells that the memo
-    lacks are searched in one call of ``optimize_weighted_disk``."""
+    lacks are searched in one call of ``optimize_weighted_disk``, and the
+    memo keeps each outcome but a failure inside the lock-step polish:
+    one array ``disk_mass`` call cannot say which search failed, so that
+    failure raises from here, and each cell searches again when read."""
     opts = opts or SupOptions()
     memo = _MEMO.setdefault(field, {})
     keys = [(complex(z), float(delta), opts) for z, delta in cells]
-    # the cells to search, then the error of each whose value is not finite
-    todo = {key: None for key in keys if key not in memo
-            and math.isfinite(key[1]) and key[1] > 0}
+    todo = dict.fromkeys(key for key in keys if key not in memo
+                         and math.isfinite(key[1]) and key[1] > 0)
     found = optimize_weighted_disk(
         field, [(z, d, d, d) for z, d, _ in todo], opts) if todo else []
-    for key, (value, witness, counts) in zip(todo, found):
-        if math.isfinite(value):
-            memo[key] = LambdaEstimate(*key[:2], value, "sup",
-                                       "upper_comparable", witness, counts)
+    for key, got in zip(todo, found):
+        if isinstance(got, CCStructError):
+            # a copy without the traceback, whose frames hold the field
+            memo[key] = copy.copy(got)
+        elif math.isfinite(got[0]):
+            memo[key] = LambdaEstimate(*key[:2], got[0], "sup",
+                                       "upper_comparable", *got[1:])
         else:
-            todo[key] = CCStructError(
-                f"lambda_sup at delta={key[1]!r} is {value}")
-    return [memo.get(key) or todo.get(key)
-            or ValueError("delta must be positive and finite")
+            memo[key] = CCStructError(
+                f"lambda_sup at delta={key[1]!r} is {got[0]}")
+    return [memo.get(key, ValueError("delta must be positive and finite"))
             for key in keys]
 
 
@@ -396,16 +397,17 @@ def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
     (delta/h) * mu(zhat, h) at the search budget ``opts`` (default
     ``SupOptions()``); returns the best value and its witness, with the
     polish's counts in ``meta``.  Raises ValueError on a bad delta and
-    CCStructError when the value is not finite."""
+    CCStructError when the search fails or the value is not finite."""
     est, = _sup_searches(field, [(z, delta)], opts)
     if isinstance(est, Exception):
-        raise est
+        # a fresh error per raise, so that no traceback stays in the memo
+        raise copy.copy(est)
     return est
 
 
 def prime_lambda_sup(field: DensityField, cells, opts: SupOptions = None):
     """Run the ``lambda_sup`` searches of the (z, delta) ``cells`` in one
-    polish for ``lambda_sup`` to return from the memo.  A failed batch
+    polish for ``lambda_sup`` to return from the memo.  A failed polish
     stores nothing, so that each cell's lone search raises its own error."""
     with contextlib.suppress(CCStructError):
         _sup_searches(field, cells, opts)

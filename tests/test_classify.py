@@ -14,7 +14,7 @@ from ccstruct.classify import (Window, check_linear_conditions,
 from ccstruct.density import (ConstantDensity, DensityField,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity, decaying_bump_lattice)
-from ccstruct.errors import CCStructError
+from ccstruct.errors import CCStructError, QuadratureFailure
 
 SMALL_WINDOW = Window(-2, -2, 2, 2, 3)
 
@@ -209,6 +209,16 @@ def test_doubling_zero_density_skipped():
     assert len(rows) == 1
     assert math.isnan(rows[0]["max_ratio"])
     assert rows[0]["skipped"] == len(SMALL_WINDOW.points())
+
+
+def test_linear_b_raises_the_first_error_of_its_searches():
+    # the searches at delta* = 4, 8 and 16 fail in their coarse stages
+    # (radius 2, 4 and 8); the check raises the first of their errors
+    from test_structure import _FailsAbove
+    f, window, deltas = _FailsAbove(), Window(0, 0, 0, 0, 1), [0.5, 1.0]
+    with pytest.raises(QuadratureFailure, match="radius 2.0$"):
+        check_linear_conditions(f, window, deltas,
+                                mass_table(f, window, deltas))
 
 
 def test_doubling_and_track_search_their_cells_at_once(monkeypatch):

@@ -597,8 +597,14 @@ def test_radial_alpha_many_inner_disks_bitwise(alpha):
     # the fully covered sub-disks against the per-radius sum:
     # the same field with the closed form taken one radius at a time
     f = RadialAlphaDensity(alpha)
-    per_radius = RadialProfileDensity(f.profile, lambda r: np.reshape(
-        [_alpha_m(alpha, x) for x in r.ravel().tolist()], r.shape))
+
+    class PerRadius(RadialProfileDensity):
+        def cumulative(self, r):
+            r = np.asarray(r, dtype=float)
+            return np.reshape([_alpha_m(alpha, x) for x in r.ravel().tolist()],
+                              r.shape)
+
+    per_radius = PerRadius(f.profile)
     rng = np.random.default_rng(11)
     for r in (1e-6, 0.7, 40.0):
         d = r * rng.uniform(0.0, 1.5, 300)

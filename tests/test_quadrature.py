@@ -198,11 +198,19 @@ def test_triangle_integral_rejects_nonfinite_refinement():
 # ---------------------------------------------------------------------------
 # callers of the order-doubling rule report non-convergence
 
-#: unit disk indicator: P' has a kink at r = 1, so Gauss-Legendre
-#: estimates across it never settle to the callers' tolerances
-KINKED = RadialProfileDensity(
-    lambda s: (s < 1).astype(float),
-    cumulative=lambda r: np.minimum(r, 1.0) ** 2 / 2)
+class _Kinked(RadialProfileDensity):
+    """Unit disk indicator, with m(r) in closed form: P' has a kink at
+    r = 1, so Gauss-Legendre estimates across it never settle to the
+    callers' tolerances."""
+
+    def __init__(self):
+        super().__init__(lambda s: (s < 1).astype(float))
+
+    def cumulative(self, r):
+        return np.minimum(np.asarray(r, dtype=float), 1.0) ** 2 / 2
+
+
+KINKED = _Kinked()
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Structure estimators: sup proxy, stockyard lower bound, twist (against
 the quad reference of ``tests/reference.py``), volume sandwich, sweeps."""
 
+import gc
 import math
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ccstruct.classify import CLASSIFY_OPTS
 from ccstruct.density import (BumpLattice, ConstantDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity)
-from ccstruct.errors import CCStructError
+from ccstruct.errors import CCStructError, QuadratureFailure
 from ccstruct import geometry
 from ccstruct.geometry import pen_mass, validate_stockyard
 from ccstruct.structure import (SupOptions, Window, _nelder_mead, _project,
@@ -150,7 +152,6 @@ def test_failed_prime_leaves_the_memo(monkeypatch):
     # a failing batch stores nothing: each cell's lone search then raises
     # its own error, as without the batch
     from ccstruct import structure
-    from ccstruct.errors import QuadratureFailure
 
     def failing(*args, **kwargs):
         raise QuadratureFailure("no convergence")
@@ -163,6 +164,84 @@ def test_failed_prime_leaves_the_memo(monkeypatch):
     assert structure._MEMO[f] == memo
     with pytest.raises(QuadratureFailure):
         lambda_sup(f, 1j, 2.0, CLASSIFY_OPTS)
+
+
+class _FailsAbove(ConstantDensity):
+    """The constant density 1 whose disk masses raise QuadratureFailure,
+    naming the radius, on any batch with a radius above 1.5."""
+
+    def __init__(self):
+        super().__init__(1.0)
+
+    def _disk_masses(self, centers, radii):
+        r = float(radii.max())
+        if r > 1.5:
+            raise QuadratureFailure(f"no mass at radius {r!r}")
+        return super()._disk_masses(centers, radii)
+
+
+def test_searches_evaluate_each_point_once(monkeypatch):
+    # each search evaluates its lattice once per rung and then only the
+    # points of its polish: no start cell is evaluated a second time
+    f = RadialAlphaDensity(0.5)
+    sizes = {"disk_mass": [], "disk_mass_many": []}
+    for name, seen in sizes.items():
+        def counting(centers, r, method=getattr(f, name), seen=seen):
+            seen.append(np.size(centers))
+            return method(centers, r)
+        monkeypatch.setattr(f, name, counting)
+    cells = [(0j, 0.5), (1 + 1j, 4.0), (-2j, 1e-3)]
+    prime_lambda_sup(f, cells, CLASSIFY_OPTS)
+    ests = [lambda_sup(f, z, d, CLASSIFY_OPTS) for z, d in cells]
+    ax = np.arange(CLASSIFY_OPTS.grid) - CLASSIFY_OPTS.grid // 2
+    lattice = np.count_nonzero(np.hypot(*np.meshgrid(ax, ax)) <= ax[-1])
+    # delta = 1e-3 is DELTA_HAT_MIN: a ladder of one rung
+    rungs = [CLASSIFY_OPTS.n_rungs, CLASSIFY_OPTS.n_rungs, 1]
+    assert sizes["disk_mass_many"] == [lattice] * sum(rungs)
+    assert sum(sizes["disk_mass"]) == sum(e.meta["polish_nfev"]
+                                          for e in ests)
+
+
+def test_coarse_failures_stay_with_their_searches(monkeypatch):
+    # a search whose coarse stage raises keeps its error in the memo, and
+    # the others are polished: one search call, each failed cell raising
+    # its own error when read, and the other cell the bits of its lone
+    # search; where every search fails no polish runs
+    from ccstruct import structure
+    f, g = _FailsAbove(), _FailsAbove()
+    want = lambda_sup(ConstantDensity(1.0), 1j, 0.5, CLASSIFY_OPTS)
+    calls = []
+    search = structure.optimize_weighted_disk
+
+    def counting(field, searches, opts):
+        calls.append(len(searches))
+        return search(field, searches, opts)
+
+    monkeypatch.setattr(structure, "optimize_weighted_disk", counting)
+    prime_lambda_sup(f, [(0j, 2.0), (1j, 0.5), (1j, 3.0)], CLASSIFY_OPTS)
+    prime_lambda_sup(g, [(0j, 2.0), (1j, 3.0)], CLASSIFY_OPTS)
+    for field in (f, g):
+        for z, d in [(0j, 2.0), (1j, 3.0)]:
+            with pytest.raises(QuadratureFailure, match=f"radius {d!r}$"):
+                lambda_sup(field, z, d, CLASSIFY_OPTS)
+    got = lambda_sup(f, 1j, 0.5, CLASSIFY_OPTS)
+    assert calls == [3, 2]
+    assert _bits(got.value) == _bits(want.value)
+    assert got.witness == want.witness and got.meta == want.meta
+
+
+def test_a_failed_cell_does_not_keep_its_field_alive():
+    # the memo is keyed weakly on the field: the error it keeps must not
+    # hold the field through a traceback
+    f = _FailsAbove()
+    prime_lambda_sup(f, [(0j, 2.0)], CLASSIFY_OPTS)
+    for _ in range(2):
+        with pytest.raises(QuadratureFailure):
+            lambda_sup(f, 0j, 2.0, CLASSIFY_OPTS)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 #: each cell's lone search on a fresh field, shared by the examples below
