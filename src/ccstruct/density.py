@@ -203,6 +203,10 @@ class ZeroDensity(DensityField):
 #: np.linspace arguments of each axis of the lattice on which
 #: construction checks a polynomial density is non-negative
 _CHECK_AXIS = (-3.0, 3.0, 41)
+#: Largest exponent j or k of a polynomial potential.  The disk-mass
+#: series divides by (a + 1) (a!)^2, a below both, which leaves the float
+#: range near a = 97; the coefficient table is (degree + 1)^2 complex
+_MAX_DEGREE = 64
 
 
 class PolynomialPotential(DensityField):
@@ -236,6 +240,9 @@ class PolynomialPotential(DensityField):
     @staticmethod
     def _coerce(coeffs):
         n = 1 + max(max(j, k) for (j, k) in coeffs)
+        if n > _MAX_DEGREE + 1:
+            raise ValueError(f"exponent {n - 1} is above {_MAX_DEGREE}, the "
+                             "largest a polynomial potential takes")
         C = np.zeros((n, n), dtype=complex)
         for (j, k), v in coeffs.items():
             C[j, k] = complex(v)
@@ -465,19 +472,8 @@ def _mollifier(s):
 _MOLLIFIER_MASS = 0.46651239317833004
 
 
-#: Most (query, bump) pairs of the cell list a bump-lattice array call
-#: holds at once; bounds its pair arrays.
-_PAIR_BLOCK = 100_000
 #: Gauss-Legendre order of each radial piece of a partial bump overlap
 _BUMP_NODES = 48
-#: A bump-lattice disk mass takes rows over every bump, not the cell
-#: list's candidates, where its reach covers this share of the support box.
-#: Both selections run the partial-overlap kernel on the same bumps.  The
-#: share is where a lone query on 5,041 bumps cost the same both ways
-#: (324 candidates at share 0.055); with a call's pairs formed as one
-#: array it matters little: on the 149 calls of a classify on 5,041 bumps,
-#: a share of 1/5 took 0.310 s against 0.325 s at this one.
-_ALL_BUMPS_SHARE = 1.0 / 16.0
 
 
 def _bump_fractions_inside(d, rho, r):
@@ -534,15 +530,14 @@ class BumpLattice(DensityField):
     supported in the disk of radius rho_k around its center (supports may
     overlap).  Used to build the linear-growth test regime.
 
-    Its one disk-mass kernel, ``_disk_masses``, behind ``disk_mass``,
-    takes its (disk, bump) pairs from ``_disk_pairs``.  A disk whose reach
-    covers much of the lattice (``_takes_every_bump``) is paired with
-    every bump.  Other disks, and
-    the density, go through a cell list built once: the bump centers
-    binned on a uniform grid over the support box, each cell's bumps one
-    run of ``_order``.  The cells that meet the square of half-side
-    ``reach`` about a query form one run of ``_order`` per cell row, so
-    the pairs of a call come out of one expansion of those runs."""
+    Its one disk-mass kernel, ``_disk_masses``, behind ``disk_mass``, and
+    the density take their (disk or point, bump) pairs from one cell list
+    built once (``_near_pairs``), however far a disk reaches: the bump
+    centers binned on a uniform grid over the support box, each cell's
+    bumps one run of ``_order``.  The cells that meet the square of
+    half-side ``reach`` about a query form one run of ``_order`` per cell
+    row, and the pairs come out of those runs in blocks within
+    ``KERNEL_BUDGET``."""
 
     family = "bump_lattice"
 
@@ -584,6 +579,14 @@ class BumpLattice(DensityField):
         self._order = np.argsort(cell, kind="stable")
         self._starts = np.searchsorted(
             cell[self._order], np.arange(self._nrows * self._ncols + 1))
+        # _counts[i, j]: the bumps in the cells of rows < i, columns < j
+        self._counts = np.zeros((self._nrows + 1, self._ncols + 1), np.intp)
+        self._counts[1:, 1:] = np.diff(self._starts).reshape(
+            self._nrows, self._ncols).cumsum(0).cumsum(1)
+        # whether bump indices ascend with the cells (row by row, as on a
+        # Gaussian-integer lattice): then a query's runs, in cell order,
+        # list its candidates in ascending bump index without a sort
+        self._ascending = bool(np.all(np.diff(self._order) > 0))
 
     def _cell_span(self, coords, reach, origin, count):
         """The first and last of the ``count`` cells along one axis that
@@ -606,40 +609,46 @@ class BumpLattice(DensityField):
     def _near_pairs(self, points, reach):
         """Yield (query index, bump index) arrays of candidate pairs,
         ordered by query and then by ascending bump index, in blocks of
-        queries holding at most ``_PAIR_BLOCK`` pairs (a lone query may
-        hold more).  The candidates of a query are the bumps in the cells
-        that the square of half-side ``reach`` (a float, or one per query)
-        about it meets, a superset of the bumps within that reach.  Each
-        (query, cell row) is one run of ``_order``; the runs are counted
-        first, the blocks cut on their running total, and one sort of the
-        integer key query * bumps + bump puts each block's pairs in
-        order."""
+        queries whose pairs and (query, cell row) runs number at most
+        ``KERNEL_BUDGET // 2``, so that a block's complex pair arrays hold
+        at most ``KERNEL_BUDGET`` float64 values (a lone query may hold
+        more).  The candidates of a query are the bumps in the cells that
+        the square of half-side ``reach`` (a float, or one per query) about
+        it meets, a superset of the bumps within that reach; ``_counts``
+        counts them before any is listed.  Each (query, cell row) is one
+        run of ``_order``.  Where the bump indices do not ascend with the
+        cells, one sort of the integer key query * bumps + bump puts a
+        block's pairs in order."""
         n = len(self.centers)
         x0, _, y0, _ = self._box
         col0, col1 = self._cell_span(points.real, reach, x0, self._ncols)
         row0, row1 = self._cell_span(points.imag, reach, y0, self._nrows)
         rows = np.where(col0 <= col1, np.maximum(row1 - row0 + 1, 0), 0)
-        # one run per (query, cell row), queries ascending
-        run_q = np.repeat(np.arange(len(points)), rows)
-        ends = np.cumsum(rows)
-        row = row0[run_q] + np.arange(len(run_q)) - (ends - rows)[run_q]
-        first = self._starts[row * self._ncols + col0[run_q]]
-        count = self._starts[row * self._ncols + col1[run_q] + 1] - first
-        total = np.concatenate([[0], np.cumsum(count)])
-        # the pairs of the queries up to each one, on which blocks are cut
-        upto = total[ends]
+        # a query's share of a block: its candidates, counted from _counts
+        # (0 on an empty span, where row1 + 1 == row0 or col1 + 1 == col0),
+        # and its runs
+        c = self._counts
+        cost = (c[row1 + 1, col1 + 1] - c[row0, col1 + 1] - c[row1 + 1, col0]
+                + c[row0, col0] + rows)
+        upto = np.cumsum(cost)
         lo = 0
         while lo < len(points):
             base = upto[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(upto, base + _PAIR_BLOCK,
-                                                 side="right")))
-            r0, r1 = ends[lo] - rows[lo], ends[hi - 1]
-            k = count[r0:r1]
+            hi = max(lo + 1, int(np.searchsorted(
+                upto, base + KERNEL_BUDGET // 2, side="right")))
+            # one run per (query, cell row), queries ascending
+            run_q = np.repeat(np.arange(lo, hi), rows[lo:hi])
+            ends = np.cumsum(rows[lo:hi])
+            row = (row0[run_q] + np.arange(len(run_q))
+                   - (ends - rows[lo:hi])[run_q - lo])
+            first = self._starts[row * self._ncols + col0[run_q]]
+            count = self._starts[row * self._ncols + col1[run_q] + 1] - first
             # each run's positions first, first + 1, ... in _order
-            pos = np.repeat(first[r0:r1] - total[r0:r1], k) + np.arange(
-                total[r0], total[r1])
-            key = np.sort(np.repeat(run_q[r0:r1], k) * n + self._order[pos])
-            qi, bi = np.divmod(key, n)
+            pos = np.repeat(first - np.cumsum(count) + count, count)
+            pos += np.arange(len(pos))
+            qi, bi = np.repeat(run_q, count), self._order[pos]
+            if not self._ascending:
+                bi = np.sort(qi * n + bi) - qi * n
             yield qi, bi
             lo = hi
 
@@ -656,49 +665,13 @@ class BumpLattice(DensityField):
                 out[qi[0]:qi[-1] + 1] += np.bincount(qi - qi[0], weights=vals)
         return out.reshape(z.shape)
 
-    def _takes_every_bump(self, centers, reach):
-        """Whether a disk mass about each of ``centers`` (a complex number
-        or an array) should take every bump: the square of half-side
-        ``reach`` about it covers at least ``_ALL_BUMPS_SHARE`` of the
-        support box."""
-        x0, x1, y0, y1 = self._box
-        # the overlap's sides, clipped at 0 so that a far center's product
-        # does not overflow
-        w = np.maximum(np.minimum(x1, centers.real + reach)
-                       - np.maximum(x0, centers.real - reach), 0.0)
-        h = np.maximum(np.minimum(y1, centers.imag + reach)
-                       - np.maximum(y0, centers.imag - reach), 0.0)
-        return w * h >= _ALL_BUMPS_SHARE * (x1 - x0) * (y1 - y0)
-
-    def _disk_pairs(self, centers, radii):
-        """Yield (disk, bump, distance) arrays of the pairs of the disks of
-        ``radii`` about ``centers`` with the bumps that may reach them: a
-        row over every bump for each disk that ``_takes_every_bump``, in
-        blocks of rows within ``KERNEL_BUDGET``, then the cell list's pairs
-        of the others.  Each disk's pairs lie in one block, in ascending
-        bump index; a bump beyond the reach holds exactly 0.0 of a disk."""
-        reach = self._reach(radii)
-        every = self._takes_every_bump(centers, reach)
-        n = len(self.centers)
-        wide = np.flatnonzero(every)
-        step = max(1, KERNEL_BUDGET // n)
-        for lo in range(0, len(wide), step):
-            rows = wide[lo:lo + step]
-            d = np.abs(centers[rows, None] - self.centers)
-            yield (np.repeat(rows, n), np.tile(np.arange(n), len(rows)),
-                   d.ravel())
-        narrow = np.flatnonzero(~every)
-        for qi, bi in self._near_pairs(centers[narrow], reach[narrow]):
-            qi = narrow[qi]
-            yield qi, bi, np.abs(centers[qi] - self.centers[bi])
-
     def _disk_masses(self, centers, radii):
         """Each disk's mass: ``np.sum`` adds the masses of the bumps wholly
         inside it, then its partial masses are added one at a time, both in
         ascending bump index (the polish amplifies last-bit changes).  The
         partial overlaps are held until at least ``KERNEL_BUDGET`` of them
         run in one kernel call; ``np.add.at`` adds them in index order, and
-        each disk's pairs lie in one block of ``_disk_pairs``."""
+        each disk's pairs lie in one block of ``_near_pairs``."""
         out = np.zeros(len(centers))
         # the (disk, bump, distance) arrays of the partial overlaps held,
         # and their count
@@ -710,7 +683,8 @@ class BumpLattice(DensityField):
                 d, self.radii[bump], radii[disk]))
             parts.clear()
 
-        for disk, bump, d in self._disk_pairs(centers, radii):
+        for disk, bump in self._near_pairs(centers, self._reach(radii)):
+            d = np.abs(centers[disk] - self.centers[bump])
             r, rho = radii[disk], self.radii[bump]
             inside = d + rho <= r
             partial = ~inside & (d - rho < r)

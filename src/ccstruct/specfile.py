@@ -7,14 +7,16 @@ Keys:
     c         constant value (family=constant); c = 0 selects the zero
               test double
     alpha     exponent (family=radial_alpha)
-    coeffs    semicolon-separated quadruples j,k,re,im (family=polynomial)
+    coeffs    semicolon-separated quadruples j,k,re,im, j and k at most
+              64 (family=polynomial)
     bumps     semicolon-separated quadruples x,y,mass,radius
     grid_file path to a CSV of node values (family=grid)
     origin    x,y of the grid origin
     cell_size grid spacing
     extension zero | periodic
 
-Parse errors report 1-based line numbers.
+A key that its family does not read is refused.  Parse errors report
+1-based line numbers.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .density import (BumpLattice, ConstantDensity, GridDensity,
                       PolynomialPotential, RadialAlphaDensity, ZeroDensity)
 from .errors import DensitySpecError
 
-_KNOWN_KEYS = {"family", "c", "alpha", "coeffs", "bumps", "grid_file",
-               "origin", "cell_size", "extension"}
+#: the keys each family reads, besides ``family``
+_FAMILY_KEYS = {"constant": {"c"}, "radial_alpha": {"alpha"},
+                "polynomial": {"coeffs"}, "bump_lattice": {"bumps"},
+                "grid": {"grid_file", "origin", "cell_size", "extension"}}
 
 
 def _parse_lines(text):
@@ -43,8 +47,6 @@ def _parse_lines(text):
             raise DensitySpecError(f"expected 'key = value', got {raw!r}",
                                    line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise DensitySpecError(f"unknown key {key!r}", line=lineno)
         if key in entries:
             raise DensitySpecError(f"duplicate key {key!r}", line=lineno)
         entries[key] = (value, lineno)
@@ -102,6 +104,12 @@ def load_density_spec(path):
         raise DensitySpecError(f"density spec file not found: {path}")
     entries = _parse_lines(path.read_text())
     family, fam_line = _need(entries, "family")
+    if family not in _FAMILY_KEYS:
+        raise DensitySpecError(f"unknown family {family!r}", line=fam_line)
+    for key, (_, lineno) in entries.items():
+        if key != "family" and key not in _FAMILY_KEYS[family]:
+            raise DensitySpecError(
+                f"unknown key {key!r} for family {family!r}", line=lineno)
 
     if family == "constant":
         value, lineno = _need(entries, "c")
@@ -137,37 +145,39 @@ def load_density_spec(path):
         radii = [r for _, _, _, r in rows]
         return _build(BumpLattice, lineno, centers, masses, radii)
 
-    if family == "grid":
-        value, lineno = _need(entries, "grid_file")
-        grid_path = Path(value)
-        if not grid_path.is_absolute():
-            grid_path = path.parent / grid_path
-        if not grid_path.exists():
-            raise DensitySpecError(f"grid_file not found: {grid_path}",
-                                   line=lineno)
-        with open(grid_path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                values = [[float(cell) for cell in row]
-                          for row in reader if row]
-            except ValueError as exc:
-                raise DensitySpecError(
-                    f"{grid_path}, line {reader.line_num}: {exc}") from None
-        ov, ol = _need(entries, "origin")
-        parts = [p.strip() for p in ov.split(",")]
-        if len(parts) != 2:
-            raise DensitySpecError("origin must be 'x,y'", line=ol)
-        origin = complex(_float(parts[0], ol, "origin"),
-                         _float(parts[1], ol, "origin"))
-        cv, cl = _need(entries, "cell_size")
-        cell = _float(cv, cl, "cell_size")
-        extension = "zero"
-        if "extension" in entries:
-            extension, el = entries["extension"]
-            if extension not in ("zero", "periodic"):
-                raise DensitySpecError(
-                    "extension must be 'zero' or 'periodic'", line=el)
-        return _build(GridDensity, None, origin, cell, np.asarray(values),
-                      extension)
-
-    raise DensitySpecError(f"unknown family {family!r}", line=fam_line)
+    # family == "grid"
+    value, lineno = _need(entries, "grid_file")
+    grid_path = Path(value)
+    if not grid_path.is_absolute():
+        grid_path = path.parent / grid_path
+    if not grid_path.exists():
+        raise DensitySpecError(f"grid_file not found: {grid_path}",
+                               line=lineno)
+    with open(grid_path, newline="") as fh:
+        reader = csv.reader(fh)
+        values = []
+        try:
+            for row in filter(None, reader):
+                values.append([float(cell) for cell in row])
+                if len(row) != len(values[0]):
+                    raise ValueError(f"{len(row)} values where the first "
+                                     f"row has {len(values[0])}")
+        except ValueError as exc:
+            raise DensitySpecError(
+                f"{grid_path}, line {reader.line_num}: {exc}") from None
+    ov, ol = _need(entries, "origin")
+    parts = [p.strip() for p in ov.split(",")]
+    if len(parts) != 2:
+        raise DensitySpecError("origin must be 'x,y'", line=ol)
+    origin = complex(_float(parts[0], ol, "origin"),
+                     _float(parts[1], ol, "origin"))
+    cv, cl = _need(entries, "cell_size")
+    cell = _float(cv, cl, "cell_size")
+    extension = "zero"
+    if "extension" in entries:
+        extension, el = entries["extension"]
+        if extension not in ("zero", "periodic"):
+            raise DensitySpecError(
+                "extension must be 'zero' or 'periodic'", line=el)
+    return _build(GridDensity, None, origin, cell, np.asarray(values),
+                  extension)

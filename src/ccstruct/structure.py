@@ -272,11 +272,13 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
 
     Coarse stage, per search: log-spaced ladder of h crossed with a square
     lattice masked to the disk, one ``disk_mass_many`` call per rung (the
-    ``disk_mass`` kernel at a common radius); its values rank the cells
-    that the polish starts from.  Polish: the top cells of all the
-    searches are polished together by one lock-step Nelder-Mead in
-    (x, y, log h) (``_nelder_mead``, one array state machine over all the
-    starts) with projection onto each search's feasible set
+    ``disk_mass`` kernel at a common radius), the largest rung first and
+    then the others ascending, so that a search whose widest disks fail
+    fails at its first call; its values rank the cells that the polish
+    starts from.  Polish: the top cells of all the searches are polished
+    together by one lock-step Nelder-Mead in (x, y, log h)
+    (``_nelder_mead``, one array state machine over all the starts) with
+    projection onto each search's feasible set
     (``_project``, on the arrays of a round, each point's bounds gathered
     by its owner's search).  Each round evaluates all its points with one
     array call of ``disk_mass``.  Every array mass has the bits of the
@@ -308,10 +310,15 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         zz = zz[mask]
         bounds.append((center, search_radius, dh_min, dh_max, scale))
 
-        candidates = []   # (coarse value, zhat, h)
+        candidates = []   # (coarse value, zhat, h), rungs ascending
         try:
-            for h in rungs:
-                vals = (scale / float(h)) * field.disk_mass_many(zz, float(h))
+            # the largest rung first: a disk that fails is most likely the
+            # widest, so a failing search pays for one rung
+            last = field.disk_mass_many(zz, float(rungs[-1]))
+            for k, h in enumerate(rungs):
+                mass = (last if k == len(rungs) - 1
+                        else field.disk_mass_many(zz, float(h)))
+                vals = (scale / float(h)) * mass
                 top = np.argsort(vals)[::-1][: opts.n_polish]
                 for i in top:
                     candidates.append((float(vals[i]), complex(zz[i]),

@@ -139,6 +139,22 @@ def test_polynomial_overflow_exit_3(tmp_path):
         "CCStructError: disk mass of polynomial field is inf")
 
 
+@pytest.mark.parametrize("coeffs", [
+    # (a + 1) (a!)^2 of the disk-mass series leaves the float range
+    "1,1,1,0; 120,120,1e-300,0",
+    # a coefficient table of 14.6 TiB
+    "1000000,1000000,1,0",
+])
+def test_polynomial_degree_above_bound_exit_2(tmp_path, coeffs, capsys):
+    spec = tmp_path / "poly.spec"
+    spec.write_text(f"family = polynomial\ncoeffs = {coeffs}\n")
+    code = main(["lambda", "--density", str(spec), "--z", "0,0",
+                 "--delta", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2: exponent" in err and "Traceback" not in err
+
+
 def test_periodic_grid_huge_delta_exit_3(tmp_path, capsys):
     # the rungs whose disks meet too many lattice lines raise: a row error
     # and exit 3, not a MemoryError's traceback
@@ -239,6 +255,25 @@ def test_sweep_schema_and_determinism(tmp_path, constant_spec):
               if not ln.startswith("#")][0]
     assert header == ("re(z),im(z),delta,method,value,"
                       "witness_re,witness_im,witness_radius")
+
+
+@pytest.mark.parametrize("command,args", [
+    ("lambda", ["--z", "1,0", "--delta", "1:4:2", "--method", "all"]),
+    ("sweep", ["--window=0,0,1,1,2", "--delta", "1:4:2"]),
+    ("volume", ["--z", "0,0", "--delta", "1:2:2", "--n-paths", "1000"]),
+])
+def test_json_rows_are_the_csv_rows(tmp_path, constant_spec, command, args):
+    # --format json writes the CSV table's rows: the same columns and,
+    # through the CSV's lossless cell format, the same values
+    from ccstruct.cli import _fmt
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    argv = [command, "--density", constant_spec, *args, "--seed", "3"]
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    rows = json.loads(json_out.read_text())["rows"]
+    assert len(rows) > 1
+    assert [{k: _fmt(v) for k, v in row.items()}
+            for row in rows] == read_rows(csv_out)
 
 
 def test_classify_constant_quadratic(tmp_path, constant_spec, capsys):

@@ -162,22 +162,17 @@ _COMMON_RADIUS_FIELDS = {
 @pytest.mark.parametrize("name", list(_COMMON_RADIUS_FIELDS))
 def test_disk_mass_many_is_disk_mass_at_a_common_radius(name):
     # the coarse search's masses, many centers at a common radius, are the
-    # lone masses bit for bit, duplicates included; a bump lattice's
-    # centers take whole-lattice rows at the large radii and the cell
-    # list's pairs at the small ones
+    # lone masses bit for bit, duplicates included, from disks inside a
+    # bump lattice to disks wider than it
     f = _COMMON_RADIUS_FIELDS[name]
     rng = np.random.default_rng(31)
     centers = np.concatenate([
         rng.uniform(-4.0, 4.0, 60) + 1j * rng.uniform(-4.0, 4.0, 60),
         [0j, 0j, 1 + 1j, 80 + 80j]])
-    paths = set()
     for r in (0.05, 0.7, 2.5, 9.0, 30.0):
-        if isinstance(f, BumpLattice):
-            paths.update(f._takes_every_bump(centers, f._reach(r)).tolist())
         lone = _bits([f.disk_mass(c, r) for c in centers])
         assert np.array_equal(_bits(_masses_at(f, centers, r)), lone)
         assert np.array_equal(_bits(f.disk_mass_many(centers, r)), lone)
-    assert paths == ({False, True} if isinstance(f, BumpLattice) else set())
 
 
 def _pair_cases(f):
@@ -732,27 +727,24 @@ def test_bump_indexed_matches_all_pairs(bumps, query, r):
 
 def test_bump_disk_mass_bitwise_at_c12_oracle_points():
     """The classify slope on c12's lattice depends on the last bits of
-    disk_mass through the Nelder-Mead polish, so the indexed sum must
-    reproduce the all-pairs one exactly, through the k-d tree for small
-    disks and through the arrays over every bump for large ones."""
+    disk_mass through the Nelder-Mead polish, so the cell list's sum must
+    reproduce the all-pairs one exactly, from disks under one bump's
+    support to disks over most of the lattice."""
     f = decaying_bump_lattice(70)
-    paths = set()
     for z in (0j, 10 + 3j, -15 - 15j):
         for d in (0.19, 3.0, 5.0, 8.0, 22.0, 40.0):
-            paths.add((d, f._takes_every_bump(z, f._reach(d))))
             assert f.disk_mass(z, d) == _reference_disk_mass(f, z, d)
-    assert (0.19, False) in paths and (40.0, True) in paths
 
 
 def _listed_pairs(f, points, reach):
     """The former pair search: a k-d tree's Python index lists over the
-    bump centers, sorted by bump index, in blocks of about ``_PAIR_BLOCK``
-    pairs."""
+    bump centers, sorted by bump index, in blocks of about
+    ``KERNEL_BUDGET`` pairs."""
     from scipy.spatial import cKDTree
     tree = cKDTree(np.column_stack([f.centers.real, f.centers.imag]))
     xy = np.column_stack([points.real, points.imag])
     counts = tree.query_ball_point(xy, reach, return_length=True)
-    block = np.cumsum(counts) // density._PAIR_BLOCK
+    block = np.cumsum(counts) // density.KERNEL_BUDGET
     edges = [0, *(np.flatnonzero(np.diff(block)) + 1), len(points)]
     for lo, hi in zip(edges[:-1], edges[1:]):
         n = counts[lo:hi]
@@ -779,11 +771,11 @@ def lattice35():
 
 @pytest.mark.parametrize("r", [1e-3, 0.19, 1.0, 5.0, 12.0, 20.0, 40.0])
 def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
-    """Whole-lattice rows and the cell list's pairs give each center the
-    all-pairs reference's bits, on the center sets once checked against
-    the k-d tree's listed pairs: 17-grids about 0 and 10 + 3i, scattered
-    centers, duplicates, a bump center and centers beyond every
-    support."""
+    """The cell list's pairs give each center the all-pairs reference's
+    bits, from radii under one bump's support to radii past the lattice,
+    on the center sets once checked against the k-d tree's listed pairs:
+    17-grids about 0 and 10 + 3i, scattered centers, duplicates, a bump
+    center and centers beyond every support."""
     f = lattice35
     rng = np.random.default_rng(15)
     ax = np.linspace(-2.0, 2.0, 17)
@@ -796,24 +788,39 @@ def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
                           _bits(_reference_disk_masses(f, centers, r)))
 
 
+def test_bump_cell_list_sorts_only_where_indices_do_not_ascend(lattice35):
+    # the Gaussian-integer lattice lists its bumps in cell order, so its
+    # runs come out in ascending bump index unsorted; the same bumps listed
+    # in reverse take the sort, and both keep the all-pairs bits
+    f = lattice35
+    g = BumpLattice(f.centers[::-1], f.masses[::-1], f.radii[::-1])
+    assert f._ascending and not g._ascending
+    rng = np.random.default_rng(33)
+    centers = rng.uniform(-40.0, 40.0, 40) + 1j * rng.uniform(-40.0, 40.0,
+                                                               40)
+    for lattice in (f, g):
+        for r in (0.3, 5.0, 40.0):
+            assert np.array_equal(
+                _bits(_masses_at(lattice, centers, r)),
+                _bits(_reference_disk_masses(lattice, centers, r)))
+
+
 def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
     f = lattice35
     rng = np.random.default_rng(16)
-    # a tree-side call of more than _PAIR_BLOCK pairs runs in split blocks
+    # a call of more than KERNEL_BUDGET pairs runs in split blocks, each
+    # within half of it
     sparse = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
                                                                  2000)
     reach = f._reach(5.0)
-    assert not np.any(f._takes_every_bump(sparse, reach))
     blocks = [len(bi) for _, bi in f._near_pairs(sparse, reach)]
-    assert len(blocks) > 1 and sum(blocks) > density._PAIR_BLOCK
-    assert max(blocks) <= density._PAIR_BLOCK
+    assert len(blocks) > 1 and sum(blocks) > density.KERNEL_BUDGET
+    assert max(blocks) <= density.KERNEL_BUDGET // 2
     assert np.array_equal(_bits(_masses_at(f, sparse, 5.0)),
                           _bits(_reference_disk_masses(f, sparse, 5.0)))
-    # the coarse lattice of a sup search at delta = 40: most centers take
-    # whole-lattice rows, the corners take the tree's pairs
+    # the coarse lattice of a sup search at delta = 40: most disks reach
+    # much of the lattice, the corners reach its edge
     lattice = _search_lattice(0j, 40.0)
-    every = f._takes_every_bump(lattice, f._reach(12.0))
-    assert np.any(every) and not np.all(every)
     assert np.array_equal(_bits(_masses_at(f, lattice, 12.0)),
                           _bits(_reference_disk_masses(f, lattice, 12.0)))
     z = rng.uniform(-37.0, 37.0, 4000) + 1j * rng.uniform(-37.0, 37.0, 4000)
@@ -821,14 +828,12 @@ def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
 
 
 def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
-    # hundreds of whole-lattice rows, two to a block, interleaved with
-    # narrow centers: each block's sums land on its own disks only
+    # disks over much of the lattice, a few to a block, with disks at its
+    # edge and beyond it: each block's sums land on its own disks only
     f = lattice35
     rng = np.random.default_rng(17)
     centers = rng.uniform(-45.0, 45.0, 400) + 1j * rng.uniform(-45.0, 45.0,
                                                                400)
-    every = f._takes_every_bump(centers, f._reach(12.0))
-    assert every.sum() > 100 and not np.all(every)
     lone = [_masses_at(f, centers[i:i + 1], 12.0)[0]
             for i in range(len(centers))]
     assert np.array_equal(_bits(_masses_at(f, centers, 12.0)),
@@ -844,7 +849,7 @@ def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
     z = np.concatenate([rng.uniform(-37.0, 37.0, 300)
                         + 1j * rng.uniform(-37.0, 37.0, 300),
                         [80 + 80j, 0j, 0j, f.centers[7]]])
-    monkeypatch.setattr(density, "_PAIR_BLOCK", 100)
+    monkeypatch.setattr(density, "KERNEL_BUDGET", 100)
     assert len(list(f._near_pairs(z, f._reach(0.0)))) >= 4
     lone = [f.density(p) for p in z]
     assert np.array_equal(_bits(f.density(z)), _bits(lone))
@@ -852,8 +857,8 @@ def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
 
 @pytest.mark.parametrize("r", [12.0, 40.0])
 def test_bump_many_memory_is_bounded(lattice35, r):
-    # the pair arrays and whole-lattice rows stay within _PAIR_BLOCK
-    # pairs a block; the listed pairs peaked at 12.3 MB on this call
+    # the pair arrays and run tables stay within KERNEL_BUDGET a block;
+    # the listed pairs peaked at 12.3 MB on this call
     lattice = _search_lattice(0j, 40.0)
     assert len(lattice) == 797
     tracemalloc.start()
@@ -867,14 +872,12 @@ def test_bump_many_memory_is_bounded(lattice35, r):
 
 def test_bump_many_memory_is_bounded_on_random_centers(lattice35):
     # centers without symmetry share no partial overlaps: a call over
-    # thousands of them, nearly all whole-lattice rows, holds no array or
-    # table that grows with the call (1.0 MB here; a table of the call's
-    # partial overlaps reached 3.9 MB)
+    # thousands of them, each reaching hundreds of bumps, holds no array or
+    # table that grows with the call (a table of the call's partial
+    # overlaps reached 3.9 MB)
     rng = np.random.default_rng(29)
     centers = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
                                                                 2000)
-    every = lattice35._takes_every_bump(centers, lattice35._reach(12.0))
-    assert every.mean() > 0.9
     tracemalloc.start()
     try:
         _masses_at(lattice35, centers, 12.0)
@@ -882,6 +885,22 @@ def test_bump_many_memory_is_bounded_on_random_centers(lattice35):
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+def test_bump_many_memory_is_bounded_on_c12_lattice():
+    # the same call on c12's 19,881 bumps: pair blocks cut from
+    # KERNEL_BUDGET, not 100,000-pair blocks (15.0 MB), bound it
+    f = decaying_bump_lattice(70)
+    rng = np.random.default_rng(29)
+    centers = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
+                                                                2000)
+    tracemalloc.start()
+    try:
+        _masses_at(f, centers, 12.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 _mass = st.floats(min_value=0.1, max_value=2.0)

@@ -64,6 +64,19 @@ def test_unknown_key_reports_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text,line", [
+    ("family = constant\nc = 4\nalpha = 0.5\n", 3),
+    ("family = radial_alpha\nc = 4\nalpha = 0.5\n", 2),
+    ("family = bump_lattice\nextension = zero\n"
+     "bumps = 0,0,1,0.25\n", 2),
+])
+def test_key_its_family_does_not_read_is_refused(tmp_path, text, line):
+    # a key of another family is not ignored: it is refused at its line
+    with pytest.raises(DensitySpecError, match="unknown key") as err:
+        load_density_spec(write(tmp_path, text))
+    assert err.value.line == line
+
+
 def test_bad_number_reports_line(tmp_path):
     with pytest.raises(DensitySpecError) as err:
         load_density_spec(write(tmp_path, "family = constant\nc = many\n"))
@@ -108,6 +121,8 @@ def test_nonfinite_number_rejected(tmp_path, text):
     ("0,1,2\n", "2 x 2"),
     ("0\n1\n", "2 x 2"),
     ("0,1\n2,nan\n", "finite"),
+    # a ragged table: refused at its short row, not by numpy
+    ("0,1\n2\n", "line 2: 1 values where the first row has 2"),
 ])
 def test_bad_grid_rejected(tmp_path, csv_text, message):
     (tmp_path / "vals.csv").write_text(csv_text)

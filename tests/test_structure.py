@@ -230,6 +230,23 @@ def test_coarse_failures_stay_with_their_searches(monkeypatch):
     assert got.witness == want.witness and got.meta == want.meta
 
 
+def test_a_search_failing_at_its_largest_rung_makes_one_coarse_call():
+    # the coarse stage asks for the largest rung first, so a search whose
+    # widest disks fail pays for no rung below them
+    from ccstruct.structure import optimize_weighted_disk
+    radii = []
+
+    class Counting(_FailsAbove):
+        def _disk_masses(self, centers, r):
+            radii.append(float(r.max()))
+            return super()._disk_masses(centers, r)
+
+    got, = optimize_weighted_disk(Counting(), [(0j, 3.0, 3.0, 3.0)],
+                                  CLASSIFY_OPTS)
+    assert isinstance(got, QuadratureFailure)
+    assert radii == [3.0]
+
+
 def test_a_failed_cell_does_not_keep_its_field_alive():
     # the memo is keyed weakly on the field: the error it keeps must not
     # hold the field through a traceback
