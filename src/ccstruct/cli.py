@@ -318,7 +318,7 @@ def _validate_checks(tol):
         delta = perim * 1.25
         control = ccpath.control_from_polygon(vs, delta)
         _, _, t = ccpath.integrate_path(
-            field, (vs[0].real, vs[0].imag, 0.0), control, delta, steps=64)
+            field, (vs[0].real, vs[0].imag, 0.0), control, delta)
         line = geometry.boundary_line_integral(
             field, geometry.polygon_curve(vs))
         worst = max(worst, abs(t - line))

@@ -479,26 +479,52 @@ def lambda_stockyard(field: DensityField, z, delta):
 
 # ---------------------------------------------------------------------------
 
+def _segment_integrals(field: DensityField, starts, ends, nodes):
+    """The line integral of P_y dx - P_x dy along each straight segment
+    from ``starts`` to ``ends`` (complex arrays of one size, or one start
+    for all ends), -2 Im( integral_0^1 (b - a) P_z(a + r (b - a)) dr ) with
+    P_z = (P_x - i P_y) / 2, by the fixed ``nodes``-point Gauss-Legendre
+    rule, as a flat array.  Runs in blocks whose complex (segments x nodes)
+    arrays fit ``KERNEL_BUDGET``; einsum sums each row in node order, as
+    matmul does on these strided rows of two or more segments (on one
+    segment matmul calls BLAS ddot, whose sum rounds differently), so a
+    segment's value does not depend on its block.  Raises ValueError at a
+    segment end that is not finite and CCStructError where an integral is
+    not finite (a huge segment's gradient may overflow)."""
+    ends = np.asarray(ends, dtype=complex).ravel()
+    starts = np.broadcast_to(np.asarray(starts, dtype=complex).ravel(),
+                             ends.shape)
+    if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+        raise ValueError("segment ends must be finite")
+    x, wts = quadrature.gl_nodes(0.0, 1.0, nodes)
+    vals = np.empty(len(ends))
+    step = KERNEL_BUDGET // (2 * nodes)
+    # a non-finite gradient or sum raises below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(ends), step):
+            a = starts[lo:lo + step, None]
+            d = ends[lo:lo + step, None] - a
+            px, py = field.potential_gradient(a + d * x)
+            pz = 0.5 * (px - 1j * py)
+            vals[lo:lo + step] = np.einsum("ij,j->i", (d * pz).imag, wts)
+        vals *= -2.0
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        i = bad[0]
+        raise CCStructError(
+            f"line integral on the {field.family} field is {vals[i]} along "
+            f"the segment from {complex(starts[i])!r} to {complex(ends[i])!r}")
+    return vals
+
+
 def twist_many(field: DensityField, z, ws):
     """The twist of the metric ball from z to each endpoint w of ``ws``:
-    the t-offset of the comparable box center,
-    -2 Im( integral_0^1 (w - z) P_z(z + r (w - z)) dr ), by a fixed
-    Gauss-Legendre rule, in blocks whose complex (endpoints x nodes)
-    arrays fit ``KERNEL_BUDGET``."""
-    z = complex(z)
-    ws = np.asarray(ws, dtype=complex).ravel()
-    x, wts = quadrature.gl_nodes(0.0, 1.0, _TWIST_NODES)
-    vals = np.empty(len(ws))
-    step = KERNEL_BUDGET // (2 * _TWIST_NODES)
-    for lo in range(0, len(ws), step):
-        dw = ws[lo:lo + step, None] - z
-        px, py = field.potential_gradient(z + dw * x)
-        pz = 0.5 * (px - 1j * py)
-        # einsum sums each row in node order, as matmul does on these
-        # strided rows of two or more endpoints; on one endpoint matmul
-        # calls BLAS ddot, whose sum rounds differently
-        vals[lo:lo + step] = np.einsum("ij,j->i", (dw * pz).imag, wts)
-    return -2.0 * vals
+    the t-offset of the comparable box center, the line integral of
+    P_y dx - P_x dy along the segment from z to w, by the fixed
+    ``_TWIST_NODES``-point rule of ``_segment_integrals``.  Raises
+    ValueError at a z or w that is not finite and CCStructError where a
+    twist is not finite."""
+    return _segment_integrals(field, complex(z), ws, _TWIST_NODES)
 
 
 def volume_search_cells(z, delta):

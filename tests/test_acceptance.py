@@ -214,7 +214,7 @@ def test_c09_bridge_identity():
             delta = perim * 1.25
             control = control_from_polygon(vs, delta)
             _, _, t = integrate_path(field, (vs[0].real, vs[0].imag, 0.0),
-                                     control, delta, steps=64)
+                                     control, delta)
             line = loop_displacement(field, polygon_curve(vs))
             assert abs(t - line) <= 1e-6
 

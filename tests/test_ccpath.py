@@ -15,7 +15,9 @@ from ccstruct.density import (ConstantDensity, PolynomialPotential,
                               RadialAlphaDensity, ZeroDensity)
 from ccstruct.errors import QuadratureFailure
 from ccstruct.geometry import circle_curve, polygon_curve
-from ccstruct.structure import lambda_sup
+from ccstruct.structure import lambda_sup, twist_many
+
+import reference
 
 P_Z2 = PolynomialPotential({(1, 1): 1.0})
 P_Z4 = PolynomialPotential({(2, 2): 1.0})
@@ -45,6 +47,8 @@ def test_control_validation():
         ControlSignal((0.0, 1.0), ((math.nan, 0.0),))       # NaN value
     with pytest.raises(ValueError):
         ControlSignal((0.0, math.nan, 1.0), ((0.1, 0.1),) * 2)  # NaN point
+    with pytest.raises(ValueError):
+        ControlSignal((0.0, 1.5, 1.0), ((0.1, 0.1),) * 2)   # not increasing
 
 
 def test_random_control_respects_constraint():
@@ -84,7 +88,7 @@ def test_square_loop_displacement():
     vs = [0, a * 1j, a + a * 1j, a + 0j]    # clockwise
     perim = 4 * a
     control = control_from_polygon(vs, perim)
-    _, _, t = integrate_path(P_Z2, (0.0, 0.0, 0.0), control, perim, steps=64)
+    _, _, t = integrate_path(P_Z2, (0.0, 0.0, 0.0), control, perim)
     assert t == pytest.approx(4 * a * a, abs=1e-8)
 
 
@@ -114,7 +118,7 @@ def test_bridge_identity_random_loops(field):
         perim = sum(abs(w - v) for v, w in zip(vs, vs[1:] + vs[:1]))
         control = control_from_polygon(vs, perim * 1.5)
         _, _, t = integrate_path(field, (vs[0].real, vs[0].imag, 0.0),
-                                 control, perim * 1.5, steps=48)
+                                 control, perim * 1.5)
         line = loop_displacement(field, polygon_curve(vs))
         assert abs(t - line) <= 1e-6
 
@@ -126,67 +130,100 @@ def test_batch_matches_single_paths_bitwise(field):
     b = np.array([[v[1] for v in c.values] for c in controls])
     start = (0.3, -0.7, 1.0)
     ends = integrate_endpoints(field, start, a, b, controls[0].breakpoints,
-                               2.0, 16)
+                               2.0)
     for c, end in zip(controls, ends):
         assert tuple(end) == integrate_path(field, start, c, 2.0)
 
 
+def _vertices(start, a, b, bps, delta):
+    """The planar vertices v_0 ... v_n of each path, as complex rows."""
+    v = np.empty((a.shape[0], a.shape[1] + 1), dtype=complex)
+    v[:, 0] = complex(start[0], start[1])
+    for j in range(a.shape[1]):
+        v[:, j + 1] = v[:, j] + (bps[j + 1] - bps[j]) * delta * (
+            a[:, j] - 1j * b[:, j])
+    return v
+
+
+@pytest.mark.parametrize("field, delta, tol", [
+    (P_Z4, 2.0, 1e-13), (RADIAL, 0.5, 1e-13), (RADIAL, 2.0, 1e-13),
+    (RADIAL, 20.0, 1e-10)])
+def test_lift_matches_reference_line_integrals(field, delta, tol):
+    # t gains the line integral of P_y dx - P_x dy along each edge: the
+    # reference twist summed per segment.  Twelve nodes are exact on P_Z4
+    a, b, bps = _random_controls(np.random.default_rng(31), 6, 8)
+    start = (1.0, 1.0, 0.5)
+    ends = integrate_endpoints(field, start, a, b, bps, delta)
+    for end, v in zip(ends, _vertices(start, a, b, bps, delta)):
+        assert complex(end[0], end[1]) == pytest.approx(v[-1], abs=1e-12)
+        want = start[2] + math.fsum(reference.twist(field, p, q)
+                                    for p, q in zip(v[:-1], v[1:]))
+        assert abs(end[2] - want) <= tol
+
+
+def test_lift_minus_twist_is_the_fan_mass():
+    # on a constant density c the lift, sheared by the twist from z to the
+    # endpoint, is c times the clockwise signed area of the fan
+    # (z, v_i, v_{i+1}): the closed polygon's enclosed mass
+    c = 2.0
+    a, b, bps = _random_controls(np.random.default_rng(41), 500, 8)
+    start, delta = (0.3, -0.2, 0.75), 2.0
+    ends = integrate_endpoints(ConstantDensity(c), start, a, b, bps, delta)
+    z = complex(start[0], start[1])
+    sheared = ends[:, 2] - start[2] - twist_many(
+        ConstantDensity(c), z, ends[:, 0] + 1j * ends[:, 1])
+    v = _vertices(start, a, b, bps, delta) - z
+    area = -0.5 * (np.conj(v[:, :-1]) * v[:, 1:]).imag.sum(axis=1)
+    assert np.abs(sheared - c * area).max() <= 1e-12
+
+
 class _CountingField:
-    """Forwards ``potential_gradient`` to a field and counts the calls."""
+    """Forwards ``potential_gradient`` to a field and counts the points it
+    is asked for."""
 
     def __init__(self, field):
         self.field = field
-        self.calls = 0
+        self.points = 0
 
     def potential_gradient(self, z):
-        self.calls += 1
+        self.points += np.size(z)
         return self.field.potential_gradient(z)
 
 
-def _three_evaluation_rk4(field, start, a, b, bps, delta, steps):
-    """RK4 evaluating the gradient at a step's start, middle and end."""
-    x = np.full(a.shape[0], float(start[0]))
-    y = np.full(a.shape[0], float(start[1]))
-    t = np.full(a.shape[0], float(start[2]))
-
-    def tdot(x, y, alpha, beta):
-        px, py = field.potential_gradient(x + 1j * y)
-        return delta * (alpha * py + beta * px)
-
-    for j, (s0, s1) in enumerate(zip(bps, bps[1:])):
-        h = (s1 - s0) / steps
-        vx = delta * a[:, j]
-        vy = -delta * b[:, j]
-        for _ in range(steps):
-            k1 = tdot(x, y, a[:, j], b[:, j])
-            k2 = tdot(x + 0.5 * h * vx, y + 0.5 * h * vy, a[:, j], b[:, j])
-            k4 = tdot(x + h * vx, y + h * vy, a[:, j], b[:, j])
-            t = t + (h / 6.0) * (k1 + 4.0 * k2 + k4)
-            x = x + h * vx
-            y = y + h * vy
-    return np.stack([x, y, t], axis=1)
-
-
-@pytest.mark.parametrize("field", [ConstantDensity(4.0), P_Z4, RADIAL])
-def test_endpoints_reuse_end_gradient_bitwise(field):
+def test_lift_takes_twelve_gradient_points_per_interval():
     rng = np.random.default_rng(23)
     a = rng.uniform(-0.7, 0.7, (40, 5))
     b = rng.uniform(-0.7, 0.7, (40, 5))
     bps = (0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
-    start, delta, steps = (0.4, -1.1, 0.25), 1.7, 17
-    counting = _CountingField(field)
-    ends = integrate_endpoints(counting, start, a, b, bps, delta, steps)
-    want = _three_evaluation_rk4(field, start, a, b, bps, delta, steps)
-    assert np.array_equal(ends.view(np.uint64), want.view(np.uint64))
-    assert counting.calls == 2 * steps * a.shape[1] + 1
+    counting = _CountingField(RADIAL)
+    integrate_endpoints(counting, (0.4, -1.1, 0.25), a, b, bps, 1.7)
+    assert counting.points == 40 * 5 * 12
 
 
 def test_integrate_endpoints_rejects_bad_input():
     a = b = np.zeros((1, 2))
     bps = (0.0, 0.5, 1.0)
-    for delta, steps in ((1.0, 15), (0.0, 16), (-1.0, 16), (math.nan, 16)):
+    for delta in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
-            integrate_endpoints(P_Z2, (0, 0, 0), a, b, bps, delta, steps)
+            integrate_endpoints(P_Z2, (0, 0, 0), a, b, bps, delta)
+    bad_inputs = [
+        ((math.nan, 0, 0), a, b, bps),                  # NaN start
+        ((0, 0, math.inf), a, b, bps),                  # infinite t
+        ((0, 0), a, b, bps),                            # no t
+        ((0, 0, 0), np.full((1, 2), 5.0), b, bps),      # outside the disk
+        ((0, 0, 0), np.full((1, 2), math.nan), b, bps),  # NaN control
+        ((0, 0, 0), a, b, (0.0, 1.5, 1.0)),             # not increasing
+        ((0, 0, 0), a, b, (0.0, 0.5, 3.0)),             # not ending at 1
+        ((0, 0, 0), a, b, (0.5, 0.75, 1.0)),            # not starting at 0
+        ((0, 0, 0), a, b, (0.0, 1.0)),                  # one too few
+        ((0, 0, 0), a, b, (0.0, math.nan, 1.0)),        # NaN breakpoint
+        ((0, 0, 0), np.zeros((3, 2)), b, bps),          # unequal shapes
+        ((0, 0, 0), np.zeros(2), np.zeros(2), bps),     # 1-D controls
+        ((0, 0, 0), np.zeros((1, 0)), np.zeros((1, 0)), (0.0,)),  # empty
+    ]
+    for start, a_bad, b_bad, bps_bad in bad_inputs:
+        with pytest.raises(ValueError):
+            integrate_endpoints(P_Z2, start, a_bad, b_bad, bps_bad, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +301,11 @@ def test_ball_volume_nondecreasing_in_delta():
 def test_ball_volume_requires_enough_paths():
     with pytest.raises(ValueError):
         ball_volume_mc(ConstantDensity(1.0), 0j, 0.0, 1.0, n_paths=10)
+
+
+@pytest.mark.parametrize("z, t", [(0j, math.nan), (0j, math.inf),
+                                  (complex(math.nan, 0), 0.0),
+                                  (complex(0, math.inf), 0.0)])
+def test_ball_volume_rejects_a_base_point_that_is_not_finite(z, t):
+    with pytest.raises(ValueError):
+        ball_volume_mc(ConstantDensity(1.0), z, t, 1.0, n_paths=1000)

@@ -614,6 +614,22 @@ def test_twist_many_is_per_endpoint_across_blocks():
         assert np.array_equal(many, _bits(twist_many(f, z, ws[::-1])[::-1]))
 
 
+@pytest.mark.parametrize("z, w", [(complex(math.nan, 0), 1j),
+                                  (0j, complex(0, math.inf)),
+                                  (0j, complex(math.nan, math.nan))])
+def test_twist_many_rejects_points_that_are_not_finite(z, w):
+    with pytest.raises(ValueError):
+        twist_many(RadialAlphaDensity(0.5), z, [1 + 1j, w])
+
+
+@pytest.mark.parametrize("w", [1e200, 1e200j])
+def test_twist_many_raises_where_a_twist_is_not_finite(w):
+    # the radial gradient overflows far out: an error, not a NaN (and no
+    # overflow warning)
+    with pytest.raises(CCStructError, match="line integral"):
+        twist_many(RadialAlphaDensity(0.5), 1 + 1j, [2 + 1j, w])
+
+
 def test_twist_many_temporaries_stay_small():
     # unblocked, 5,000 endpoints x 96 complex nodes peaked at 39 MB
     f = RadialAlphaDensity(0.5)
