@@ -130,9 +130,10 @@ class DensityField:
 
     def disk_mass_many(self, centers, r):
         """``disk_mass`` of an array of centers at the common radius r, as
-        an array in the centers' shape: the coarse search's lattices and
-        classify's mass table.  The same kernel and bits as ``disk_mass``;
-        a name of its own so that a profile counts these calls apart."""
+        an array in the centers' shape: classify's mass table (the sup
+        search's coarse lattices go through ``disk_mass`` in blocks).  The
+        same kernel and bits as ``disk_mass``; a name of its own so that a
+        profile counts these calls apart."""
         centers = np.asarray(centers, dtype=complex)
         return self._checked_masses(centers, np.full(centers.shape, float(r)))
 
@@ -394,9 +395,18 @@ class RadialProfileDensity(DensityField):
             return np.multiply(*self._annulus_integrand(
                 d[live, None], r[live, None])(x))
 
-        out[far] += quadrature.adaptive_1d(integrand, 0.0, 0.5 * math.pi,
-                                           rel_tol=_ANNULUS_REL_TOL,
-                                           rows=len(d))
+        # far from the origin 2 d s, or a profile's s^2, overflows and the
+        # integrand would round to 0: an error, not a mass of 0.0
+        try:
+            with np.errstate(over="raise"):
+                out[far] += quadrature.adaptive_1d(
+                    integrand, 0.0, 0.5 * math.pi, rel_tol=_ANNULUS_REL_TOL,
+                    rows=len(d))
+        except FloatingPointError:
+            raise CCStructError(
+                f"annulus integrand of {self.family} field overflows on a "
+                f"disk reaching {float(np.max(d + r))!r} from the "
+                "origin") from None
         return out[back]
 
     def _annulus_integrand(self, d, r):
@@ -485,43 +495,65 @@ def _bump_fractions_inside(d, rho, r):
     boundaries s = |r - d|/rho and s = (r + d)/rho where the wedge angle
     has kinks, so fixed Gauss-Legendre converges fast on each piece.  The
     piece beyond (r + d)/rho lies wholly outside the disk (wedge angle 0)
-    and is not evaluated.  Both pieces of a block of pairs run as one
-    (pairs x 2 x nodes) array within ``KERNEL_BUDGET``.  Empty pieces add
-    exactly zero, and each piece's node sum is a BLAS dot product, so a
-    pair's fraction does not depend on the other pairs in the call.
+    and is not evaluated.  On the first piece the bump's circle of radius
+    rho s lies wholly inside the disk where r > d (angle 2 pi) and wholly
+    outside it where d > r (angle 0): there the angle is that constant, and
+    an outside first piece is skipped.  Only where |r - d| <= 1e-9 (d + r)
+    is the first piece's angle computed, as it always is on the second.
+    The pairs run in blocks, each piece one (pairs x nodes) array within
+    ``KERNEL_BUDGET``.  Empty pieces add exactly zero, and each piece's
+    node sum is a BLAS dot product, so a pair's fraction does not depend on
+    the other pairs in the call.
     """
     x, w = quadrature.gauss_legendre(_BUMP_NODES)
     r = np.broadcast_to(r, d.shape)
-    # the piece ends, one row (0, lo, hi) per pair
-    ends = np.zeros((len(d), 3))
-    np.minimum(np.abs(r - d) / rho, 1.0, out=ends[:, 1])
-    np.minimum((r + d) / rho, 1.0, out=ends[:, 2])
-    num = np.empty(d.shape)
-    step = KERNEL_BUDGET // (2 * _BUMP_NODES)
-    for k in range(0, len(d), step):
-        a, b = ends[k:k + step, :2], ends[k:k + step, 1:]
-        dc = d[k:k + step, None, None]
-        rc = r[k:k + step, None, None]
-        half = (0.5 * (b - a))[:, :, None]
-        s = a[:, :, None] + half * (x + 1.0)
-        radii = rho[k:k + step, None, None] * s
-        # a pair with dc < 1e-15 (a subnormal dc too) may divide by 0 or
-        # overflow here; its angle is replaced below
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cosv = (dc * dc + radii ** 2 - rc * rc) / (2.0 * dc * radii)
-            # arccos(-1) = pi and arccos(1) = 0, so the clip gives 2 pi
-            # wholly inside the disk and 0 wholly outside it
-            ang = 2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))
-            # the mollifier: s <= 1 on every node, and s = 1 gives
-            # exp(-inf) = 0
+
+    def piece(a, b, d, rho, r, angle=None):
+        # the integral over s in [a, b], one row per pair; the wedge angle
+        # is ``angle`` on every node, or else computed
+        half = (0.5 * (b - a))[:, None]
+        s = a[:, None] + half * (x + 1.0)
+        # the mollifier: s <= 1 on every node, and s = 1 gives exp(-inf) = 0
+        with np.errstate(divide="ignore"):
             phi = np.exp(-1.0 / (1.0 - s * s))
-        if np.any(dc < 1e-15):
-            ang = np.where(dc < 1e-15,
-                           np.where(radii <= rc, 2.0 * math.pi, 0.0), ang)
-        vals = phi * s * ang
-        piece = ((half * w)[..., None, :] @ vals[..., :, None])[..., 0, 0]
-        piece = np.where(b > a, piece, 0.0)
-        num[k:k + step] = piece[:, 0] + piece[:, 1]
+        if angle is None:
+            dc, rc = d[:, None], r[:, None]
+            radii = rho[:, None] * s
+            # a pair with dc < 1e-15 (a subnormal dc too) may divide by 0
+            # or overflow here; its angle is replaced below
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                cosv = (dc * dc + radii ** 2 - rc * rc) / (2.0 * dc * radii)
+                # arccos(-1) = pi and arccos(1) = 0, so the clip gives
+                # 2 pi wholly inside the disk and 0 wholly outside it
+                angle = 2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))
+            if np.any(dc < 1e-15):
+                angle = np.where(dc < 1e-15,
+                                 np.where(radii <= rc, 2.0 * math.pi, 0.0),
+                                 angle)
+        vals = phi * s * angle
+        out = ((half * w)[:, None, :] @ vals[:, :, None])[:, 0, 0]
+        return np.where(b > a, out, 0.0)
+
+    num = np.empty(d.shape)
+    step = KERNEL_BUDGET // _BUMP_NODES
+    for k in range(0, len(d), step):
+        dk, rhok, rk = d[k:k + step], rho[k:k + step], r[k:k + step]
+        lo = np.minimum(np.abs(rk - dk) / rhok, 1.0)
+        hi = np.minimum((rk + dk) / rhok, 1.0)
+        # The first piece's computed angle is exactly 2 pi or 0 outside the
+        # margin: its outermost node lies eta = 6.1e-4 of the piece inside
+        # |r - d|, where cosv clears -1 or 1 by about eta r / d, while
+        # rounding moves cosv by about u d / |r - d| (u = 1.1e-16), so the
+        # clip is exact wherever |r - d| passes about 2e-13 d, and the
+        # margin of 1e-9 (d + r) is some 5,000 times wider
+        computed = np.abs(rk - dk) <= 1e-9 * (dk + rk)
+        first = np.zeros(len(dk))
+        for rows, angle in ((~computed & (rk > dk), 2.0 * math.pi),
+                            (computed, None)):
+            first[rows] = piece(np.zeros(np.count_nonzero(rows)), lo[rows],
+                                dk[rows], rhok[rows], rk[rows], angle)
+        num[k:k + step] = first + piece(lo, hi, dk, rhok, rk)
     return num / _MOLLIFIER_MASS
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import math
 import types
 import weakref
@@ -270,12 +271,18 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     its [value, witness, counts], a value may be inf, or in their place
     the CCStructError that the search's coarse stage raised.
 
-    Coarse stage, per search: log-spaced ladder of h crossed with a square
-    lattice masked to the disk, one ``disk_mass_many`` call per rung (the
-    ``disk_mass`` kernel at a common radius), the largest rung first and
-    then the others ascending, so that a search whose widest disks fail
-    fails at its first call; its values rank the cells that the polish
-    starts from.  Polish: the top cells of all the searches are polished
+    Coarse stage: per search, a log-spaced ladder of h crossed with a
+    square lattice masked to the disk, one lattice of disks per rung.  The
+    (search, rung) lattices run through ``disk_mass`` in blocks of whole
+    lattices, up to ``KERNEL_BUDGET`` disks (a larger lattice is a block of
+    its own), each built as its turn comes: first every search's largest
+    rung, so that a search whose widest disks fail pays for no other rung,
+    then each search's other rungs ascending.  Each returned block is
+    reduced at once to each rung's top cells, which rank the cells that
+    the polish starts from.  A block that raises CCStructError and holds
+    more than one lattice runs again a lattice at a time, and each search
+    keeps the error of its first failing lattice and is dropped from the
+    later blocks.  Polish: the top cells of all the searches are polished
     together by one lock-step Nelder-Mead in (x, y, log h)
     (``_nelder_mead``, one array state machine over all the starts) with
     projection onto each search's feasible set
@@ -283,7 +290,7 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     by its owner's search).  Each round evaluates all its points with one
     array call of ``disk_mass``.  Every array mass has the bits of the
     scalar ``disk_mass`` and every start takes the steps of its lone run,
-    so a search's value and witness do not depend on the searches polished
+    so a search's value and witness do not depend on the searches searched
     with it.  Each witness is picked as a lone search would: over its top
     cells in order, the cell with its coarse value and then its polished
     point.  ``counts`` holds the search's polish evaluations
@@ -291,8 +298,7 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     (``polish_rounds``, the most of any of its starts).
     """
     bounds = []       # (center, R, dh_min, dh_max, scale) per search
-    starts = []       # (search, coarse value, zhat, h) per polish start
-    out = []          # per search: [value, witness, counts] or its error
+    lattices = []     # (cells, rungs) per search
     for center, search_radius, dh_max, scale in searches:
         center = complex(center)
         search_radius = float(search_radius)
@@ -307,27 +313,68 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
         zz = (center + ax[None, :] + 1j * ax[:, None]).ravel()
         mask = np.abs(zz - center) <= search_radius + 1e-12 * max(
             1.0, search_radius)
-        zz = zz[mask]
         bounds.append((center, search_radius, dh_min, dh_max, scale))
+        lattices.append((zz[mask], rungs))
 
-        candidates = []   # (coarse value, zhat, h), rungs ascending
+    failed = {}       # search -> the error of its coarse stage
+    tops = [[None] * len(r) for _, r in lattices]   # per search and rung
+
+    def blocks(queue):
+        # whole lattices in blocks of up to KERNEL_BUDGET disks, each built
+        # once the one before it is reduced, without the failed searches
+        block, size = [], 0
+        for s, k in queue:
+            n = len(lattices[s][0])
+            if s not in failed and block and size + n > KERNEL_BUDGET:
+                yield block
+                block, size = [], 0
+            # (a search may have failed in the block just reduced)
+            if s not in failed:
+                block.append((s, k))
+                size += n
+        if block:
+            yield block
+
+    def reduce(block):
+        # each rung of the block to its top cells; a failing block of more
+        # than one lattice runs again a lattice at a time
+        cells = [lattices[s][0] for s, _ in block]
+        sizes = [len(c) for c in cells]
         try:
-            # the largest rung first: a disk that fails is most likely the
-            # widest, so a failing search pays for one rung
-            last = field.disk_mass_many(zz, float(rungs[-1]))
-            for k, h in enumerate(rungs):
-                mass = (last if k == len(rungs) - 1
-                        else field.disk_mass_many(zz, float(h)))
-                vals = (scale / float(h)) * mass
-                top = np.argsort(vals)[::-1][: opts.n_polish]
-                for i in top:
-                    candidates.append((float(vals[i]), complex(zz[i]),
-                                       float(h)))
+            got = field.disk_mass(np.concatenate(cells), np.repeat(
+                [lattices[s][1][k] for s, k in block], sizes))
         except CCStructError as exc:
-            out.append(exc)
+            if len(block) == 1:
+                failed[block[0][0]] = exc
+                return
+            for lattice in block:
+                if lattice[0] not in failed:
+                    reduce([lattice])
+            return
+        for (s, k), mass in zip(block, np.split(got, np.cumsum(sizes[:-1]))):
+            h = float(lattices[s][1][k])
+            vals = (bounds[s][4] / h) * mass
+            top = np.argsort(vals)[::-1][: opts.n_polish]
+            tops[s][k] = [(float(vals[i]), complex(lattices[s][0][i]), h)
+                          for i in top]
+
+    largest = [(s, len(r) - 1) for s, (_, r) in enumerate(lattices)]
+    others = [(s, k) for s, (_, r) in enumerate(lattices)
+              for k in range(len(r) - 1)]
+    for block in itertools.chain(blocks(largest), blocks(others)):
+        reduce(block)
+
+    starts = []       # (search, coarse value, zhat, h) per polish start
+    out = []          # per search: [value, witness, counts] or its error
+    for s, (center, _, _, dh_max, _) in enumerate(bounds):
+        if s in failed:
+            out.append(failed[s])
             continue
+        # the candidates in ascending rung order, so that the stable sort
+        # ranks ties as a rung-by-rung search would
+        candidates = [c for top in tops[s] for c in top]
         candidates.sort(key=lambda t: -t[0])
-        starts += [(len(out), *c) for c in candidates[: opts.n_polish]]
+        starts += [(s, *c) for c in candidates[: opts.n_polish]]
         out.append([0.0, WitnessDisk(center, dh_max), {"polish_nfev": 0,
                                                        "polish_rounds": 0}])
     if not starts:

@@ -249,6 +249,24 @@ def test_disk_mass_that_overflows_raises():
         assert math.isfinite(f.disk_mass(0, 1e10))
 
 
+def test_far_radial_disk_raises_where_its_annulus_integrand_overflows():
+    # at distance 1e200, 2 d s and the profile's s^2 overflow and the
+    # annulus integrand rounds to 0: the mass, about pi 1e-100, came back
+    # as 0.0 behind two overflow warnings, and lambda_sup as 0.0 too
+    from ccstruct.structure import lambda_sup
+    f = RadialAlphaDensity(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CCStructError, match="annulus integrand of "
+                           "radial_alpha field overflows"):
+            f.disk_mass(1e200, 1.0)
+        with pytest.raises(CCStructError, match="overflows"):
+            lambda_sup(f, 1e200 + 1j, 3.0)
+        # where nothing overflows the mass is right, about pi 1e-75
+        assert f.disk_mass(1e150, 1.0) == pytest.approx(math.pi * 1e-75,
+                                                        rel=1e-7)
+
+
 def test_disk_mass_pairs_reject_bad_input():
     for f in _one_field_per_family():
         with pytest.raises(ValueError, match="pair up"):
@@ -985,25 +1003,27 @@ def test_bump_density_rejects_non_finite_points():
 
 def _two_piece_fractions(d, rho, r, n_nodes=48):
     """The overlap kernel as one (pairs x nodes) array a radial piece,
-    with the mollifier masked to s < 1 and the wedge angle's limits as
-    explicit cases: the kernel's piece-stacked form must match it bit for
-    bit."""
+    with the mollifier masked to s < 1 and the wedge angle computed on
+    every node of both pieces, its limits as explicit cases: the kernel,
+    which takes the first piece's angle as a constant where it can, must
+    match it bit for bit.  ``r`` is a float or one radius per pair."""
     x, w = quadrature.gauss_legendre(n_nodes)
     lo = np.minimum(np.abs(r - d) / rho, 1.0)
     hi = np.minimum((r + d) / rho, 1.0)
     at_center = (d < 1e-15)[:, None]
-    dc = d[:, None]
+    dc, rc = d[:, None], np.broadcast_to(r, d.shape)[:, None]
     num = np.zeros(d.shape)
     for a, b in ((np.zeros(d.shape), lo), (lo, hi)):
         half = (0.5 * (b - a))[:, None]
         s = a[:, None] + half * (x + 1.0)
         radii = rho[:, None] * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosv = (dc * dc + radii ** 2 - r * r) / (2.0 * dc * radii)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cosv = (dc * dc + radii ** 2 - rc * rc) / (2.0 * dc * radii)
             ang = np.where(cosv <= -1.0, 2.0 * math.pi,
                            np.where(cosv >= 1.0, 0.0,
                                     2.0 * np.arccos(np.clip(cosv, -1.0, 1.0))))
-        ang = np.where(at_center, np.where(radii <= r, 2.0 * math.pi, 0.0), ang)
+        ang = np.where(at_center, np.where(radii <= rc, 2.0 * math.pi, 0.0),
+                       ang)
         vals = density._mollifier(s) * s * ang
         piece = ((half * w)[:, None, :] @ vals[:, :, None])[:, 0, 0]
         num += np.where(b > a, piece, 0.0)
@@ -1033,6 +1053,44 @@ def test_bump_fractions_match_two_piece_kernel(r):
            for i in range(0, n, 37)]
     assert np.array_equal(_bits(one), _bits(got[::37]))
     assert density._bump_fractions_inside(d[:0], rho[:0], r).shape == (0,)
+
+
+def test_bump_fractions_keep_the_two_piece_bits_on_partial_pairs():
+    """The first piece's constant angle (skipped where d > r, 2 pi where
+    r > d, outside the margin |r - d| <= 1e-9 (d + r)) keeps the bits of
+    the two-piece rule on random partial pairs: d = r, |r - d| from 1e-16
+    to 1e-6 of r and on both sides of the margin, subnormal d and
+    d < 1e-15, piece ends at s = 1, and r / rho from 1e-3 to 1e3."""
+    rng = np.random.default_rng(32)
+    n = 28_000
+    rho = rng.uniform(0.02, 1.5, n)
+    r = rho * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    d = rng.uniform(np.maximum(r - rho, 0.0), r + rho)
+    kind = np.arange(n) % 8
+    sign = rng.choice([-1.0, 1.0], n)
+    d = np.where(kind == 1, r, d)
+    d = np.where(kind == 2, r * (1.0 + sign * 10.0 ** rng.uniform(-16, -6, n)),
+                 d)
+    # 1.9e-9 and 2.1e-9 relative: just inside and just outside the margin
+    d = np.where(kind == 3, r * (1.0 + sign * rng.uniform(1.9e-9, 2.1e-9, n)),
+                 d)
+    d = np.where(kind == 4, 10.0 ** rng.uniform(-323.0, -308.0, n), d)
+    d = np.where(kind == 5, 10.0 ** rng.uniform(-300.0, -15.0, n), d)
+    # r + d = rho, the second piece ending at s = 1, and |r - d| = rho,
+    # the first piece ending there
+    d = np.where(kind == 6, np.abs(rho - r), d)
+    d = np.where(kind == 7, r + rho * (1.0 - 1e-16), d)
+    d = np.maximum(d, 0.0)
+    partial = (d + rho > r) & (d - rho < r)
+    d, rho, r = d[partial], rho[partial], r[partial]
+    assert len(d) > 20_000
+    margin = np.abs(r - d) <= 1e-9 * (d + r)
+    assert np.count_nonzero(margin & (d != r)) > 100
+    assert np.count_nonzero(~margin & (np.abs(r - d) < 1e-8 * r)) > 100
+    assert np.count_nonzero((0.0 < d) & (d < np.finfo(float).tiny)) > 100
+    assert np.count_nonzero(d > r) > 5_000 and np.count_nonzero(d < r) > 5_000
+    got = density._bump_fractions_inside(d, rho, r)
+    assert np.array_equal(_bits(got), _bits(_two_piece_fractions(d, rho, r)))
 
 
 def test_decaying_lattice_masses():

@@ -18,6 +18,7 @@ from ccstruct.density import (BumpLattice, ConstantDensity,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity)
 from ccstruct.errors import CCStructError, QuadratureFailure
+from ccstruct.quadrature import KERNEL_BUDGET
 from ccstruct import geometry
 from ccstruct.geometry import pen_mass, validate_stockyard
 from ccstruct.structure import (SupOptions, Window, _nelder_mead, _project,
@@ -181,8 +182,9 @@ class _FailsAbove(ConstantDensity):
 
 
 def test_searches_evaluate_each_point_once(monkeypatch):
-    # each search evaluates its lattice once per rung and then only the
-    # points of its polish: no start cell is evaluated a second time
+    # each search evaluates its lattice once per rung, in the coarse
+    # stage's disk_mass blocks, and then only the points of its polish: no
+    # start cell is evaluated a second time
     f = RadialAlphaDensity(0.5)
     sizes = {"disk_mass": [], "disk_mass_many": []}
     for name, seen in sizes.items():
@@ -197,9 +199,13 @@ def test_searches_evaluate_each_point_once(monkeypatch):
     lattice = np.count_nonzero(np.hypot(*np.meshgrid(ax, ax)) <= ax[-1])
     # delta = 1e-3 is DELTA_HAT_MIN: a ladder of one rung
     rungs = [CLASSIFY_OPTS.n_rungs, CLASSIFY_OPTS.n_rungs, 1]
-    assert sizes["disk_mass_many"] == [lattice] * sum(rungs)
-    assert sum(sizes["disk_mass"]) == sum(e.meta["polish_nfev"]
-                                          for e in ests)
+    assert sum(rungs) * lattice <= KERNEL_BUDGET
+    # two coarse blocks: every search's largest rung, then the other rungs
+    assert sizes["disk_mass"][:2] == [len(cells) * lattice,
+                                      (sum(rungs) - len(cells)) * lattice]
+    assert sizes["disk_mass_many"] == []
+    assert sum(sizes["disk_mass"]) == sum(rungs) * lattice + sum(
+        e.meta["polish_nfev"] for e in ests)
 
 
 def test_coarse_failures_stay_with_their_searches(monkeypatch):
@@ -245,6 +251,85 @@ def test_a_search_failing_at_its_largest_rung_makes_one_coarse_call():
                                   CLASSIFY_OPTS)
     assert isinstance(got, QuadratureFailure)
     assert radii == [3.0]
+
+
+class _FailsInside(ConstantDensity):
+    """The constant density 1 whose disk masses raise QuadratureFailure,
+    naming the largest such radius of the batch, where a radius lies in
+    (lo, hi)."""
+
+    def __init__(self, lo, hi):
+        super().__init__(1.0)
+        self.lo, self.hi = lo, hi
+        self.batches = []
+
+    def _disk_masses(self, centers, radii):
+        self.batches.append(len(radii))
+        bad = radii[(self.lo < radii) & (radii < self.hi)]
+        if len(bad):
+            raise QuadratureFailure(f"no mass at radius {float(bad.max())!r}")
+        return super()._disk_masses(centers, radii)
+
+
+@pytest.mark.parametrize("band, failing, expect, batches", [
+    # both largest rungs share a block and one fails there: the block runs
+    # again a lattice at a time
+    ((1.5, math.inf), (0j, 2.0, 2.0, 2.0), 2.0, [2, 1, 1, 9]),
+    # the largest rungs pass, and two rungs of the failing search fail in
+    # the block of the other rungs: the error is the lower one's, not the
+    # block's
+    ((0.01, 0.05), (0j, 0.5, 0.5, 0.5), float(np.geomspace(1e-3, 0.5, 10)[4]),
+     [2, 18] + [1] * 5 + [1] * 9)])
+def test_a_failing_and_a_passing_search_share_a_coarse_block(
+        band, failing, expect, batches):
+    # the failing search raises its own error; the passing one keeps the
+    # bits, witness and counts of its lone search
+    from ccstruct.structure import optimize_weighted_disk
+    assert CLASSIFY_OPTS.n_rungs == 10
+    passing = (1j, 0.009, 0.009, 0.009)
+    want, = optimize_weighted_disk(ConstantDensity(1.0), [passing],
+                                   CLASSIFY_OPTS)
+    f = _FailsInside(*band)
+    bad, got = optimize_weighted_disk(f, [failing, passing], CLASSIFY_OPTS)
+    assert isinstance(bad, QuadratureFailure)
+    assert str(bad) == f"no mass at radius {expect!r}"
+    assert _bits(got[0]) == _bits(want[0])
+    assert got[1:] == want[1:]
+    ax = np.arange(CLASSIFY_OPTS.grid) - CLASSIFY_OPTS.grid // 2
+    lattice = np.count_nonzero(np.hypot(*np.meshgrid(ax, ax)) <= ax[-1])
+    # the coarse calls, then the polish's
+    assert f.batches[:len(batches)] == [n * lattice for n in batches]
+
+
+def test_a_lone_search_raises_the_error_of_its_lowest_failing_rung():
+    # the block of its other rungs fails, naming its largest bad radius;
+    # run again a lattice at a time, it names the lowest, as a search of
+    # one call per rung does
+    from ccstruct.structure import optimize_weighted_disk
+    got, = optimize_weighted_disk(_FailsInside(0.01, 0.05),
+                                  [(0j, 0.5, 0.5, 0.5)], CLASSIFY_OPTS)
+    rung = float(np.geomspace(1e-3, 0.5, CLASSIFY_OPTS.n_rungs)[4])
+    assert str(got) == f"no mass at radius {rung!r}"
+
+
+def test_coarse_stage_memory_does_not_grow_with_the_searches():
+    # the coarse blocks are built one at a time: six radial searches at
+    # the full budget (76,512 coarse disks) peak within a small constant of
+    # one search (12,752)
+    from ccstruct.structure import optimize_weighted_disk
+    f = RadialAlphaDensity(0.5)
+    searches = [(complex(k, -k), d, d, d)
+                for k, d in enumerate((0.5, 1.0, 2.0, 0.5, 1.0, 2.0))]
+    optimize_weighted_disk(f, searches[:1], SupOptions())
+    peaks = []
+    for batch in (searches[:1], searches):
+        tracemalloc.start()
+        try:
+            optimize_weighted_disk(f, batch, SupOptions())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1e6
 
 
 def test_a_failed_cell_does_not_keep_its_field_alive():
