@@ -456,7 +456,8 @@ class RadialAlphaDensity(RadialProfileDensity):
         # libm pow, as Python's float ** float for the base 1 + r^2 >= 1,
         # where np.power's SIMD loops round differently
         r = np.asarray(r, dtype=float)
-        x = np.multiply(r, r).ravel()
+        with np.errstate(over="ignore"):  # disk_mass raises on an inf mass
+            x = np.multiply(r, r).ravel()
         x += 1.0
         np.float_power(x, 1.0 - self.alpha / 2.0, out=x)
         x -= 1.0

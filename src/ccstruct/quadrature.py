@@ -47,17 +47,22 @@ def gl_nodes(a: float, b: float, n: int):
     return a + half * (x + 1.0), half * w
 
 
-def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
-                rows=None):
+#: ``adaptive_1d``'s Gauss-Legendre orders, each group one call of f.  On a
+#: 2-core host numpy's eigenvalue rule takes 0.6 s at 2048 nodes, 45 s at 8192
+_ADAPTIVE_ORDERS = ((16, 32),) + tuple((2 ** k,) for k in range(6, 12))
+
+
+def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, rows=None):
     """Integrate a smooth scalar function on [a, b]; ``f`` maps an array
     of nodes to its values elementwise.
 
-    Doubles the Gauss-Legendre order from 16 until two successive
-    estimates agree to ``rel_tol`` (relative, with an absolute floor for
-    near-zero integrals).  The 16- and 32-node rules share one call of
-    ``f`` on both rules' nodes, and each estimate is a weighted sum over
-    its own slice, so an elementwise ``f`` gives the same value as one
-    call per rule.  Raises QuadratureFailure if the budget is exhausted.
+    Runs the Gauss-Legendre orders of ``_ADAPTIVE_ORDERS`` until two
+    successive estimates agree to ``rel_tol`` (relative, with an absolute
+    floor for near-zero integrals).  The 16- and 32-node rules share one
+    call of ``f`` on both rules' nodes, and each estimate is a weighted
+    sum over its own slice, so an elementwise ``f`` gives the same value
+    as one call per rule.  Raises QuadratureFailure when the 2048-node
+    estimate has not settled.
 
     With ``rows`` = k, k integrands on [a, b] run in one doubling loop:
     ``f(x, live)`` maps the nodes to a (len(live), len(x)) array, the
@@ -69,26 +74,15 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
     each row, so a row's integral has the bits of a lone call of that row.
     """
     lone = rows is None
-    if lone:
-        # a lone integrand is a batch of one row (not copied: the einsum's
-        # rounding may depend on its buffer's alignment)
-        def fun(x, live):
-            return np.asarray(f(x), dtype=float)[None]
-    else:
-        fun = f
+    # a lone integrand is a batch of one row (not copied: the einsum's
+    # rounding may depend on its buffer's alignment)
+    fun = (lambda x, live: np.asarray(f(x), dtype=float)[None]) if lone else f
     out = np.zeros(1 if lone else rows)
     if b == a or not len(out):
         return 0.0 if lone else out
-    # the orders of the rules, each group sharing one call of f
-    groups, n = [], 16
-    if max_order >= 32:
-        groups, n = [[16, 32]], 64
-    while n <= max_order:
-        groups.append([n])
-        n *= 2
     live = np.arange(len(out))
     prev = None
-    for group in groups:
+    for group in _ADAPTIVE_ORDERS:
         rules = [gl_nodes(a, b, m) for m in group]
         x = np.concatenate([x for x, _ in rules])
         step = max(1, KERNEL_BUDGET // len(x))
@@ -111,9 +105,8 @@ def adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14, max_order=2048,
                     return float(out[0]) if lone else out
             else:
                 prev = est
-    raise QuadratureFailure(
-        f"1D quadrature on [{a}, {b}] did not converge to rel_tol={rel_tol}"
-    )
+    raise QuadratureFailure(f"1D quadrature on [{a}, {b}] did not converge to "
+                            f"rel_tol={rel_tol}")
 
 
 # polar_sector and its helper stay for perfbench alone, which binds

@@ -40,7 +40,7 @@ import numpy as np
 from . import quadrature
 from .density import DensityField
 from .errors import CCStructError, InvalidStockyard
-from .geometry import Pen, Stockyard, stockyard_mass
+from .geometry import Pen, Stockyard, _im_dz_pz, stockyard_mass
 from .quadrature import KERNEL_BUDGET
 
 #: fixed Gauss-Legendre order of ``twist_many``
@@ -529,9 +529,9 @@ def lambda_stockyard(field: DensityField, z, delta):
 def _segment_integrals(field: DensityField, starts, ends, nodes):
     """The line integral of P_y dx - P_x dy along each straight segment
     from ``starts`` to ``ends`` (complex arrays of one size, or one start
-    for all ends), -2 Im( integral_0^1 (b - a) P_z(a + r (b - a)) dr ) with
-    P_z = (P_x - i P_y) / 2, by the fixed ``nodes``-point Gauss-Legendre
-    rule, as a flat array.  Runs in blocks whose complex (segments x nodes)
+    for all ends), -2 integral_0^1 ``geometry._im_dz_pz`` at a + r (b - a)
+    with tangent b - a, by the fixed ``nodes``-point Gauss-Legendre rule,
+    as a flat array.  Runs in blocks whose complex (segments x nodes)
     arrays fit ``KERNEL_BUDGET``; einsum sums each row in node order, as
     matmul does on these strided rows of two or more segments (on one
     segment matmul calls BLAS ddot, whose sum rounds differently), so a
@@ -551,9 +551,8 @@ def _segment_integrals(field: DensityField, starts, ends, nodes):
         for lo in range(0, len(ends), step):
             a = starts[lo:lo + step, None]
             d = ends[lo:lo + step, None] - a
-            px, py = field.potential_gradient(a + d * x)
-            pz = 0.5 * (px - 1j * py)
-            vals[lo:lo + step] = np.einsum("ij,j->i", (d * pz).imag, wts)
+            vals[lo:lo + step] = np.einsum(
+                "ij,j->i", _im_dz_pz(field, a + d * x, d), wts)
         vals *= -2.0
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):

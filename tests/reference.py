@@ -16,6 +16,8 @@ compares a kernel against them checks it against another method.
   and where the chord's ends cross a grid row, of the exact inner
   integral of the density along the chord, piecewise linear in y.
 * ``twist``: ``quad`` of -2 Im((w - z) P_z) along the segment from z to w.
+* ``line_integral``: ``quad`` of omega = P_y dx - P_x dy along each piece
+  of a curve, and of |omega| for the size its error is measured against.
 """
 
 import cmath
@@ -131,3 +133,26 @@ def twist(field, z, w):
         return ((w - z) * 0.5 * complex(px[0], -py[0])).imag
 
     return -2.0 * _quad(integrand, 0.0, 1.0)
+
+
+def _omega(field, piece, u):
+    """omega = P_y dx - P_x dy at the parameter u of a curve piece."""
+    u = np.array([u])
+    dz = complex(piece.derivative(u)[0])
+    px, py = field.potential_gradient(piece.point(u))
+    return float(py[0]) * dz.real - float(px[0]) * dz.imag
+
+
+def line_integral(field, curve, absolute=False):
+    """The line integral of omega = P_y dx - P_x dy along the curve, one
+    ``quad`` a piece over its parameter in [0, 1].  With ``absolute``, the
+    sum over the pieces of the integral of |omega|, the size that errors
+    are measured against, to 1e-8 relative or 1e-12 absolute: |omega| has
+    kinks where omega changes sign, and along a radial edge of a radial
+    field omega is round-off."""
+    if absolute:
+        return math.fsum(quad(lambda u, p=p: abs(_omega(field, p, u)),
+                              0.0, 1.0, epsabs=1e-12, epsrel=1e-8,
+                              limit=LIMIT)[0] for p in curve.pieces)
+    return math.fsum(_quad(lambda u, p=p: _omega(field, p, u), 0.0, 1.0)
+                     for p in curve.pieces)

@@ -267,6 +267,19 @@ def test_far_radial_disk_raises_where_its_annulus_integrand_overflows():
                                                         rel=1e-7)
 
 
+def test_huge_radial_disk_raises_without_a_warning():
+    # r^2 overflows in the closed form of m(r): the inf mass is the error,
+    # with no numpy warning before it
+    f = RadialAlphaDensity(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for center in (0, 1.0):
+            with pytest.raises(CCStructError, match=re.escape(
+                    f"disk mass of radial_alpha field is inf at center "
+                    f"{complex(center)!r}, radius 1e+160")):
+                f.disk_mass(center, 1e160)
+
+
 def test_disk_mass_pairs_reject_bad_input():
     for f in _one_field_per_family():
         with pytest.raises(ValueError, match="pair up"):
@@ -1037,7 +1050,7 @@ def test_bump_fractions_match_two_piece_kernel(r):
     inside the support), an empty first piece (d = r) and empty pieces
     (lo = hi = 1, the support wholly inside or outside)."""
     rng = np.random.default_rng(int(r * 100))
-    n = 3 * (density.KERNEL_BUDGET // (2 * density._BUMP_NODES)) + 7
+    n = 3 * (density.KERNEL_BUDGET // density._BUMP_NODES) + 7
     d = rng.uniform(0.0, 2.0 * r + 1.0, n)
     rho = rng.uniform(0.02, 1.5, n)
     d[:20] = 0.0

@@ -2,19 +2,22 @@
 constructions (packing grid, seven-loop split)."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ccstruct.density import (ConstantDensity, PolynomialPotential,
                               RadialAlphaDensity)
-from ccstruct.errors import InvalidStockyard
+from ccstruct.errors import CCStructError, InvalidStockyard
 from ccstruct.geometry import (Pen, PlaneCurve, Segment, Stockyard,
                                boundary_line_integral, circle_curve,
                                pack_disks, pen_boundary_distance, pen_mass,
                                point_boundary_distance, polygon_curve,
                                split_loop_into_seven, stockyard_mass,
                                validate_stockyard)
+
+import reference
 
 P_Z2 = PolynomialPotential({(1, 1): 1.0})     # P = |z|^2, lap P = 4
 
@@ -127,6 +130,63 @@ def test_pen_mass_nonconvex_polygon():
     assert pen_mass(P_Z2, pen) == pytest.approx(12.0, rel=1e-6)
     assert boundary_line_integral(P_Z2, pen.boundary) == pytest.approx(
         12.0, rel=1e-6)
+
+
+Z4 = PolynomialPotential({(2, 2): 1.0})       # P = |z|^4
+#: a triangle whose first edge is radial on |z|^4, so that edge adds 0
+ZERO_EDGE_TRIANGLE = [0j, 2 + 0.5j, 0.5 + 1.5j]
+
+
+def test_line_integral_with_a_zero_first_edge():
+    # the quadrature's floor is the curve's size, not its first piece's
+    start = time.perf_counter()
+    line = boundary_line_integral(Z4, polygon_curve(ZERO_EDGE_TRIANGLE))
+    assert time.perf_counter() - start < 1.0
+    mass = pen_mass(Z4, Pen.polygon(ZERO_EDGE_TRIANGLE))
+    assert line == pytest.approx(-mass, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("field", [ConstantDensity(4.0), Z4,
+                                   RadialAlphaDensity(0.5)])
+def test_line_integral_along_an_edge_and_back(field):
+    # omega cancels pointwise between the two pieces, so the floor is
+    # taken piece by piece
+    a, b = 0.3 + 0.1j, 2 + 1j
+    loop = PlaneCurve([Segment(a, b), Segment(b, a)])
+    size = reference.line_integral(field, loop, absolute=True)
+    assert abs(boundary_line_integral(field, loop)) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("field", [ConstantDensity(4.0), Z4,
+                                   RadialAlphaDensity(0.5)])
+def test_line_integral_does_not_depend_on_the_start_vertex(field):
+    # no floor depends on the order of the pieces: each start vertex gives
+    # the value to a few ulps of the curve's size, sum_p int |omega_p|
+    # (of a thin triangle far out the value is 1e-2 of it)
+    rng = np.random.default_rng(33)
+    polygons = [ZERO_EDGE_TRIANGLE]
+    for _ in range(8):
+        k = int(rng.integers(3, 8))
+        ang = np.sort(rng.uniform(0, 2 * math.pi, k))
+        ctr = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        polygons.append([ctr + rng.uniform(0.3, 1.2) * complex(math.cos(a),
+                                                              math.sin(a))
+                         for a in ang])
+    for vs in polygons:
+        first = boundary_line_integral(field, polygon_curve(vs))
+        size = reference.line_integral(field, polygon_curve(vs),
+                                       absolute=True)
+        for j in range(1, len(vs)):
+            line = boundary_line_integral(field,
+                                          polygon_curve(vs[j:] + vs[:j]))
+            assert abs(line - first) <= 4 * np.spacing(size), (vs, j)
+
+
+def test_line_integral_far_out_raises():
+    # |z|^4's gradient overflows on a circle about 1e200: an error at
+    # once, with no numpy warning
+    with pytest.raises(CCStructError, match="line integral"):
+        boundary_line_integral(Z4, Pen.circle(1e200, 1.0).boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ and with it the ``# config`` hash, is the same on every checkout) and
 compares the artifact byte for byte, headers included.  The value cases
 compare ``twist_many`` (one endpoint a call) and ``boundary_line_integral``
 bit for bit, since no CLI artifact runs them; the recorded twists also
-lie within 3e-15 relative of the quad reference of ``reference.py``.
+lie within 3e-15 relative of the quad reference of ``reference.py``, and
+the line integrals within 1e-13 of the reference's integral of |omega|.
 
 To re-record after a deliberate change of output:
 
@@ -73,20 +74,24 @@ TWIST_PAIRS = [(0j, 1 + 1j), (1 + 0j, 1j), (0.5 - 0.25j, -2 + 3j),
                (3 + 1j, 3.5 + 1.5j)]
 
 
+def _curves():
+    """The curves of the line-integral value cases, by name."""
+    loop = circle_curve(0.3 - 0.2j, 1.1)
+    return {"circle": Pen.circle(1 - 1j, 0.7).boundary,
+            "circle_far": Pen.circle(4 + 2j, 2.5).boundary,
+            "triangle": polygon_curve([0.25 + 0.1j, 2 + 0.5j, 0.5 + 1.5j]),
+            "split_piece": split_loop_into_seven(loop)[3]}
+
+
 def _line_integral_values():
     """(label, value) pairs of twist_many and boundary_line_integral on
     the constant, |z|^4 and radial_alpha fields."""
-    loop = circle_curve(0.3 - 0.2j, 1.1)
-    curves = {"circle": Pen.circle(1 - 1j, 0.7).boundary,
-              "circle_far": Pen.circle(4 + 2j, 2.5).boundary,
-              "triangle": polygon_curve([0.25 + 0.1j, 2 + 0.5j, 0.5 + 1.5j]),
-              "split_piece": split_loop_into_seven(loop)[3]}
     out = []
     for fname, field in FIELDS.items():
         for z, w in TWIST_PAIRS:
             out.append((f"twist_many/{fname}/{z}/{w}",
                         float(twist_many(field, z, [w])[0])))
-        for cname, curve in curves.items():
+        for cname, curve in _curves().items():
             out.append((f"line/{fname}/{cname}",
                         boundary_line_integral(field, curve)))
     return out
@@ -122,6 +127,16 @@ def test_twist_values_match_the_reference():
             got = want[f"twist_many/{fname}/{z}/{w}"]
             assert got == pytest.approx(reference.twist(field, z, w),
                                         rel=3e-15, abs=0.0), (fname, z, w)
+
+
+def test_line_values_match_the_reference():
+    want = dict(json.loads((GOLDEN / VALUES_FILE).read_text()))
+    for fname, field in FIELDS.items():
+        for cname, curve in _curves().items():
+            got = want[f"line/{fname}/{cname}"]
+            size = reference.line_integral(field, curve, absolute=True)
+            assert abs(got - reference.line_integral(field, curve)) <= (
+                1e-13 * size), (fname, cname)
 
 
 def _record():

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from ccstruct import quadrature
+from ccstruct.cli import main
 from ccstruct.density import RadialAlphaDensity, RadialProfileDensity
 from ccstruct.errors import QuadratureFailure
 from ccstruct.geometry import Pen, boundary_line_integral
@@ -32,20 +33,20 @@ def test_adaptive_1d_zero_interval():
 
 
 def _per_order_adaptive_1d(f, a, b, rel_tol=1e-9, abs_floor=1e-14,
-                           max_order=2048, rows=None):
-    """The order-doubling rule with one call of f per order, each estimate
-    summed by the einsum of ``adaptive_1d``: the fused start must give its
-    values bit for bit.  With ``rows``, each row of the batch runs the rule
-    on its own."""
+                           rows=None):
+    """The order-doubling rule with one call of f per order, from 16 to
+    2048 nodes, each estimate summed by the einsum of ``adaptive_1d``: the
+    fused start must give its values bit for bit.  With ``rows``, each row
+    of the batch runs the rule on its own."""
     if rows is not None:
         return np.array([_per_order_adaptive_1d(
-            lambda x, i=i: f(x, np.array([i]))[0], a, b, rel_tol, abs_floor,
-            max_order) for i in range(rows)])
+            lambda x, i=i: f(x, np.array([i]))[0], a, b, rel_tol, abs_floor)
+            for i in range(rows)])
     if b == a:
         return 0.0
     prev = None
     n = 16
-    while n <= max_order:
+    while n <= 2048:
         x, w = gl_nodes(a, b, n)
         val = float(np.einsum("ij,j->i", np.asarray(f(x), dtype=float)[None],
                               w)[0])
@@ -122,15 +123,12 @@ def test_adaptive_1d_converged_at_32_nodes_calls_f_once():
     assert calls == [48]
 
 
-def test_adaptive_1d_small_max_order_raises():
-    f, calls = _counting(np.sin)
+def test_adaptive_1d_unconverged_raises_after_2048_nodes():
+    # |x - 1/3| has a kink off every node set: the estimates never settle
+    f, calls = _counting(lambda x: np.abs(x - 1.0 / 3.0))
     with pytest.raises(QuadratureFailure):
-        adaptive_1d(f, 0.0, 1.0, max_order=16)
-    assert calls == [16]
-    f, calls = _counting(np.sin)
-    with pytest.raises(QuadratureFailure):
-        adaptive_1d(f, 0.0, 1.0, max_order=8)
-    assert calls == []
+        adaptive_1d(f, 0.0, 1.0, rel_tol=1e-14)
+    assert calls == [48, 64, 128, 256, 512, 1024, 2048]
 
 
 def test_disk_integral_constant():
@@ -215,18 +213,36 @@ KINKED = _Kinked()
 
 @pytest.fixture
 def fast_legendre(monkeypatch):
-    """Swap the eigenvalue Gauss-Legendre rule (about 45 s to build at
-    8192 nodes) for scipy's faster one: these tests check that running
-    out of orders raises, not the last bits of the nodes."""
+    """Swap numpy's eigenvalue Gauss-Legendre rule for scipy's: m(r) of a
+    step on a piece edge, which the test below compares bit for bit, is
+    exact (0.125, 0.5) with scipy's nodes and weights and an ulp low with
+    numpy's."""
     monkeypatch.setattr(quadrature, "gauss_legendre", roots_legendre)
 
 
-def test_boundary_line_integral_unconverged_raises(fast_legendre):
+def test_boundary_line_integral_unconverged_raises():
     with pytest.raises(QuadratureFailure):
         boundary_line_integral(KINKED, Pen.circle(0.5, 1.0).boundary)
 
 
-def test_radial_disk_mass_across_a_jump_raises(fast_legendre):
+def test_no_rule_above_2048_nodes(monkeypatch, capsys):
+    # the size of every Gauss-Legendre rule asked for, in validate and in
+    # a line integral that runs out of orders
+    sizes = []
+    rule = quadrature.gauss_legendre
+
+    def recording(n):
+        sizes.append(n)
+        return rule(n)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", recording)
+    assert main(["validate"]) == 0
+    with pytest.raises(QuadratureFailure):
+        boundary_line_integral(KINKED, Pen.circle(0.5, 1.0).boundary)
+    assert max(sizes) == 2048
+
+
+def test_radial_disk_mass_across_a_jump_raises():
     # disks whose rim crosses the step at |w| = 1 put the jump inside
     # their annulus integrals, which never settle: each raises, alone or
     # in a batch at a common radius, and none returns a value.  Disks
