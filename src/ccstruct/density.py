@@ -748,14 +748,65 @@ def decaying_bump_lattice(extent):
 
 # ---------------------------------------------------------------------------
 
-#: Gauss-Legendre order of each angular piece of a grid disk mass: between
-#: cuts the integrand is a trigonometric polynomial of degree at most 4,
-#: which this order integrates to round-off on pieces up to pi long
-_GRID_NODES = 20
+def _moment_series():
+    """The series of J_q(h) = integral of V^q over [-h, h], V = 1 - cos,
+    for q = 1..4: J_q(h) = h sum_k A[q, k] h^(2k) over k >= 1.  From
+    V^q = 2^-q (C(2q, q) + 2 sum_j (-1)^j C(2q, q - j) cos(j delta)),
+    A[q, k] = 2^(1-q) (-1)^k N[q, k] / (2k + 1)!, where N[q, k] sums those
+    weights times j^(2k): integers while below 2^53, so the zeros at k < q
+    are exact.  A piece spans at most pi, so h <= pi/2; the series stops
+    before the first term below half an ulp of J_0(pi/2) = pi there, at
+    k = 18 (at 17, J_4 would be 1.5e-15 off)."""
+    q, k = np.arange(5.0), np.arange(24)
+    weights = np.array([[(2.0 - (j == 0)) * (-1) ** j * math.comb(2 * n, n - j)
+                         if j <= n else 0.0 for j in range(5)]
+                        for n in range(5)])
+    coef = ((weights[:, :, None] * q[:, None] ** (2 * k)).sum(axis=1)
+            * (2.0 ** (1 - q))[:, None] * (-1.0) ** k
+            / [float(math.factorial(2 * n + 1)) for n in k])
+    size = np.abs(coef) * (0.5 * math.pi) ** (2 * k + 1)
+    return coef[1:, 1:np.argmax(size.max(axis=0) < 0.5 * math.ulp(math.pi))]
+
+
+#: A grid disk mass is cut into angular pieces on which the column and
+#: the chord ends' rows are fixed.  About a piece's midpoint angle, with
+#: delta = theta - theta_m, S = sin(delta) and V = 1 - cos(delta), the
+#: column offset is X = R (c V + s S) and the upper chord end's row offset
+#: Y = R (c S - s V), in cells, with R = r / cell, c = cos(theta_m) and
+#: s = sin(theta_m).  The chord's integral is a polynomial in X (degree 1)
+#: and Y (degree 2), and dX = R (c S + s (1 - V)) d(delta).  Odd powers of
+#: S integrate to zero and S^2 = V (2 - V), so the moment of X^a Y^b dX is
+#: R^(a+b+1) pref_ab (L_ab + c^2 M_ab).J over the moments J_q of V^q:
+#: J_0 = 2h, and the rest from this series in h^2
+_MOMENT_SERIES = _moment_series()
+#: (L_ab; M_ab) over q = 1..4 for (a, b) = 00, 10, 01, 11, 02, 12, whose
+#: prefactors pref_ab are s, cs, 1, c, s, cs; of J_0, only L_00 holds 1
+_MOMENT_TERMS = np.array([
+    [-1, 0, 0, 0], [3, -2, 0, 0], [-1, 1, 0, 0],
+    [2, -6, 3, 0], [0, 1, -1, 0], [0, -4, 9, -4],
+    [0, 0, 0, 0], [0, 0, 0, 0], [3, -2, 0, 0],
+    [-2, 8, -4, 0], [2, -8, 4, 0], [0, 10, -20, 8]], dtype=float)
+#: a + b + 1 of each coefficient, over (Y power b, X power a)
+_MOMENT_POWERS = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])[
+    :, :, None, None]
+#: the lower and the upper chord end; the lower end's Y^b coefficient
+#: has the sign (-1)^b
+_CHORD_ENDS = np.array([-1.0, 1.0])[:, None, None]
+_LOWER_END = np.array([1.0, -1.0, 1.0])[:, None, None, None]
+#: floats a piece holds in its largest array (the powers of its series)
+_PIECE_FLOATS = _MOMENT_SERIES.shape[1]
+#: Largest r/cell at which a zero-extension grid disk whose rim crosses the
+#: table gets a mass.  The angular cuts of a disk huge against a cell are
+#: off by about an ulp of the angle, which moves the rim by about
+#: eps r/cell cells: on 800 random disks at r/cell 1e6 to 1e10 whose rims
+#: cross two tables, the error stayed under 9e-17 r/cell of the table's
+#: mass, and under 3.6e-15 r/cell relative on the disks holding at least
+#: 1e-3 of the table, so 3.6e-7 here, within DISK_MASS_REL_TOL
+_MAX_RIM_RADIUS = 1e8
 #: Most lattice lines along an axis that a periodic grid disk mass cuts at
 #: (every line within 2r): past it, at r/cell above 499, it raises
-#: QuadratureFailure.  The tests reach r/cell of about 40; at 499 a disk
-#: took 12 ms, and a coarse rung of 797 disks 6 s
+#: QuadratureFailure.  The tests reach r/cell of 499; there a disk takes
+#: 1.1 ms, and a coarse rung of 797 disks 0.9 s
 _MAX_GRID_LINES = 1000
 
 
@@ -764,13 +815,15 @@ class GridDensity(DensityField):
     between nodes and a declared extension rule beyond the window: zero,
     or periodic with periods (nx - 1) and (ny - 1) cells.
 
-    Disk masses are exact up to round-off.  Along a vertical line the
-    density is (1 - fx) L_i(y) + fx L_{i+1}(y), with L_i the
-    piecewise-linear profile of grid column i, so the inner y-integral
-    over the disk's chord is read from a table of column antiderivatives.
-    Only the outer integral, in theta with x = cx - r cos(theta), needs
-    quadrature, and it is smooth between the angles where x crosses a
-    grid column or cy -/+ r sin(theta) crosses a grid row."""
+    Disk masses are exact up to round-off, with no quadrature rule.  Along
+    a vertical line the density is (1 - fx) L_i(y) + fx L_{i+1}(y), with
+    L_i the piecewise-linear profile of grid column i, so the inner
+    y-integral over the disk's chord is read from a table of column
+    antiderivatives.  The outer integral, in theta with
+    x = cx - r cos(theta), is cut at the angles where x crosses a grid
+    column or cy -/+ r sin(theta) crosses a grid row; between two cuts the
+    chord's integral is a polynomial in the offsets from the piece's
+    midpoint, integrated exactly (``_MOMENT_SERIES``)."""
 
     family = "grid"
 
@@ -795,13 +848,16 @@ class GridDensity(DensityField):
         # three tables over the flat node index j nx + i, in grid units:
         # the integral of column i's profile from row 0 to row j
         # (cumulative trapezoid sums), and the profile's value and half
-        # slope on the row step above j (zero on the last row)
+        # slope on the row step above j (zero on the last row); beside
+        # each, its step to column i + 1 (never read on the last column)
         cum = np.zeros(values.shape)
         cum[1:] = np.cumsum(0.5 * (values[:-1] + values[1:]), axis=0)
         half_slope = np.zeros(values.shape)
         half_slope[:-1] = 0.5 * (values[1:] - values[:-1])
-        self._column_tables = np.stack([cum, values, half_slope]).reshape(
-            3, -1)
+        tables = np.stack([cum, values, half_slope]).reshape(3, -1)
+        steps = np.zeros(tables.shape)
+        steps[:, :-1] = tables[:, 1:] - tables[:, :-1]
+        self._column_tables = np.stack([tables, steps], axis=1)
 
     def _density(self, z):
         gx = (z.real - self.origin.real) / self.cell_size
@@ -848,25 +904,28 @@ class GridDensity(DensityField):
         count = int(self._line_count(r, n).max())
         k0 = np.floor((c - r - o) / cell)
         if self.extension == "zero":
-            k0 = np.clip(k0, 0, n - count)
+            k0 = np.minimum(np.maximum(k0, 0.0), n - count)
         a = (o + cell * (k0 + np.arange(count)) - c) / r
         return np.where(np.abs(a) < 1.0, a, np.nan)
 
     def _disk_masses(self, centers, radii):
         """Masses of the disks of ``radii`` about a flat array of centers.
 
-        Its largest arrays hold six table values per node (three tables
-        at both chord ends), so it sees at most ``KERNEL_BUDGET // 6``
-        nodes at once: a block of centers of one piece count, or a run of
-        one center's pieces.  Each piece is summed on its own and each
-        mass is the sum of its lone call's pieces: no bit moves.
+        Its largest arrays hold ``_PIECE_FLOATS`` values a piece (the
+        powers of the moment series), so it sees at most
+        ``KERNEL_BUDGET // _PIECE_FLOATS`` pieces at once: a block of
+        centers of one piece count, or a run of one center's pieces.  Each
+        piece is summed on its own and each mass is the sum of its lone
+        call's pieces: no bit moves.
 
         Under zero extension a disk that holds the four table corners
         holds the whole table, and gets its mass, the trapezoid sum of the
         column integrals, without the angular cuts: on a disk huge against
         a cell the cuts of all columns round to one angle.  The corners'
         distances, rounded by under 2 ulps, must be 4 ulps inside, and
-        only a disk as wide as the table's diagonal is tried."""
+        only a disk as wide as the table's diagonal is tried.  Past
+        ``_MAX_RIM_RADIUS`` cells a disk that misses the table holds
+        nothing, and one whose rim crosses it raises QuadratureFailure."""
         ny, nx = self.values.shape
         cell = self.cell_size
         out = np.empty(len(centers))
@@ -879,24 +938,37 @@ class GridDensity(DensityField):
             inner = radii * (1.0 - 4.0 * np.finfo(float).eps)
             whole = np.all(np.abs(centers[:, None] - corners)
                            <= inner[:, None], axis=1)
-            totals = self._column_tables[0, (ny - 1) * nx:]
+            totals = self._column_tables[0, 0, (ny - 1) * nx:]
             out[whole] = cell * cell * (0.5 * (totals[:-1] + totals[1:])).sum()
             rest = rest[~whole]
+            far = radii[rest] > _MAX_RIM_RADIUS * cell
+            if far.any():
+                c, r, lo, hi = (centers[rest[far]], radii[rest[far]],
+                                corners[0], corners[3])
+                meets = np.abs(c - np.clip(c.real, lo.real, hi.real)
+                               - 1j * np.clip(c.imag, lo.imag, hi.imag)) < r
+                if meets.any():
+                    raise QuadratureFailure(
+                        f"zero-extension grid disk of radius "
+                        f"{float(r[meets][0])!r} crosses the table at more "
+                        f"than {_MAX_RIM_RADIUS:g} cells")
+                out[rest[far]] = 0.0
+                rest = rest[~far]
         pieces = (1 + self._line_count(radii[rest], nx)
                   + 2 * self._line_count(radii[rest], ny))
-        nodes = KERNEL_BUDGET // 6
-        run = max(1, nodes // _GRID_NODES)
+        run = KERNEL_BUDGET // _PIECE_FLOATS
         # not np.unique, whose first call imports numpy.ma (about 15 ms)
         for count in set(pieces.tolist()):
             group = rest[pieces == count]
-            step = max(1, nodes // (count * _GRID_NODES))
+            step = max(1, run // count)
             for rows in (group[lo:lo + step]
                          for lo in range(0, len(group), step)):
                 block, r = centers[rows, None], radii[rows, None]
                 cuts = self._cuts(block, r)
                 masses = [self._piece_masses(block, r, cuts[:, a:a + run + 1])
                           for a in range(0, count, run)]
-                out[rows] = cell * np.concatenate(masses, axis=1).sum(axis=1)
+                out[rows] = cell * cell * np.concatenate(
+                    masses, axis=1).sum(axis=1)
         return out
 
     def _cuts(self, centers, r):
@@ -909,55 +981,97 @@ class GridDensity(DensityField):
         ax = self._crossings(centers.real, r, self.origin.real, nx)
         ay = np.arcsin(np.abs(
             self._crossings(centers.imag, r, self.origin.imag, ny)))
-        ends = np.broadcast_to([0.0, math.pi], (len(centers), 2))
+        ends = np.zeros((len(centers), 2))
+        ends[:, 1] = math.pi
         cuts = np.sort(np.concatenate(
             [ends, np.arccos(-ax), ay, math.pi - ay], axis=1), axis=1)
         return np.where(np.isnan(cuts), math.pi, cuts)
 
     def _piece_masses(self, c, r, cuts):
-        """The outer integral over each piece between consecutive cuts,
-        one row per center of a column (r too), divided by the cell size."""
+        """The mass of each piece between consecutive cuts, in square
+        cells, one row per center of a column (r too): the exact integral
+        of the chord's polynomial in the offsets X, Y from the piece's
+        midpoint, its six coefficients read from the tables there."""
         ny, nx = self.values.shape
         cell, o = self.cell_size, self.origin
         periodic = self.extension == "periodic"
-        cx, cy, r = c.real[..., None], c.imag[..., None], r[..., None]
-        theta, weights = quadrature.gl_nodes(cuts[:, :-1, None],
-                                             cuts[:, 1:, None], _GRID_NODES)
-        chord = r * np.sin(theta)
+        R = r / cell
+        half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+        mid = cuts[:, :-1] + half
+        cos, sin = np.cos(mid), np.sin(mid)
 
-        gx = (cx - o.real - r * np.cos(theta)) / cell
+        gx = (c.real - o.real) / cell - R * cos
         if periodic:
             # reduce to the first period (np.mod is many times slower)
             gx = gx - (nx - 1) * np.floor(gx / (nx - 1))
-        # clipped in float before the cast, which then floors
-        ix = np.clip(gx, 0, nx - 2).astype(np.intp)
+        # clamped in float before the cast, which then floors
+        ix = np.minimum(np.maximum(gx, 0.0), nx - 2.0).astype(np.intp)
         fx = gx - ix
 
-        # the chord's two ends in grid rows; under periodic extension each
-        # is reduced to the first period, and the whole column periods
-        # between them are added back
-        u = (cy - o.imag + np.stack([-chord, chord])) / cell
+        # the chord's two ends as a grid row and the fraction t above it,
+        # taken from the center's row, so that t keeps its digits on a
+        # short chord.  Under periodic extension each row is reduced to the
+        # first period, and the whole column periods between the ends are
+        # added back; under zero extension an end off the table sits on its
+        # edge, with no Y terms
+        y = (c.imag - o.imag) / cell
+        base = np.floor(y)
+        t = (y - base) + R * sin * _CHORD_ENDS
+        row = np.floor(t)
+        t -= row
+        row += base
         if periodic:
-            q = np.floor(u / (ny - 1))
-            u = u - (ny - 1) * q
+            q = np.floor(row / (ny - 1))
+            j = row - (ny - 1) * q
         else:
-            u = np.clip(u, 0.0, ny - 1.0)
-        j = np.minimum(u.astype(np.intp), ny - 2)
-        t = u - j
-        # the three tables at both ends, blended between columns ix and
-        # ix + 1, then the profile's integral from row 0 to each end
-        k = j * nx + ix
-        a = self._column_tables.take(k, axis=1)
-        a += fx * (self._column_tables.take(k + 1, axis=1) - a)
-        antiderivative = a[0] + t * (a[1] + t * a[2])
-        inner = antiderivative[1] - antiderivative[0]
+            j = np.minimum(np.maximum(row, 0.0), ny - 2.0)
+            free = j == row
+            t = np.where(free, t, row > j)
+        # the three tables (integral from row 0, value, half slope) at both
+        # ends, blended between columns ix and ix + 1 (the X^0 terms), and
+        # their steps (the X^1 terms): (table, X power, end, ...)
+        p = self._column_tables.take(j.astype(np.intp) * nx + ix, axis=2)
+        p[:, 0] += fx * p[:, 1]
+        # in place, the Y^0, Y^1 and Y^2 coefficients of each end's
+        # antiderivative at t + Y past its row's; the rows' integrals are
+        # subtracted apart, so that two ends in one row cancel exactly
+        rows = p[0, :, 1] - p[0, :, 0]
+        tp = t * p[2]
+        p[1] += tp
+        np.multiply(t, p[1], out=p[0])
+        p[1] += tp
+        if not periodic:
+            p[1:] *= free
+        # the upper end minus the lower, which runs down as Y grows:
+        # (Y power, X power, rows, pieces)
+        coef = p[:, :, 1] - _LOWER_END * p[:, :, 0]
+        coef[0] += rows
         if periodic:
-            totals = self._column_tables[0, (ny - 1) * nx:]
-            top = totals[ix]
-            inner += (q[1] - q[0]) * (top + fx * (totals[ix + 1] - top))
+            # a whole column period: the integral to the last row
+            top = self._column_tables[0].take((ny - 1) * nx + ix, axis=1)
+            top[0] += fx * top[1]
+            coef[0] += (q[1] - q[0]) * top
         else:
-            inner = np.where((gx >= 0.0) & (gx <= nx - 1), inner, 0.0)
-        return (weights * chord * inner).sum(axis=2)
+            coef *= np.abs(gx - 0.5 * (nx - 1)) <= 0.5 * (nx - 1)
+        # X^a Y^b integrates to R^(a+b+1) pref_ab (L_ab + c^2 M_ab).J
+        coef *= R ** _MOMENT_POWERS
+        coef[:, 1] *= cos
+        coef[::2] *= sin
+        # (h^2)^k for k >= 1, each product doubling the powers made so far
+        powers = np.empty((_PIECE_FLOATS,) + half.shape)
+        np.multiply(half, half, out=powers[0])
+        done = 1
+        while done < len(powers):
+            more = min(done, len(powers) - done)
+            np.multiply(powers[:more], powers[done - 1],
+                        out=powers[done:done + more])
+            done += more
+        # (L; M).J / h, with J_0 / h = 2
+        terms = np.einsum("jq,q...->j...", _MOMENT_TERMS, np.einsum(
+            "qk,k...->q...", _MOMENT_SERIES, powers))
+        terms[0] += 2.0
+        terms[:6] += cos * cos * terms[6:]
+        return half * (coef.reshape(terms[:6].shape) * terms[:6]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1267,6 +1267,106 @@ def test_periodic_grid_huge_disk_raises_at_once(r):
         f.disk_mass(0.3, 499.5)
 
 
+#: node values of the closed-form tests' grid
+_CLOSED_FORM_VALUES = np.random.default_rng(12).uniform(0.25, 1.5, (9, 11))
+
+
+@pytest.mark.parametrize("extension", ["zero", "periodic"])
+def test_grid_closed_form_matches_quadrature(extension):
+    # each angular piece's exact integral against an outer quad in x, at
+    # r/cell from 0.01 to 25.  Disks about a node, or 25 cells from one,
+    # have rims through grid nodes (the 3-4-5 and 7-24-25 triangles),
+    # where a column cut and a row cut coincide and a piece has no width;
+    # a small disk about a point of a row is one piece of half-width pi/2
+    # whose chord ends lie in two rows, where the series ends matter
+    values = _CLOSED_FORM_VALUES.copy()
+    if extension == "periodic":
+        values[-1], values[:, -1] = values[0], values[:, 0]
+    cell = 0.5
+    f = GridDensity(-2 - 1.5j, cell, values, extension)
+    node = f.origin + cell * (4 + 3j)
+    disks = [(node + cell * (0.31 + 0.62j), 0.01), (node + cell * 0.4j, 0.1),
+             (node + cell * (0.55 + 0.2j), 0.45), (node + cell * 0.75, 0.3),
+             (node + cell * 0.5, 0.47), (node, 1.0),
+             (node + cell * (0.1 - 0.3j), 2.3), (node, 5.0),
+             (node + cell * (0.8 + 1.1j), 7.5), (node - cell * (7 + 24j), 25.0),
+             (node + cell * (24 - 7j), 25.0)]
+    for center, cells in disks:
+        r = cell * cells
+        expect = reference.grid_disk_mass(f, center, r)
+        assert f.disk_mass(center, r) == pytest.approx(expect, rel=1e-13)
+
+
+def test_grid_closed_form_on_large_disks():
+    # at r/cell 230 and 499 (1,381 and 2,995 pieces) the closed form keeps
+    # a constant table's mass and that of the linear ramp of
+    # test_grid_linear_ramp_exact, whose mean over a disk is its value at
+    # the center.  The ramp's x and y parts each lie on a periodic table
+    # one cell across the other axis, whose period holds the disk
+    cell, n = 0.5, 1101
+    coords = cell * np.arange(n)
+    ramps = [(GridDensity(0j, cell, np.tile(4.5 + 0.3 * coords, (2, 1)),
+                          "periodic"), lambda z: 4.5 + 0.3 * z.real),
+             (GridDensity(0j, cell, np.tile(0.2 * coords[:, None], (1, 2)),
+                          "periodic"), lambda z: 0.2 * z.imag)]
+    constant = GridDensity(-2 - 1.5j, cell, np.full((4, 6), 1.7), "periodic")
+    for cells in (230.0, 499.0):
+        r = cell * cells
+        for center in (275.3 + 275.1j, 273.7 + 277.45j):
+            assert constant.disk_mass(center, r) == pytest.approx(
+                1.7 * math.pi * r * r, rel=1e-13)
+            for f, density_at in ramps:
+                assert f.disk_mass(center, r) == pytest.approx(
+                    math.pi * r * r * density_at(center), rel=1e-13)
+
+
+def test_grid_closed_form_memory_is_blocked():
+    # one periodic disk at r/cell 499 has 3,001 pieces; its kernel runs
+    # them in blocks of KERNEL_BUDGET // _PIECE_FLOATS, so its traced peak
+    # stays near a block's arrays and not the disk's
+    f = GridDensity(0j, 1.0, np.ones((3, 3)), "periodic")
+    f.disk_mass(0.3, 499.0)
+    tracemalloc.start()
+    try:
+        f.disk_mass(0.3, 499.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # (553 KB; 2.1 MB in one block)
+    assert peak < 10 * density.KERNEL_BUDGET * 8
+
+
+@pytest.mark.parametrize("center, r", [(1e16, 1e16), (1e16, 1e16 + 2.0),
+                                       (1e14, 1e14 + 0.5)])
+def test_zero_grid_rim_past_the_bound_raises(center, r):
+    # on a disk huge against a cell the angular cuts lose the rim's place
+    # by about eps r/cell cells: 4.44, 7.77 and 4.996 here, for the true
+    # 4.0, 6.0 and 5.0.  Past _MAX_RIM_RADIUS cells a rim across the table
+    # raises, alone or in a batch; a disk that misses the table holds
+    # nothing, and one that holds it the table's mass
+    f = GridDensity(-1 - 1j, 1.0, np.ones((3, 4)))
+    with pytest.raises(QuadratureFailure, match="crosses the table"):
+        f.disk_mass(center, r)
+    with pytest.raises(QuadratureFailure, match="crosses the table"):
+        f.disk_mass([0.5, center], [0.25, r])
+    assert f.disk_mass([3.0 * r, 0.3], [r, 1e200]).tolist() == [0.0, 6.0]
+
+
+def test_zero_grid_rim_below_the_bound_keeps_its_mass():
+    # just below _MAX_RIM_RADIUS cells the mass of a table of ones, the
+    # area of the disk within it, still meets DISK_MASS_REL_TOL, in every
+    # direction, against the closed-form area in decimal
+    f = GridDensity(-1 - 1j, 1.0, np.ones((3, 4)))
+    r = 0.99 * density._MAX_RIM_RADIUS
+    for point, angle in [(0.5, 0.0), (1.25 - 0.5j, 0.5 * math.pi),
+                         (-0.5 + 0.25j, math.pi), (0.3j, 1.5 * math.pi),
+                         (0.7 + 0.1j, 2.3)]:
+        center = point + r * complex(math.cos(angle), math.sin(angle))
+        expect = reference.disk_rectangle_area(center, r, -1 - 1j, 2 + 1j)
+        assert f.disk_mass(center, r) == pytest.approx(
+            expect, rel=density.DISK_MASS_REL_TOL)
+
+
 def test_grid_periodic_translation_invariance():
     vals = np.random.default_rng(3).uniform(0.0, 1.0, (6, 9))
     f = GridDensity(-1 - 2j, 0.4, vals, "periodic")
