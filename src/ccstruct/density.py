@@ -699,12 +699,18 @@ class BumpLattice(DensityField):
         return out.reshape(z.shape)
 
     def _disk_masses(self, centers, radii):
-        """Each disk's mass: ``np.sum`` adds the masses of the bumps wholly
-        inside it, then its partial masses are added one at a time, both in
-        ascending bump index (the polish amplifies last-bit changes).  The
-        partial overlaps are held until at least ``KERNEL_BUDGET`` of them
-        run in one kernel call; ``np.add.at`` adds them in index order, and
-        each disk's pairs lie in one block of ``_near_pairs``."""
+        """Each disk's mass: ``np.add.reduce`` (``np.sum``'s reduction)
+        adds the masses of the bumps wholly inside it, then its partial
+        masses are added one at a time, both in ascending bump index (the
+        polish amplifies last-bit changes).  The partial overlaps are held
+        until there are at least ``KERNEL_BUDGET`` of them; ``np.add.at``
+        adds them in index order, and each disk's pairs lie in one block of
+        ``_near_pairs``.  One lexsort of a held batch's (d, rho, r) triples
+        sends each distinct triple to the kernel once (a search lattice
+        about a symmetry point of the bumps repeats a triple up to 8 times),
+        and its fraction goes back to every pair that has it.  A pair's
+        fraction does not depend on the other pairs of a kernel call, so
+        each mass keeps the bits of a kernel row per pair."""
         out = np.zeros(len(centers))
         # the (disk, bump, distance) arrays of the partial overlaps held,
         # and their count
@@ -712,9 +718,23 @@ class BumpLattice(DensityField):
 
         def add_partials():
             disk, bump, d = (np.concatenate(a) for a in zip(*parts))
-            np.add.at(out, disk, self.masses[bump] * _bump_fractions_inside(
-                d, self.radii[bump], radii[disk]))
             parts.clear()
+            rho, r = self.radii[bump], radii[disk]
+            # sorted, a triple is new where any key differs from the one
+            # before it: run[k] is the k-th held triple's run of equal ones
+            order = np.lexsort((r, rho, d))
+            new = np.zeros(len(order), bool)
+            new[0] = True
+            for key in (d, rho, r):
+                key = key[order]
+                new[1:] |= key[1:] != key[:-1]
+            del key
+            run = np.empty_like(order)
+            run[order] = np.cumsum(new) - 1
+            first = order[new]
+            del order, new
+            frac = _bump_fractions_inside(d[first], rho[first], r[first])
+            np.add.at(out, disk, self.masses[bump] * frac[run])
 
         for disk, bump in self._near_pairs(centers, self._reach(radii)):
             d = np.abs(centers[disk] - self.centers[bump])
@@ -726,9 +746,12 @@ class BumpLattice(DensityField):
             masses = self.masses[bump[inside]]
             for lo, hi in zip([0, *cuts], [*cuts, len(disk_in)]):
                 if hi > lo:
-                    out[disk_in[lo]] = np.sum(masses[lo:hi])
+                    out[disk_in[lo]] = np.add.reduce(masses[lo:hi])
             parts.append((disk[partial], bump[partial], d[partial]))
             held += np.count_nonzero(partial)
+            # the block's arrays go before a held batch is sorted, so that
+            # the two are not alive at once
+            del disk, bump, d, r, rho, inside, partial, disk_in, masses
             if held >= KERNEL_BUDGET:
                 add_partials()
                 held = 0

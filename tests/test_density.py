@@ -871,6 +871,79 @@ def test_bump_many_wide_blocks_repeat_lone_centers(lattice35):
                           _bits(np.array(lone)))
 
 
+def _recorded_triples(monkeypatch):
+    """Record the (d, rho, r) triples of each bump kernel call, one tuple
+    list a call."""
+    calls = []
+    kernel = density._bump_fractions_inside
+
+    def recording(d, rho, r):
+        r = np.broadcast_to(r, d.shape)
+        calls.append(list(zip(d.tolist(), rho.tolist(), r.tolist())))
+        return kernel(d, rho, r)
+
+    monkeypatch.setattr(density, "_bump_fractions_inside", recording)
+    return calls
+
+
+def _partial_pairs(f, centers, r):
+    """The number of (disk, bump) partial overlaps of disks of radius r."""
+    count = 0
+    for c in centers:
+        d = np.abs(f.centers - c)
+        count += np.count_nonzero(~(d + f.radii <= r) & (d - f.radii < r))
+    return count
+
+
+@pytest.mark.parametrize("center", [0j, 0.3 + 0.7j])
+@pytest.mark.parametrize("radius, r, budget", [
+    (1.5, 0.4, None), (4.0, 2.0, None), (40.0, 12.0, None),
+    # held batches of at least 300 partial overlaps, not one a call
+    (12.0, 5.0, 300)])
+def test_bump_many_runs_each_distinct_triple_once(lattice35, monkeypatch,
+                                                  center, radius, r, budget):
+    # a search lattice about a symmetry point of the bumps repeats each
+    # (d, rho, r) triple up to 8 times, one off it few: within a kernel
+    # call no triple repeats, and every mass keeps its lone call's bits
+    f = lattice35
+    centers = _search_lattice(center, radius)
+    lone = [f.disk_mass(c, r) for c in centers]
+    if budget is not None:
+        monkeypatch.setattr(density, "KERNEL_BUDGET", budget)
+    calls = _recorded_triples(monkeypatch)
+    many = _masses_at(f, centers, r)
+    assert np.array_equal(_bits(many), _bits(lone))
+    assert (budget is None) == (len(calls) == 1)
+    assert all(len(set(rows)) == len(rows) for rows in calls)
+    if center == 0j and budget is None:
+        # one held batch: the symmetric lattice's repeats all merge
+        assert 4 * len(calls[0]) < _partial_pairs(f, centers, r)
+
+
+def test_bump_triples_one_ulp_apart_stay_apart(monkeypatch):
+    # partial overlaps whose (d, rho, r) triples are one ulp apart in one
+    # of the three run as rows of their own, and only exact repeats merge
+    rho, d, r = 0.25, 0.95, 1.0
+    f = BumpLattice([0j, 2.0], [1.0, 0.5], [rho, np.nextafter(rho, 1.0)])
+    # the disk about 1 meets both bumps at distance 1, their radii one ulp
+    # apart; the others meet the bump at 0 at d or r one ulp apart, or
+    # repeat a disk
+    centers = np.array([1.0, d, np.nextafter(d, 1.0), d, d, 1.0])
+    radii = np.array([1.1, r, r, np.nextafter(r, 2.0), r, 1.1])
+    lone = [f.disk_mass(c, s) for c, s in zip(centers, radii)]
+    calls = _recorded_triples(monkeypatch)
+    many = f.disk_mass(centers, radii)
+    assert np.array_equal(_bits(many), _bits(lone))
+    assert len(calls) == 1
+    rows = calls[0]
+    assert len(set(rows)) == len(rows)
+    up = float(np.nextafter(rho, 1.0))
+    for triple in [(1.0, rho, 1.1), (1.0, up, 1.1), (d, rho, r),
+                   (float(np.nextafter(d, 1.0)), rho, r),
+                   (d, rho, float(np.nextafter(r, 2.0)))]:
+        assert triple in rows
+
+
 def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
     # each block of the cell list's pairs adds its sums to its own points'
     # span: a call over several blocks, with points that have no candidate
@@ -902,10 +975,13 @@ def test_bump_many_memory_is_bounded(lattice35, r):
 
 
 def test_bump_many_memory_is_bounded_on_random_centers(lattice35):
-    # centers without symmetry share no partial overlaps: a call over
+    # centers without symmetry share few partial overlaps: a call over
     # thousands of them, each reaching hundreds of bumps, holds no array or
-    # table that grows with the call (a table of the call's partial
-    # overlaps reached 3.9 MB)
+    # table that grows with the call.  Each held batch of partial overlaps
+    # is sorted once, after the last pair block is released and with one
+    # sorted key at a time (2.2 MB measured; a table of the whole call's
+    # partial overlaps reached 3.9 MB, and three sorted keys held beside
+    # the last pair block 2.97 MB)
     rng = np.random.default_rng(29)
     centers = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
                                                                 2000)
