@@ -24,6 +24,7 @@ dichotomy.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, astuple, dataclass, field as dc_field
 
@@ -31,8 +32,8 @@ import numpy as np
 
 from .density import DensityField
 from .errors import CCStructError
-from .structure import (SupOptions, Window, lambda_sup,
-                        optimize_weighted_disk, prime_lambda_sup)
+from .structure import (SupOptions, Window, lambda_sup, memo_searches,
+                        prime_lambda_sup, prime_searches, sup_searches)
 
 #: reduced search budget for classification sweeps (many lambda_sup calls)
 CLASSIFY_OPTS = SupOptions(n_rungs=10, grid=17, n_polish=2,
@@ -122,6 +123,15 @@ def _check_table(table, window, deltas):
                          f"({len(deltas)}, {window.n ** 2})")
 
 
+def _linear_b_searches(window: Window):
+    """The ``optimize_weighted_disk`` searches of linear condition (b),
+    per delta* of ``DELTA_STAR_LADDER`` and then per point z of the
+    window: mu(zhat, h)/h over zhat in B(z, delta*) and h up to the reach
+    M = delta*/2."""
+    return [(z, dstar, dstar / 2.0, 1.0) for dstar in DELTA_STAR_LADDER
+            for z in window.points()]
+
+
 def check_linear_conditions(field: DensityField, window: Window, deltas,
                             table):
     """The two linear-type conditions on the sampled window, from the
@@ -133,8 +143,10 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
     (b) passes when, for some crossover delta* on the ladder (with reach
     M = delta*/2), the per-z double supremum of mu(zhat, h)/h is bounded
     away from zero: its infimum is at least 1e-3 times its median, with
-    positive median.  Raises the first error of (b)'s searches, else a
-    CCStructError where a supremum of (b) is not finite.
+    positive median.  (b)'s searches are read from the search memo, which
+    ``dichotomy_probe`` fills with its ladder's; the ones it lacks run
+    here, all in one polish.  Raises the first error of (b)'s searches,
+    else a CCStructError where a supremum of (b) is not finite.
     """
     deltas = tuple(float(d) for d in deltas)
     _check_table(table, window, deltas)
@@ -152,19 +164,17 @@ def check_linear_conditions(field: DensityField, window: Window, deltas,
         {"trend_slope": trend, "trend_tol": LINEAR_TREND_TOL,
          "per_delta_sup": per_delta_sup.tolist(), "deltas": list(deltas)})
 
-    # every delta* x z search in one polish
-    zs = window.points()
-    cells = [(z, dstar) for dstar in DELTA_STAR_LADDER for z in zs]
-    found = optimize_weighted_disk(
-        field, [(z, dstar, dstar / 2.0, 1.0) for z, dstar in cells],
-        CLASSIFY_OPTS)
+    searches = _linear_b_searches(window)
+    found = memo_searches(field, searches, CLASSIFY_OPTS)
     for got in found:
         if isinstance(got, CCStructError):
-            raise got
-    for (z, dstar), (val, _, _) in zip(cells, found):
+            # a fresh error, so that no traceback stays in the memo
+            raise copy.copy(got)
+    for (z, dstar, _, _), (val, _, _) in zip(searches, found):
         if not math.isfinite(val):
             raise CCStructError(f"small-scale sup at z={z!r}, "
                                 f"delta*={dstar!r} is {val}")
+    zs = window.points()
     best = None
     for k, dstar in enumerate(DELTA_STAR_LADDER):
         m_reach = dstar / 2.0
@@ -289,6 +299,10 @@ def dichotomy_probe(field: DensityField, window: Window, deltas):
     Fits a log-log slope of the structure proxy per base point, runs both
     condition checks, and combines them into a verdict.  Requires the
     delta ladder to span at least two decades, otherwise Inconclusive.
+    The window x ladder searches of the proxy and the searches of linear
+    condition (b) run in one lock-step polish: each keeps the bits of its
+    lone search, and ``check_linear_conditions`` reads its own from the
+    search memo.
     """
     deltas = tuple(sorted(float(d) for d in deltas))
     slopes = {}
@@ -302,9 +316,10 @@ def dichotomy_probe(field: DensityField, window: Window, deltas):
         report.meta["reason"] = "delta ladder spans fewer than two decades"
         return report
 
-    # every window x ladder search in one polish, then each from the memo
-    prime_lambda_sup(field, [(z, d) for z in window.points() for d in deltas],
-                     CLASSIFY_OPTS)
+    # every search of the probe in one polish, then each from the memo
+    prime_searches(field, sup_searches((z, d) for z in window.points()
+                                       for d in deltas)
+                   + _linear_b_searches(window), CLASSIFY_OPTS)
     for z in window.points():
         vals = [lambda_sup(field, z, d, CLASSIFY_OPTS).value for d in deltas]
         slopes[z] = fit_loglog_slope(deltas, vals)

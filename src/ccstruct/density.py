@@ -11,8 +11,9 @@ subharmonic); construction rejects data violating this on a sample
 lattice.
 
 Field operations are pure and never change the field; a field carries no
-state past construction.  The ``lambda_sup`` estimates of a field are
-kept apart from it, in ``structure``'s memo keyed on the field.
+state past construction.  The sup searches of a field, its ``lambda_sup``
+estimates among them, are kept apart from it, in ``structure``'s memo
+keyed on the field.
 """
 
 from __future__ import annotations
@@ -502,9 +503,10 @@ def _bump_fractions_inside(d, rho, r):
     an outside first piece is skipped.  Only where |r - d| <= 1e-9 (d + r)
     is the first piece's angle computed, as it always is on the second.
     The pairs run in blocks, each piece one (pairs x nodes) array within
-    ``KERNEL_BUDGET``.  Empty pieces add exactly zero, and each piece's
-    node sum is a BLAS dot product, so a pair's fraction does not depend on
-    the other pairs in the call.
+    ``KERNEL_BUDGET``; a first piece with no rows in a block is not run.
+    Empty pieces add exactly zero, and each piece's node sum is a BLAS dot
+    product, so a pair's fraction does not depend on the other pairs in
+    the call.
     """
     x, w = quadrature.gauss_legendre(_BUMP_NODES)
     r = np.broadcast_to(r, d.shape)
@@ -552,8 +554,10 @@ def _bump_fractions_inside(d, rho, r):
         first = np.zeros(len(dk))
         for rows, angle in ((~computed & (rk > dk), 2.0 * math.pi),
                             (computed, None)):
-            first[rows] = piece(np.zeros(np.count_nonzero(rows)), lo[rows],
-                                dk[rows], rhok[rows], rk[rows], angle)
+            n = np.count_nonzero(rows)
+            if n:
+                first[rows] = piece(np.zeros(n), lo[rows], dk[rows],
+                                    rhok[rows], rk[rows], angle)
         num[k:k + step] = first + piece(lo, hi, dk, rhok, rk)
     return num / _MOLLIFIER_MASS
 

@@ -12,8 +12,12 @@ Three routes are provided:
   them with one array call of ``disk_mass``, whose masses have the bits
   of scalar calls, and each start takes the steps of its lone run, so a
   search's value and witness are those of a lone search.  This module's
-  memo keeps each search's estimate or error; ``lambda_sweep``,
-  ``classify``, ``volume`` and ``validate`` prime all their cells first.
+  memo keeps the outcome of each ``optimize_weighted_disk`` search, keyed
+  by the search and its budget: a ``lambda_sup`` cell (z, delta) is the
+  search ``sup_search(z, delta)``, and classify's small-scale check reads
+  its own searches there too.  ``lambda_sweep``, ``classify``, ``volume``
+  and ``validate`` prime all their searches first, ``classify`` its
+  ladder's and its small-scale check's in one polish.
 * ``lambda_stockyard`` — a certified lower bound: the best witness disk
   is turned into an explicit validated stockyard (connector circle plus
   repeated copies of the witness disk) whose mass is a true lower bound
@@ -413,37 +417,60 @@ def optimize_weighted_disk(field: DensityField, searches, opts: SupOptions):
     return out
 
 
-#: field -> {(z, delta, budget): lambda_sup estimate, or the error of its
-#: search}, unbounded
+#: field -> {(center, reach, dh_max, scale, budget): the outcome of that
+#: ``optimize_weighted_disk`` search, its (value, witness, counts) or its
+#: error}, unbounded
 _MEMO = weakref.WeakKeyDictionary()
 
 
-def _sup_searches(field: DensityField, cells, opts):
-    """Each (z, delta) cell's ``lambda_sup`` estimate at the budget
-    ``opts``, or the error to raise in its place.  The cells that the memo
-    lacks are searched in one call of ``optimize_weighted_disk``, and the
-    memo keeps each outcome but a failure inside the lock-step polish:
+def sup_search(z, delta):
+    """The ``optimize_weighted_disk`` search of the ``lambda_sup`` cell
+    (z, delta): reach delta, radii up to delta and scale delta."""
+    delta = float(delta)
+    return complex(z), delta, delta, delta
+
+
+def sup_searches(cells):
+    """The searches of the (z, delta) ``cells`` whose delta is positive and
+    finite, as ``sup_search`` gives them; ``lambda_sup`` refuses the
+    others."""
+    searches = [sup_search(z, d) for z, d in cells]
+    return [s for s in searches if _valid_delta(s[1])]
+
+
+def memo_searches(field: DensityField, searches, opts: SupOptions):
+    """The outcome of each ``optimize_weighted_disk`` search (center,
+    reach, dh_max, scale) of ``searches`` at the budget ``opts``: its
+    (value, witness, counts), a value may be inf, or the error of its
+    coarse stage.  The searches that the memo lacks run in one call, and
+    the memo keeps each outcome but a failure inside the lock-step polish:
     one array ``disk_mass`` call cannot say which search failed, so that
-    failure raises from here, and each cell searches again when read."""
-    opts = opts or SupOptions()
+    failure raises from here, and each search runs again when read."""
     memo = _MEMO.setdefault(field, {})
-    keys = [(complex(z), float(delta), opts) for z, delta in cells]
-    todo = dict.fromkeys(key for key in keys if key not in memo
-                         and math.isfinite(key[1]) and key[1] > 0)
-    found = optimize_weighted_disk(
-        field, [(z, d, d, d) for z, d, _ in todo], opts) if todo else []
-    for key, got in zip(todo, found):
-        if isinstance(got, CCStructError):
-            # a copy without the traceback, whose frames hold the field
-            memo[key] = copy.copy(got)
-        elif math.isfinite(got[0]):
-            memo[key] = LambdaEstimate(*key[:2], got[0], "sup",
-                                       "upper_comparable", *got[1:])
-        else:
-            memo[key] = CCStructError(
-                f"lambda_sup at delta={key[1]!r} is {got[0]}")
-    return [memo.get(key, ValueError("delta must be positive and finite"))
-            for key in keys]
+    keys = [(complex(c), float(reach), float(dh), float(scale), opts)
+            for c, reach, dh, scale in searches]
+    todo = dict.fromkeys(key for key in keys if key not in memo)
+    if todo:
+        found = optimize_weighted_disk(field, [key[:4] for key in todo], opts)
+        for key, got in zip(todo, found):
+            # an error is kept as a copy without the traceback, whose
+            # frames hold the field
+            memo[key] = (copy.copy(got) if isinstance(got, CCStructError)
+                         else tuple(got))
+    return [memo[key] for key in keys]
+
+
+def prime_searches(field: DensityField, searches, opts: SupOptions):
+    """Run the ``optimize_weighted_disk`` searches of ``searches`` in one
+    polish for ``memo_searches`` to return from the memo.  A failed polish
+    stores nothing, so that each search read alone raises its own
+    error."""
+    with contextlib.suppress(CCStructError):
+        memo_searches(field, searches, opts)
+
+
+def _valid_delta(delta):
+    return math.isfinite(delta) and delta > 0
 
 
 def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
@@ -452,19 +479,26 @@ def lambda_sup(field: DensityField, z, delta, opts: SupOptions = None):
     ``SupOptions()``); returns the best value and its witness, with the
     polish's counts in ``meta``.  Raises ValueError on a bad delta and
     CCStructError when the search fails or the value is not finite."""
-    est, = _sup_searches(field, [(z, delta)], opts)
-    if isinstance(est, Exception):
+    search = sup_search(z, delta)
+    if not _valid_delta(search[1]):
+        raise ValueError("delta must be positive and finite")
+    got, = memo_searches(field, [search], opts or SupOptions())
+    if isinstance(got, CCStructError):
         # a fresh error per raise, so that no traceback stays in the memo
-        raise copy.copy(est)
-    return est
+        raise copy.copy(got)
+    value, witness, counts = got
+    if not math.isfinite(value):
+        raise CCStructError(f"lambda_sup at delta={search[1]!r} is {value}")
+    return LambdaEstimate(*search[:2], value, "sup", "upper_comparable",
+                          witness, dict(counts))
 
 
 def prime_lambda_sup(field: DensityField, cells, opts: SupOptions = None):
     """Run the ``lambda_sup`` searches of the (z, delta) ``cells`` in one
-    polish for ``lambda_sup`` to return from the memo.  A failed polish
-    stores nothing, so that each cell's lone search raises its own error."""
-    with contextlib.suppress(CCStructError):
-        _sup_searches(field, cells, opts)
+    polish for ``lambda_sup`` to return from the memo, as
+    ``prime_searches`` does: a failed polish stores nothing.  Cells with a
+    delta that is not positive and finite are left out."""
+    prime_searches(field, sup_searches(cells), opts or SupOptions())
 
 
 def connector_circle(z, witness: WitnessDisk):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ccstruct import classify, structure
-from ccstruct.classify import (Window, check_linear_conditions,
+from ccstruct.classify import (CLASSIFY_OPTS, Window,
+                               check_linear_conditions,
                                check_quadratic_conditions, dichotomy_probe,
                                doubling_ratio, fit_loglog_slope, mass_table,
                                track_slope)
@@ -15,6 +16,7 @@ from ccstruct.density import (ConstantDensity, DensityField,
                               PolynomialPotential, RadialAlphaDensity,
                               ZeroDensity, decaying_bump_lattice)
 from ccstruct.errors import CCStructError, QuadratureFailure
+from ccstruct.structure import lambda_sup
 
 SMALL_WINDOW = Window(-2, -2, 2, 2, 3)
 
@@ -183,6 +185,116 @@ def test_probe_scaling_covariance():
     assert rep1.verdict == rep5.verdict == "Quadratic"
     for z in rep1.slopes:
         assert rep1.slopes[z] == pytest.approx(rep5.slopes[z], abs=1e-9)
+
+
+def _wrap_search(monkeypatch, wrap):
+    # every module binding of the search, so that each call goes through
+    # ``wrap(search)`` whichever module makes it
+    search = structure.optimize_weighted_disk
+    for mod in (structure, classify):
+        if getattr(mod, "optimize_weighted_disk", None) is search:
+            monkeypatch.setattr(mod, "optimize_weighted_disk", wrap(search))
+
+
+def _count_searches(monkeypatch):
+    """The number of searches of each search call, as a list."""
+    calls = []
+
+    def wrap(search):
+        def counting(field, searches, opts):
+            calls.append(len(searches))
+            return search(field, searches, opts)
+        return counting
+
+    _wrap_search(monkeypatch, wrap)
+    return calls
+
+
+@pytest.mark.parametrize("make, window, deltas", [
+    (lambda: decaying_bump_lattice(8), Window(0, 0, 0, 0, 1),
+     np.geomspace(0.4, 40, 5)),
+    (lambda: RadialAlphaDensity(0.5), Window(-5, -5, 5, 5, 2),
+     np.geomspace(1, 1000, 4))])
+def test_probe_runs_every_search_in_one_call(monkeypatch, make, window,
+                                             deltas):
+    # the window x ladder searches and linear condition (b)'s searches run
+    # in one call, and the report keeps the bits of every search run alone
+    # on a fresh field; a following check of the linear conditions reads
+    # its searches from the memo
+    def alone(search):
+        return lambda field, searches, opts: [
+            got for one in searches for got in search(field, [one], opts)]
+
+    with monkeypatch.context() as m:
+        _wrap_search(m, alone)
+        want = dichotomy_probe(make(), window, deltas).as_dict()
+    calls = _count_searches(monkeypatch)
+    f = make()
+    rep = dichotomy_probe(f, window, deltas)
+    n = len(window.points())
+    assert calls == [n * len(deltas) + n * len(classify.DELTA_STAR_LADDER)]
+    assert repr(rep.as_dict()) == repr(want)
+    checks = check_linear_conditions(f, window, deltas,
+                                     mass_table(f, window, deltas))
+    assert len(calls) == 1
+    assert repr(list(checks)) == repr(rep.checks[:2])
+
+
+#: a one-point window and a ladder whose searches stay at radii up to 1
+_POINT, _LADDER = Window(0, 0, 0, 0, 1), [0.01, 0.1, 1.0]
+
+
+def _assert_lone_ladder(f, make):
+    # each ladder cell holds the bits of its lone search on a fresh field
+    from test_density import _bits
+    for z in _POINT.points():
+        for d in _LADDER:
+            got = lambda_sup(f, z, d, CLASSIFY_OPTS)
+            want = lambda_sup(make(), z, d, CLASSIFY_OPTS)
+            assert _bits(got.value) == _bits(want.value)
+            assert got.witness == want.witness and got.meta == want.meta
+
+
+def test_probe_raises_a_coarse_error_of_linear_b(monkeypatch):
+    # (b)'s searches at delta* = 4, 8 and 16 fail in their coarse stages
+    # (radius 2, 4 and 8): the one call polishes the others, and the probe
+    # raises the first error of (b)'s searches
+    from test_structure import _FailsAbove
+    f = _FailsAbove()
+    calls = _count_searches(monkeypatch)
+    with pytest.raises(QuadratureFailure, match="radius 2.0$"):
+        dichotomy_probe(f, _POINT, _LADDER)
+    assert calls == [len(_LADDER) + len(classify.DELTA_STAR_LADDER)]
+    _assert_lone_ladder(f, _FailsAbove)
+
+
+def test_probe_raises_a_polish_error_of_linear_b(monkeypatch):
+    # only the polish of (b)'s search at delta* = 16 asks for radii in
+    # (7, 7.5): the one call fails and stores nothing, the ladder cells run
+    # alone, and (b)'s searches run again in one call, raising its error
+    from test_structure import _FailsInside
+
+    def make():
+        return _FailsInside(7.0, 7.5)
+
+    with pytest.raises(QuadratureFailure) as want:
+        structure.optimize_weighted_disk(
+            make(), classify._linear_b_searches(_POINT), CLASSIFY_OPTS)
+    f = make()
+    calls = _count_searches(monkeypatch)
+    with pytest.raises(QuadratureFailure) as got:
+        dichotomy_probe(f, _POINT, _LADDER)
+    assert str(got.value) == str(want.value)
+    n_b = len(classify.DELTA_STAR_LADDER)
+    assert calls == [len(_LADDER) + n_b] + [1] * len(_LADDER) + [n_b]
+    _assert_lone_ladder(f, make)
+
+
+def test_probe_refuses_a_rung_that_is_not_finite():
+    # the one call leaves the infinite rung out, and its read raises
+    # lambda_sup's error, not the error of a search with infinite radii
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        dichotomy_probe(ConstantDensity(1.0), _POINT, [1.0, 10.0, math.inf])
 
 
 def test_track_slope_radial_alpha():

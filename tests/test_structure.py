@@ -370,7 +370,7 @@ def test_primed_estimates_do_not_depend_on_the_batch(cells):
     prime_lambda_sup(f, cells, CLASSIFY_OPTS)
     for z, d in cells:
         if d > 0:
-            assert (z, d, CLASSIFY_OPTS) in structure._MEMO[f]
+            assert (z, d, d, d, CLASSIFY_OPTS) in structure._MEMO[f]
             got, want = lambda_sup(f, z, d, CLASSIFY_OPTS), _lone_sup(z, d)
             assert _bits(got.value) == _bits(want.value)
             assert got.witness == want.witness and got.meta == want.meta
