@@ -568,13 +568,13 @@ class BumpLattice(DensityField):
     overlap).  Used to build the linear-growth test regime.
 
     Its one disk-mass kernel, ``_disk_masses``, behind ``disk_mass``, and
-    the density take their (disk or point, bump) pairs from one cell list
-    built once (``_near_pairs``), however far a disk reaches: the bump
-    centers binned on a uniform grid over the support box, each cell's
-    bumps one run of ``_order``.  The cells that meet the square of
-    half-side ``reach`` about a query form one run of ``_order`` per cell
-    row, and the pairs come out of those runs in blocks within
-    ``KERNEL_BUDGET``."""
+    the density read one cell list built once (``_near_pairs``), however
+    far a disk reaches: the bump centers binned on a uniform grid over the
+    support box, each cell's bumps one run of ``_order``, and each cell's
+    mass in ``_cell_masses``.  A disk meets one run of cells per cell row:
+    the cells that lie inside it add their masses from the table, and only
+    the cells on its rim pair their bumps with it, in blocks within
+    ``KERNEL_BUDGET``.  A density point is a disk of radius 0, all rim."""
 
     family = "bump_lattice"
 
@@ -616,14 +616,17 @@ class BumpLattice(DensityField):
         self._order = np.argsort(cell, kind="stable")
         self._starts = np.searchsorted(
             cell[self._order], np.arange(self._nrows * self._ncols + 1))
-        # _counts[i, j]: the bumps in the cells of rows < i, columns < j
-        self._counts = np.zeros((self._nrows + 1, self._ncols + 1), np.intp)
-        self._counts[1:, 1:] = np.diff(self._starts).reshape(
-            self._nrows, self._ncols).cumsum(0).cumsum(1)
-        # whether bump indices ascend with the cells (row by row, as on a
-        # Gaussian-integer lattice): then a query's runs, in cell order,
-        # list its candidates in ascending bump index without a sort
-        self._ascending = bool(np.all(np.diff(self._order) > 0))
+        # _cell_masses[k]: the mass of cell k's bumps, then a 0.0 that a
+        # run of cells ending at the last cell slices up to
+        full = np.flatnonzero(np.diff(self._starts))
+        self._cell_masses = np.zeros(len(self._starts))
+        self._cell_masses[full] = np.add.reduceat(
+            masses[self._order], self._starts[full])
+        # The rounding of a bump's row index and of a row's strip ends,
+        # below 4 eps (|y0| + h), and of a query's interval ends, below
+        # eps (|c| + r) where a disk meets the box (|c| <= r + the box's
+        # extent), all lie far within this slack plus 1e-12 r
+        self._slack = 1e-12 * (abs(x0) + abs(x1) + abs(y0) + abs(y1))
 
     def _cell_span(self, coords, reach, origin, count):
         """The first and last of the ``count`` cells along one axis that
@@ -638,61 +641,112 @@ class BumpLattice(DensityField):
     def _reach(self, r):
         # a bump adds to a disk mass where np.abs(center - bump) - rho < r,
         # with np.abs rounded; the margin keeps every such bump strictly
-        # inside the square of half-side reach, so the cells, found from
-        # the square through monotone roundings and floor, list it.  Extra
+        # inside the disk and the square of half-side reach, so the cells,
+        # found through monotone roundings and floor, list it.  Extra
         # candidates add exactly 0.0
         return (r + self._rho_max) * (1.0 + 1e-12)
 
-    def _near_pairs(self, points, reach):
-        """Yield (query index, bump index) arrays of candidate pairs,
-        ordered by query and then by ascending bump index, in blocks of
-        queries whose pairs and (query, cell row) runs number at most
-        ``KERNEL_BUDGET // 2``, so that a block's complex pair arrays hold
-        at most ``KERNEL_BUDGET`` float64 values (a lone query may hold
-        more).  The candidates of a query are the bumps in the cells that
-        the square of half-side ``reach`` (a float, or one per query) about
-        it meets, a superset of the bumps within that reach; ``_counts``
-        counts them before any is listed.  Each (query, cell row) is one
-        run of ``_order``.  Where the bump indices do not ascend with the
-        cells, one sort of the integer key query * bumps + bump puts a
-        block's pairs in order."""
-        n = len(self.centers)
+    def _run_cells(self, points, radii, row):
+        """The flat cell indices k0 <= ka <= kb <= k1 of runs, a (4, runs)
+        array, each run the cells of ``row`` about one query (disk radius
+        r).  Cells k0..ka-1 and kb..k1-1 are its rim: the row's cells that
+        the disk of radius ``_reach(r)`` meets, less ka..kb-1, its
+        interior, whose boxes, grown by ``_rho_max`` and a margin, lie
+        inside the disk of radius r, so that every bump in them passes the
+        kernel's ``d + rho <= r`` test.  A bump's column is the floor of
+        the same monotone rounding as the intervals' ends, so the x-extent
+        holds exactly; the y-extent is the row's strip, widened by
+        ``_slack``.  Each half-chord is a product of square roots, which
+        neither cancels near the disk's top nor overflows."""
         x0, _, y0, _ = self._box
+        cx, cy = points.real, points.imag
+        reach = self._reach(radii)
+        margin = 1e-12 * radii + self._slack
+        inner = radii - self._rho_max - margin
+        # a huge box's strip ends may overflow; its slack is then inf, and
+        # fmax makes the nan of inf - inf a full chord and no interior
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = y0 + row * self._side
+            hi = y0 + (row + 1) * self._side
+            near = np.fmax(np.fmax(lo - cy, cy - hi) - self._slack, 0.0)
+            far = np.fmax(cy - lo, hi - cy) + margin
+        half = np.sqrt(np.fmax(reach - near, 0.0)) * np.sqrt(reach + near)
+        first, last = self._cell_span(cx, half, x0, self._ncols)
+        last = np.where(near <= reach, last, first - 1)
+        has = inner > far
+        half = np.where(has, np.sqrt(np.fmax(inner - far, 0.0))
+                        * np.sqrt(np.fmax(inner + far, 0.0)) - margin, 0.0)
+        # the columns wholly within [cx - half, cx + half]
+        ka = np.floor((cx - half - x0) / self._side) + 1.0
+        kb = np.floor((cx + half - x0) / self._side)
+        ka = np.clip(np.where(has, ka, last + 1), first, last + 1)
+        kb = np.clip(np.where(has, kb, ka), ka, last + 1)
+        return row * self._ncols + np.stack(
+            [first, ka.astype(np.intp), kb.astype(np.intp), last + 1])
+
+    def _near_pairs(self, points, radii):
+        """Yield, in blocks of queries, the (query index, bump index)
+        arrays of the rim pairs and the (query index, mass) arrays of the
+        interior runs, both ordered by query, for disks of ``radii`` (a
+        float, or one per query) about ``points``.  The rim pairs of a
+        query list, in cell order, a superset of the bumps within
+        ``_reach(r)`` of it that do not lie in its interior cells, and an
+        interior run's mass is one ``np.add.reduceat`` slice of
+        ``_cell_masses``: contiguous cells, so a run's sum cancels nothing
+        and does not depend on the other runs.  Each cell row that the
+        square of half-side ``_reach(r)`` about a query meets is one run
+        (``_run_cells``).  A block's queries hold at most ``KERNEL_BUDGET
+        // 2`` rim pairs and runs, so that its complex pair arrays hold at
+        most ``KERNEL_BUDGET`` float64 values (a lone query may hold
+        more), and the runs are formed at most ``KERNEL_BUDGET // 4`` at a
+        time, so that their table of four cell indices does too."""
+        x0, _, y0, _ = self._box
+        radii = np.broadcast_to(radii, points.shape)
+        reach = self._reach(radii)
         col0, col1 = self._cell_span(points.real, reach, x0, self._ncols)
         row0, row1 = self._cell_span(points.imag, reach, y0, self._nrows)
         rows = np.where(col0 <= col1, np.maximum(row1 - row0 + 1, 0), 0)
-        # a query's share of a block: its candidates, counted from _counts
-        # (0 on an empty span, where row1 + 1 == row0 or col1 + 1 == col0),
-        # and its runs
-        c = self._counts
-        cost = (c[row1 + 1, col1 + 1] - c[row0, col1 + 1] - c[row1 + 1, col0]
-                + c[row0, col0] + rows)
-        upto = np.cumsum(cost)
-        lo = 0
-        while lo < len(points):
-            base = upto[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(
-                upto, base + KERNEL_BUDGET // 2, side="right")))
+        # a call may hold many queries: only what the runs need stays
+        del reach, col0, col1, row1
+        for lo, hi in _spans(np.cumsum(rows), KERNEL_BUDGET // 4):
             # one run per (query, cell row), queries ascending
-            run_q = np.repeat(np.arange(lo, hi), rows[lo:hi])
+            q = np.repeat(np.arange(lo, hi), rows[lo:hi])
             ends = np.cumsum(rows[lo:hi])
-            row = (row0[run_q] + np.arange(len(run_q))
-                   - (ends - rows[lo:hi])[run_q - lo])
-            first = self._starts[row * self._ncols + col0[run_q]]
-            count = self._starts[row * self._ncols + col1[run_q] + 1] - first
-            # each run's positions first, first + 1, ... in _order
-            pos = np.repeat(first - np.cumsum(count) + count, count)
-            pos += np.arange(len(pos))
-            qi, bi = np.repeat(run_q, count), self._order[pos]
-            if not self._ascending:
-                bi = np.sort(qi * n + bi) - qi * n
-            yield qi, bi
-            lo = hi
+            cells = self._run_cells(points[q], radii[q], row0[q] + np.arange(
+                len(q)) - (ends - rows[lo:hi])[q - lo])
+            # a query's share of a block: its rim pairs and its runs
+            rim = np.diff(self._starts[cells], axis=0)[0::2].sum(axis=0)
+            upto = np.append(0, np.cumsum(rim + 1))[ends]
+            del rim
+            for a, b in _spans(upto, KERNEL_BUDGET // 2):
+                runs = slice(ends[a - 1] if a else 0, ends[b - 1])
+                yield self._block(q[runs], cells[:, runs])
+
+    def _block(self, q, cells):
+        """The rim pairs and interior runs of ``_near_pairs``'s block of
+        runs of the queries ``q``, with the cells of ``_run_cells`` (a
+        method of its own, so that its temporaries are gone before the
+        block's pairs are used)."""
+        pos = self._starts[cells]
+        # each run's two rim pieces, left and right of its interior: from
+        # k0 and kb up to ka and k1, as positions first, first + 1, ... in
+        # _order
+        first = pos[0::2].T.ravel()
+        count = (pos[1::2] - pos[0::2]).T.ravel()
+        at = np.repeat(first - np.cumsum(count) + count, count)
+        at += np.arange(len(at))
+        # the interior runs' sums over ka..kb-1, every second slice
+        inner = cells[1] < cells[2]
+        sums = (np.add.reduceat(self._cell_masses,
+                                cells[1:3, inner].T.ravel())[::2]
+                if inner.any() else np.zeros(0))
+        return (np.repeat(np.repeat(q, 2), count), self._order[at],
+                q[inner], sums)
 
     def _density(self, z):
         flat = z.ravel()
         out = np.zeros(flat.shape)
-        for qi, bi in self._near_pairs(flat, self._reach(0.0)):
+        for qi, bi, _, _ in self._near_pairs(flat, 0.0):
             if len(qi):
                 rho = self.radii[bi]
                 vals = (self.masses[bi] / (rho ** 2 * _MOLLIFIER_MASS)
@@ -704,17 +758,19 @@ class BumpLattice(DensityField):
 
     def _disk_masses(self, centers, radii):
         """Each disk's mass: ``np.add.reduce`` (``np.sum``'s reduction)
-        adds the masses of the bumps wholly inside it, then its partial
-        masses are added one at a time, both in ascending bump index (the
-        polish amplifies last-bit changes).  The partial overlaps are held
-        until there are at least ``KERNEL_BUDGET`` of them; ``np.add.at``
-        adds them in index order, and each disk's pairs lie in one block of
-        ``_near_pairs``.  One lexsort of a held batch's (d, rho, r) triples
-        sends each distinct triple to the kernel once (a search lattice
-        about a symmetry point of the bumps repeats a triple up to 8 times),
-        and its fraction goes back to every pair that has it.  A pair's
-        fraction does not depend on the other pairs of a kernel call, so
-        each mass keeps the bits of a kernel row per pair."""
+        adds its interior runs' masses, row by row, and then the masses of
+        its rim bumps wholly inside it, in cell order; then its partial
+        masses are added one at a time, in cell order.  A disk's sum order
+        depends on the disk alone, so each mass keeps the bits of its lone
+        call (the polish amplifies last-bit changes).  Each disk's pairs
+        lie in one block of ``_near_pairs``.  The partial overlaps are held
+        until there are at least ``KERNEL_BUDGET`` of them, and
+        ``np.add.at`` adds them in order.  One lexsort of a held batch's
+        (d, rho, r) triples sends each distinct triple to the kernel once
+        (a search lattice about a symmetry point of the bumps repeats a
+        triple up to 8 times), and its fraction goes back to every pair
+        that has it.  A pair's fraction does not depend on the other pairs
+        of a kernel call."""
         out = np.zeros(len(centers))
         # the (disk, bump, distance) arrays of the partial overlaps held,
         # and their count
@@ -740,28 +796,47 @@ class BumpLattice(DensityField):
             frac = _bump_fractions_inside(d[first], rho[first], r[first])
             np.add.at(out, disk, self.masses[bump] * frac[run])
 
-        for disk, bump in self._near_pairs(centers, self._reach(radii)):
+        for disk, bump, run_disk, run_mass in self._near_pairs(centers,
+                                                                radii):
             d = np.abs(centers[disk] - self.centers[bump])
             r, rho = radii[disk], self.radii[bump]
             inside = d + rho <= r
             partial = ~inside & (d - rho < r)
-            disk_in = disk[inside]
-            cuts = np.flatnonzero(disk_in[1:] != disk_in[:-1]) + 1
-            masses = self.masses[bump[inside]]
-            for lo, hi in zip([0, *cuts], [*cuts, len(disk_in)]):
+            # each disk's whole terms, its runs' masses first
+            whole = np.concatenate([run_disk, disk[inside]])
+            order = np.argsort(whole, kind="stable")
+            whole = whole[order]
+            terms = np.concatenate([run_mass, self.masses[bump[inside]]])[
+                order]
+            cuts = np.flatnonzero(whole[1:] != whole[:-1]) + 1
+            for lo, hi in zip([0, *cuts], [*cuts, len(whole)]):
                 if hi > lo:
-                    out[disk_in[lo]] = np.add.reduce(masses[lo:hi])
+                    out[whole[lo]] = np.add.reduce(terms[lo:hi])
             parts.append((disk[partial], bump[partial], d[partial]))
             held += np.count_nonzero(partial)
             # the block's arrays go before a held batch is sorted, so that
             # the two are not alive at once
-            del disk, bump, d, r, rho, inside, partial, disk_in, masses
+            del (disk, bump, run_disk, run_mass, d, r, rho, inside, partial,
+                 whole, order, terms, cuts)
             if held >= KERNEL_BUDGET:
                 add_partials()
                 held = 0
         if held:
             add_partials()
         return out
+
+
+def _spans(upto, budget):
+    """Consecutive index ranges (lo, hi) of items whose cumulative costs
+    are ``upto``, each costing at most ``budget`` (a lone item may cost
+    more)."""
+    lo = 0
+    while lo < len(upto):
+        base = upto[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(upto, base + budget,
+                                             side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def decaying_bump_lattice(extent):

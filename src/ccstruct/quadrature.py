@@ -23,14 +23,15 @@ from .errors import QuadratureFailure
 #: ``adaptive_1d``, the grid, radial annulus and bump overlap kernels in
 #: ``density``, and ``structure.twist_many``) run in blocks of points
 #: within it (at least one point a block), and the bump lattice's cell list
-#: in blocks of at most half as many (query, bump) pairs and cell-row runs
-#: (a pair's complex difference is two values), so each temporary stays
-#: near or under 128 KB, glibc's default threshold for mapping fresh pages
-#: per allocation; above it every temporary is a new mapping whose pages
-#: fault in one by one.  With 20,000 nodes a call a grid classify took 2.2
-#: million page faults, a fifth of its run time spent as system time, and a
-#: 16-rung coarse stage of 797 radial centers took 28,176 minor faults
-#: (none when blocked).
+#: in blocks of at most half as many rim (query, bump) pairs and cell-row
+#: runs (a pair's complex difference is two values), its runs formed at
+#: most a quarter as many at a time (four cell indices a run), so each
+#: temporary stays near or under 128 KB, glibc's default threshold for
+#: mapping fresh pages per allocation; above it every temporary is a new
+#: mapping whose pages fault in one by one.  With 20,000 nodes a call a
+#: grid classify took 2.2 million page faults, a fifth of its run time
+#: spent as system time, and a 16-rung coarse stage of 797 radial centers
+#: took 28,176 minor faults (none when blocked).
 KERNEL_BUDGET = 12_000
 
 

@@ -713,6 +713,21 @@ def _reference_disk_masses(f, centers, r):
     return [_reference_disk_mass(f, c, r) for c in centers]
 
 
+#: How far a bump-lattice disk mass may lie from the all-pairs reference.
+#: Its interior cells add their masses cell by cell and its rim bumps come
+#: in cell order, so it sums in another order than the reference's
+#: ascending bump index
+_SUM_ORDER_REL = 1e-14
+
+
+def _assert_near_reference(f, centers, r, got):
+    """The masses ``got`` of ``centers`` at radius r are within
+    ``_SUM_ORDER_REL`` of the all-pairs reference."""
+    want = _reference_disk_masses(f, np.atleast_1d(centers), r)
+    assert np.atleast_1d(got) == pytest.approx(want, rel=_SUM_ORDER_REL,
+                                               abs=0.0)
+
+
 def _reference_density(f, z):
     dist = np.abs(np.asarray(z, dtype=complex).ravel()[:, None]
                   - f.centers[None, :])
@@ -745,8 +760,8 @@ def test_bump_indexed_matches_all_pairs(bumps, query, r):
         c = complex(f.centers[query % len(f.centers)])
     else:
         c = complex(*query)
-    # disk_mass keeps the reference's summation order, so it is exact
-    assert f.disk_mass(c, r) == _reference_disk_mass(f, c, r)
+    # the cell sums reorder the reference's sum, moving its last bits
+    _assert_near_reference(f, c, r, f.disk_mass(c, r))
     zs = np.array([c, c + 0.5, f.centers[0], 7.0 + 7.0j])
     many = _masses_at(f, zs, r)
     for z, v in zip(zs, many):
@@ -758,13 +773,17 @@ def test_bump_indexed_matches_all_pairs(bumps, query, r):
 
 def test_bump_disk_mass_bitwise_at_c12_oracle_points():
     """The classify slope on c12's lattice depends on the last bits of
-    disk_mass through the Nelder-Mead polish, so the cell list's sum must
-    reproduce the all-pairs one exactly, from disks under one bump's
-    support to disks over most of the lattice."""
+    disk_mass through the Nelder-Mead polish: from disks under one bump's
+    support to disks over most of the lattice, each mass is within
+    round-off of the all-pairs sum, and a batch of them keeps each lone
+    call's bits."""
     f = decaying_bump_lattice(70)
-    for z in (0j, 10 + 3j, -15 - 15j):
-        for d in (0.19, 3.0, 5.0, 8.0, 22.0, 40.0):
-            assert f.disk_mass(z, d) == _reference_disk_mass(f, z, d)
+    zs, ds = map(np.ravel, np.meshgrid([0j, 10 + 3j, -15 - 15j],
+                                       [0.19, 3.0, 5.0, 8.0, 22.0, 40.0]))
+    lone = [f.disk_mass(z, d) for z, d in zip(zs, ds)]
+    for z, d, got in zip(zs, ds, lone):
+        _assert_near_reference(f, z, d, got)
+    assert np.array_equal(_bits(f.disk_mass(zs, ds)), _bits(lone))
 
 
 def _listed_pairs(f, points, reach):
@@ -802,11 +821,12 @@ def lattice35():
 
 @pytest.mark.parametrize("r", [1e-3, 0.19, 1.0, 5.0, 12.0, 20.0, 40.0])
 def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
-    """The cell list's pairs give each center the all-pairs reference's
-    bits, from radii under one bump's support to radii past the lattice,
-    on the center sets once checked against the k-d tree's listed pairs:
-    17-grids about 0 and 10 + 3i, scattered centers, duplicates, a bump
-    center and centers beyond every support."""
+    """The cell list gives each center the all-pairs reference's mass to
+    round-off and the bits of its lone call, from radii under one bump's
+    support to radii past the lattice, on the center sets once checked
+    against the k-d tree's listed pairs: 17-grids about 0 and 10 + 3i,
+    scattered centers, duplicates, a bump center and centers beyond every
+    support."""
     f = lattice35
     rng = np.random.default_rng(15)
     ax = np.linspace(-2.0, 2.0, 17)
@@ -815,45 +835,45 @@ def test_bump_many_bitwise_as_listed_pairs(lattice35, r):
         grid, grid + (10 + 3j),
         rng.uniform(-45.0, 45.0, 60) + 1j * rng.uniform(-45.0, 45.0, 60),
         [0j, 0j, 1 + 1j, 1 + 1j, f.centers[7], 80 + 80j, -200j]])
-    assert np.array_equal(_bits(_masses_at(f, centers, r)),
-                          _bits(_reference_disk_masses(f, centers, r)))
+    many = _masses_at(f, centers, r)
+    _assert_near_reference(f, centers, r, many)
+    lone = [f.disk_mass(c, r) for c in centers]
+    assert np.array_equal(_bits(many), _bits(lone))
 
 
-def test_bump_cell_list_sorts_only_where_indices_do_not_ascend(lattice35):
-    # the Gaussian-integer lattice lists its bumps in cell order, so its
-    # runs come out in ascending bump index unsorted; the same bumps listed
-    # in reverse take the sort, and both keep the all-pairs bits
+def test_bump_cell_list_takes_bumps_in_any_listed_order(lattice35):
+    # the Gaussian-integer lattice lists its bumps in cell order, and the
+    # same bumps listed in reverse do not: each disk sums in cell order
+    # either way, within round-off of the all-pairs sum, with the bits of
+    # its lone call
     f = lattice35
     g = BumpLattice(f.centers[::-1], f.masses[::-1], f.radii[::-1])
-    assert f._ascending and not g._ascending
     rng = np.random.default_rng(33)
     centers = rng.uniform(-40.0, 40.0, 40) + 1j * rng.uniform(-40.0, 40.0,
                                                                40)
     for lattice in (f, g):
         for r in (0.3, 5.0, 40.0):
+            many = _masses_at(lattice, centers, r)
+            _assert_near_reference(lattice, centers, r, many)
             assert np.array_equal(
-                _bits(_masses_at(lattice, centers, r)),
-                _bits(_reference_disk_masses(lattice, centers, r)))
+                _bits(many), _bits([lattice.disk_mass(c, r) for c in centers]))
 
 
 def test_bump_many_bitwise_in_split_and_mixed_calls(lattice35):
     f = lattice35
     rng = np.random.default_rng(16)
-    # a call of more than KERNEL_BUDGET pairs runs in split blocks, each
-    # within half of it
+    # a call of more than KERNEL_BUDGET rim pairs runs in split blocks,
+    # each within half of it
     sparse = rng.uniform(-30.0, 30.0, 2000) + 1j * rng.uniform(-30.0, 30.0,
                                                                  2000)
-    reach = f._reach(5.0)
-    blocks = [len(bi) for _, bi in f._near_pairs(sparse, reach)]
+    blocks = [len(bi) for _, bi, _, _ in f._near_pairs(sparse, 5.0)]
     assert len(blocks) > 1 and sum(blocks) > density.KERNEL_BUDGET
     assert max(blocks) <= density.KERNEL_BUDGET // 2
-    assert np.array_equal(_bits(_masses_at(f, sparse, 5.0)),
-                          _bits(_reference_disk_masses(f, sparse, 5.0)))
+    _assert_near_reference(f, sparse, 5.0, _masses_at(f, sparse, 5.0))
     # the coarse lattice of a sup search at delta = 40: most disks reach
     # much of the lattice, the corners reach its edge
     lattice = _search_lattice(0j, 40.0)
-    assert np.array_equal(_bits(_masses_at(f, lattice, 12.0)),
-                          _bits(_reference_disk_masses(f, lattice, 12.0)))
+    _assert_near_reference(f, lattice, 12.0, _masses_at(f, lattice, 12.0))
     z = rng.uniform(-37.0, 37.0, 4000) + 1j * rng.uniform(-37.0, 37.0, 4000)
     assert np.array_equal(_bits(f.density(z)), _bits(_listed_density(f, z)))
 
@@ -954,7 +974,7 @@ def test_bump_density_blocks_repeat_lone_points(lattice35, monkeypatch):
                         + 1j * rng.uniform(-37.0, 37.0, 300),
                         [80 + 80j, 0j, 0j, f.centers[7]]])
     monkeypatch.setattr(density, "KERNEL_BUDGET", 100)
-    assert len(list(f._near_pairs(z, f._reach(0.0)))) >= 4
+    assert len(list(f._near_pairs(z, 0.0))) >= 4
     lone = [f.density(p) for p in z]
     assert np.array_equal(_bits(f.density(z)), _bits(lone))
 
@@ -1046,35 +1066,237 @@ _queries = st.lists(st.one_of(st.tuples(st.floats(-8.0, 8.0),
          queries=[(0.0, 1.1), (-3.0, -1e200)], r=2.9)
 @settings(max_examples=80, deadline=None)
 def test_bump_cell_list_on_awkward_lattices(bumps, queries, r):
-    """The cell list's candidates hold every bump within the reach, in
-    ascending index, on a single bump, collinear and coincident bumps, one
-    wide bump among narrow ones, and queries far outside the box; the disk
-    masses keep the all-pairs reference's bits."""
+    """The rim pairs and interior cells of a disk hold every bump within
+    its reach once, each interior bump passing the kernel's inside test,
+    on a single bump, collinear and coincident bumps, one wide bump among
+    narrow ones, and queries far outside the box; the disk masses are
+    within round-off of the all-pairs reference, with the bits of their
+    lone calls."""
     xs, ys, masses, radii = map(np.array, zip(*bumps))
     f = BumpLattice(xs + 1j * ys, masses, radii)
     zs = np.array([complex(f.centers[q % len(f.centers)])
                    if isinstance(q, int) else complex(*q) for q in queries])
-    reach = f._reach(r)
-    pairs = list(f._near_pairs(zs, reach))
-    qi = np.concatenate([p[0] for p in pairs])
-    bi = np.concatenate([p[1] for p in pairs])
-    key = qi * len(f.centers) + bi
-    assert np.all(np.diff(key) > 0)
-    for k, z in enumerate(zs):
-        near = np.flatnonzero(np.abs(z - f.centers) <= reach)
-        assert set(near) <= set(bi[qi == k])
-        got = f.disk_mass(z, r)
-        assert type(got) is float
-        assert _bits(got) == _bits(_reference_disk_mass(f, z, r))
-    assert np.array_equal(_bits(_masses_at(f, zs, r)),
-                          _bits(_reference_disk_masses(f, zs, r)))
+    lone = []
+    for z in zs:
+        rim, interior = _rim_and_interior(f, z, r)
+        assert len(set(rim) | set(interior)) == len(rim) + len(interior)
+        near = np.flatnonzero(np.abs(z - f.centers) <= f._reach(r))
+        assert set(near) <= set(rim) | set(interior)
+        assert np.all(np.abs(z - f.centers[interior]) + f.radii[interior]
+                      <= r)
+        lone.append(f.disk_mass(z, r))
+        assert type(lone[-1]) is float
+    _assert_near_reference(f, zs, r, lone)
+    assert np.array_equal(_bits(_masses_at(f, zs, r)), _bits(lone))
     assert f.density(zs) == pytest.approx(_reference_density(f, zs),
                                           rel=1e-12, abs=0.0)
 
 
+def _lone_runs(f, z, r):
+    """The (4, runs) cell table of ``_run_cells`` for a lone disk."""
+    row0, row1 = f._cell_span(np.array([z.imag]), f._reach(r), f._box[2],
+                              f._nrows)
+    rows = np.arange(row0[0], row1[0] + 1)
+    return f._run_cells(np.full(len(rows), z), np.full(len(rows), r), rows)
+
+
+def _rim_and_interior(f, z, r):
+    """The bump indices of a lone disk's rim pairs, in order, and those of
+    its interior cells."""
+    (_, rim, _, _), = f._near_pairs(np.array([z]), r)
+    interior = [f._order[f._starts[a]:f._starts[b]]
+                for _, a, b, _ in _lone_runs(f, z, r).T]
+    return rim, np.concatenate([np.zeros(0, np.intp), *interior])
+
+
+def _assert_rim_sums(f, centers, radii):
+    """Each disk's mass is within round-off of the all-pairs reference and
+    keeps the bits of its lone call in one batch of all of them."""
+    centers, radii = np.broadcast_arrays(np.asarray(centers, complex),
+                                         np.asarray(radii, float))
+    lone = [f.disk_mass(c, r) for c, r in zip(centers, radii)]
+    for c, r, got in zip(centers, radii, lone):
+        _assert_near_reference(f, c, r, got)
+    assert np.array_equal(_bits(f.disk_mass(centers, radii)), _bits(lone))
+
+
+def _interior_cells(f, z, r):
+    _, ka, kb, _ = _lone_runs(f, z, r)
+    return int(np.sum(kb - ka))
+
+
+def _interior_flip(f, z, lo, hi):
+    """Adjacent floats r < r' in [lo, hi] between which the interior cell
+    count of the disk about z changes, by bisection on the float bits."""
+    lo_bits, hi_bits = map(int, np.array([lo, hi]).view(np.int64))
+    below = _interior_cells(f, z, lo)
+    assert _interior_cells(f, z, hi) != below
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if _interior_cells(f, z, np.array(mid).view(float)[()]) == below:
+            lo_bits = mid
+        else:
+            hi_bits = mid
+    return np.array([lo_bits, hi_bits]).view(float)
+
+
+def test_bump_rim_sums_at_interior_edges():
+    """Disks whose interior edge falls on a cell corner or a cell edge, and
+    on the last float before and the first after the radius where a cell
+    turns interior: the cell about to turn is summed in full or paired
+    bump by bump, and either way each mass is the reference's to
+    round-off and its lone call's bits."""
+    f = decaying_bump_lattice(6)
+    x0, _, y0, _ = f._box
+    side = f._side
+    corner = complex(x0 + 5 * side, y0 + 7 * side)
+    edge = complex(x0 + 5 * side, y0 + 7.5 * side)
+    centers, radii = [], []
+    for z, far in ((corner, math.hypot(side, side)),
+                   (edge, math.hypot(side, 0.5 * side)),
+                   (edge, math.hypot(2 * side, 1.5 * side))):
+        # the grown box of a cell beside z just inside the disk, and the
+        # radius at which the interior count changes near it
+        r = far + f._rho_max
+        flip = _interior_flip(f, z, 0.9 * r, 1.1 * r)
+        for s in (r, *flip):
+            for t in (np.nextafter(s, 0.0), s, np.nextafter(s, math.inf)):
+                centers.append(z)
+                radii.append(t)
+    assert len({_interior_cells(f, z, r) for z, r in zip(centers, radii)
+                if z == corner}) == 2
+    _assert_rim_sums(f, centers, radii)
+
+
+def test_bump_interior_cells_pass_the_inside_test_at_their_edge():
+    """A bump of the largest radius on a cell's corner, and disks about
+    points beyond that corner: from the first radius at which an interior
+    count changes near it, and one ulp past it, every interior bump passes
+    the kernel's ``d + rho <= r`` test (with no margin, 3 of these 400
+    disks list a bump that fails it), and each mass is the reference's to
+    round-off with its lone call's bits."""
+    anchors = [0j, 3 + 3j]
+    g = BumpLattice(anchors + [1 + 1j], [1.0] * 3, [1.0] * 3)
+    corner = complex(g._box[0] + g._side, g._box[2] + g._side)
+    f = BumpLattice(anchors + [corner], [1.0] * 3, [1.0] * 3)
+    assert (f._side, f._box) == (g._side, g._box)
+    rng = np.random.default_rng(5)
+    centers, radii = [], []
+    for _ in range(200):
+        z = corner + complex(*rng.uniform(1.0, 4.0, 2)) * f._side
+        r = abs(z - corner) + 1.0
+        flip = _interior_flip(f, z, 0.999 * r, 1.001 * r + 4 * f._side)[1]
+        for t in (flip, np.nextafter(flip, math.inf)):
+            _, interior = _rim_and_interior(f, z, t)
+            assert np.all(np.abs(z - f.centers[interior])
+                          + f.radii[interior] <= t)
+            centers.append(z)
+            radii.append(t)
+    _assert_rim_sums(f, centers, radii)
+
+
+def _lattice_with_row_over_decades():
+    # one row: a bump of mass 1e10 at 0, then bumps of mass 1e-3
+    xs = np.arange(12.0)
+    masses = np.where(xs == 0.0, 1e10, 1e-3)
+    return BumpLattice(xs + 0j, masses, np.full(12, 0.1))
+
+
+def _overlapping_lattice():
+    rng = np.random.default_rng(41)
+    x, y = rng.uniform(-3.0, 3.0, (2, 60))
+    return BumpLattice(x + 1j * y, rng.uniform(0.1, 2.0, 60),
+                       rng.uniform(0.5, 2.0, 60))
+
+
+def _decaying_lattice():
+    return decaying_bump_lattice(6)
+
+
+def _shuffled_lattice():
+    f = _decaying_lattice()
+    order = np.random.default_rng(42).permutation(len(f.centers))
+    return BumpLattice(f.centers[order], f.masses[order], f.radii[order])
+
+
+def _one_wide_bump_lattice():
+    f = _decaying_lattice()
+    return BumpLattice(np.append(f.centers, 1.5 - 2.5j),
+                       np.append(f.masses, 3.0), np.append(f.radii, 15.0))
+
+
+@pytest.mark.parametrize("make", [
+    _lattice_with_row_over_decades, _overlapping_lattice, _shuffled_lattice,
+    _one_wide_bump_lattice, _decaying_lattice])
+def test_bump_rim_sums_match_the_reference(make):
+    """Overlapping supports, bumps listed out of cell order, one bump far
+    wider than the rest, a row whose masses span 1e10 to 1e-3, and disks
+    from under one support to far wider than the lattice."""
+    f = make()
+    rng = np.random.default_rng(43)
+    x0, x1, y0, y1 = f._box
+    centers = np.concatenate([
+        rng.uniform(x0, x1, 12) + 1j * rng.uniform(y0, y1, 12),
+        f.centers[:3], [0.5 * (x0 + x1) + 0.5j * (y0 + y1), 5.5 + 0j]])
+    for r in (0.3, 2.0, 4.6, 7.0, 1e3):
+        _assert_rim_sums(f, centers, r)
+
+
+def test_bump_rim_sums_do_not_cancel_across_decades():
+    # the disk about 5.5 holds the bumps of mass 1e-3 at 1..10 and not the
+    # one of mass 1e10 at 0: its interior cells add those alone, where a
+    # difference of prefix sums would leave 1e10 + 1e-2 - 1e10, about
+    # 1e-6 off
+    f = _lattice_with_row_over_decades()
+    (_, _, _, sums), = f._near_pairs(np.array([5.5 + 0j]), 4.7)
+    assert len(sums) and np.all(sums < 1.0)
+    got = f.disk_mass(5.5, 4.7)
+    assert got == pytest.approx(10e-3, rel=1e-14, abs=0.0)
+    _assert_near_reference(f, 5.5, 4.7, got)
+
+
+_generated_bump = st.tuples(
+    st.floats(-6.0, 6.0), st.floats(-6.0, 6.0),
+    st.floats(1e-3, 1e3), st.floats(0.05, 2.5))
+
+
+@given(bumps=st.lists(_generated_bump, min_size=1, max_size=80),
+       queries=st.lists(st.tuples(st.floats(-9.0, 9.0), st.floats(-9.0, 9.0),
+                                  st.floats(1e-2, 40.0)),
+                        min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_bump_rim_sums_on_generated_lattices(bumps, queries):
+    """Independent of the batch: on lattices of up to 80 bumps in any
+    listed order, with masses over six decades and overlapping supports,
+    each disk's mass is within round-off of the all-pairs reference and
+    keeps its lone call's bits in one batch of disks of mixed radii."""
+    xs, ys, masses, radii = map(np.array, zip(*bumps))
+    f = BumpLattice(xs + 1j * ys, masses, radii)
+    zs, rs = [complex(x, y) for x, y, _ in queries], [r for *_, r in queries]
+    _assert_rim_sums(f, zs, rs)
+
+
+def test_bump_rim_pairs_are_a_fifth_of_the_square():
+    # the top coarse rung of classify's search about 0: its disks of
+    # radius 12 sum most bumps cell by cell, so they pair with under a
+    # fifth of the candidates in the squares of half-side reach about them
+    f = decaying_bump_lattice(35)
+    lattice = _search_lattice(0j, 40.0)
+    x0, _, y0, _ = f._box
+    reach = f._reach(12.0)
+    col0, col1 = f._cell_span(lattice.real, reach, x0, f._ncols)
+    row0, row1 = f._cell_span(lattice.imag, reach, y0, f._nrows)
+    per_cell = np.diff(f._starts).reshape(f._nrows, f._ncols)
+    square = sum(int(per_cell[a:b + 1, c:d + 1].sum())
+                 for a, b, c, d in zip(row0, row1, col0, col1))
+    pairs = sum(len(block[1]) for block in f._near_pairs(lattice, 12.0))
+    assert 5 * pairs <= square
+
+
 def test_bump_disk_mass_is_a_float():
     # the sum that adds a partial bump, and the one that adds none, both
-    # return a Python float with the all-pairs bits
+    # return a Python float with the all-pairs bits (neither disk has an
+    # interior cell)
     f = decaying_bump_lattice(5)
     for z, r, partial in ((0.3 + 0.1j, 0.7, True), (0j, 0.3, False)):
         d = np.abs(f.centers - z)
